@@ -1,6 +1,9 @@
 #include "daemons/healthlog.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "telemetry/telemetry.h"
 
@@ -63,18 +66,38 @@ void HealthLog::record(const InfoVector& vector) {
 void HealthLog::clear() {
   vectors_.clear();
   errors_.clear();
+  correctable_through_.clear();
+  suffix_minima_.clear();
   last_trigger_ = Seconds{-1e18};
 }
 
 void HealthLog::record_error(const ErrorEvent& event) {
-  errors_.push_back(event);
-  while (errors_.size() > config_.capacity) errors_.pop_front();
   if (event.severity == Severity::kCorrectable) {
     ++total_correctable_;
     metrics().correctable.add();
   } else {
     ++total_uncorrectable_;
     metrics().uncorrectable.add();
+  }
+  errors_.push_back(event);
+  correctable_through_.push_back(total_correctable_);
+  const std::uint64_t sequence = next_sequence_++;
+  // A NaN stamp never compares below a cutoff, so it can never end the
+  // window and never enters the index.
+  if (!std::isnan(event.timestamp.value)) {
+    while (!suffix_minima_.empty() &&
+           suffix_minima_.back().second >= event.timestamp.value) {
+      suffix_minima_.pop_back();
+    }
+    suffix_minima_.emplace_back(sequence, event.timestamp.value);
+  }
+  while (errors_.size() > config_.capacity) {
+    const std::uint64_t evicted = sequence + 1 - errors_.size();
+    if (!suffix_minima_.empty() && suffix_minima_.front().first == evicted) {
+      suffix_minima_.pop_front();
+    }
+    errors_.pop_front();
+    correctable_through_.pop_front();
   }
   for (const auto& listener : error_listeners_) listener(event);
 
@@ -140,12 +163,23 @@ HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
 double HealthLog::error_rate_per_s(Seconds now) const {
   const Seconds window = config_.rate_window;
   if (window.value <= 0.0) return 0.0;
+  if (errors_.empty()) return 0.0;
   const double cutoff = now.value - window.value;
-  std::size_t count = 0;
-  for (auto it = errors_.rbegin(); it != errors_.rend(); ++it) {
-    if (it->timestamp.value < cutoff) break;
-    if (it->severity == Severity::kCorrectable) ++count;
+  // The window opens after the newest event stamped before the cutoff.
+  // Nothing after that event is earlier, so it is a suffix minimum: the
+  // last index entry below the cutoff.
+  const auto end = std::partition_point(
+      suffix_minima_.begin(), suffix_minima_.end(),
+      [cutoff](const auto& entry) { return entry.second < cutoff; });
+  std::uint64_t before = 0;
+  if (end != suffix_minima_.begin()) {
+    const std::uint64_t first = next_sequence_ - errors_.size();
+    before = correctable_through_[std::prev(end)->first - first];
+  } else {
+    before = correctable_through_.front() -
+             (errors_.front().severity == Severity::kCorrectable ? 1 : 0);
   }
+  const std::uint64_t count = correctable_through_.back() - before;
   return static_cast<double>(count) / window.value;
 }
 

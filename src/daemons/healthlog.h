@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -75,7 +76,10 @@ class HealthLog {
   /// On-demand service: aggregate of vectors/events since `since`.
   Aggregate aggregate(Seconds since) const;
 
-  /// Correctable-error rate over the trailing window ending at `now`.
+  /// Correctable-error rate over the trailing window ending at `now`:
+  /// the correctable events after the newest logged event stamped
+  /// before `now - rate_window` (events need not be time-ordered).
+  /// O(log n) in the logfile length.
   double error_rate_per_s(Seconds now) const;
 
   bool threshold_exceeded(Seconds now) const;
@@ -89,6 +93,15 @@ class HealthLog {
   Config config_;
   std::deque<InfoVector> vectors_;
   std::deque<ErrorEvent> errors_;
+  // Window-count index, evicted in step with errors_. Entry i of
+  // correctable_through_ is total_correctable_ just after errors_[i]
+  // was logged. suffix_minima_ holds (sequence, timestamp) of every
+  // event stamped strictly earlier than all events logged after it;
+  // its timestamps strictly increase. Sequence numbers count every
+  // event ever logged.
+  std::deque<std::uint64_t> correctable_through_;
+  std::deque<std::pair<std::uint64_t, double>> suffix_minima_;
+  std::uint64_t next_sequence_{0};
   std::vector<ErrorListener> error_listeners_;
   std::vector<RecharacterizeListener> recharacterize_listeners_;
   std::uint64_t total_correctable_{0};

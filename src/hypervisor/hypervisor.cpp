@@ -71,7 +71,6 @@ Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
       config_(config),
       rng_(seed),
       healthlog_(config.healthlog),
-      inventory_(Rng(seed).fork(0x0B7EC7).next()),
       domains_(node) {
   reconfigure_domains();
   if (config_.selective_protection) {

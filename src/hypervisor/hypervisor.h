@@ -127,7 +127,6 @@ class Hypervisor {
   const HvConfig& config() const { return config_; }
   hw::ServerNode& node() { return node_; }
   daemons::HealthLog& healthlog() { return healthlog_; }
-  const ObjectInventory& inventory() const { return inventory_; }
   MemoryDomainManager& domains() { return domains_; }
 
   // -- VM lifecycle ---------------------------------------------------
@@ -181,14 +180,14 @@ class Hypervisor {
  private:
   void reconfigure_domains();
   /// Average probability that an SDC into hypervisor memory is fatal,
-  /// given the inventory and the protection configuration.
+  /// given the default KVM object profiles and the protection
+  /// configuration.
   double hv_fatality_probability() const;
 
   hw::ServerNode& node_;
   HvConfig config_;
   Rng rng_;
   daemons::HealthLog healthlog_;
-  ObjectInventory inventory_;
   MemoryDomainManager domains_;
   FootprintModel footprint_;
   std::map<std::uint64_t, Vm> vms_;

@@ -461,11 +461,13 @@ int Cloud::evacuate_node(ComputeNode* source, MigrationPriority priority,
   // Drain the resident VMs, most-susceptible-first (the monitor's
   // ranking: big, busy, already-hit VMs are the likeliest next victims,
   // so their tickets enter the FIFO queue first).
-  std::vector<std::uint64_t> resident;
-  for (std::uint64_t id : monitor_.ranked_by_susceptibility()) {
-    if (source->hypervisor().vms().contains(id)) resident.push_back(id);
-  }
+  std::vector<std::uint64_t> on_node;
   for (const auto& [id, vm] : source->hypervisor().vms()) {
+    on_node.push_back(id);
+  }
+  std::vector<std::uint64_t> resident =
+      monitor_.ranked_by_susceptibility(on_node);
+  for (std::uint64_t id : on_node) {
     if (std::find(resident.begin(), resident.end(), id) ==
         resident.end()) {
       resident.push_back(id);

@@ -58,4 +58,23 @@ std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility() const {
   return ids;
 }
 
+std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility(
+    const std::vector<std::uint64_t>& candidates) const {
+  std::vector<std::pair<double, std::uint64_t>> keyed;
+  keyed.reserve(candidates.size());
+  for (std::uint64_t id : candidates) {
+    if (histories_.contains(id)) keyed.emplace_back(susceptibility(id), id);
+  }
+  // (susceptibility desc, id asc) is a total order over distinct ids, so
+  // ranking a subset yields the full ranking filtered to that subset.
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<std::uint64_t> ids;
+  ids.reserve(keyed.size());
+  for (const auto& [score, id] : keyed) ids.push_back(id);
+  return ids;
+}
+
 }  // namespace uniserver::osk

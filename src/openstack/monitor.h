@@ -69,8 +69,17 @@ class VmMonitor {
   /// of the next hardware fault, relative to its peers.
   double susceptibility(std::uint64_t vm_id) const;
 
-  /// VM ids sorted most-susceptible-first (evacuation order).
+  /// VM ids sorted most-susceptible-first (evacuation order). Ties
+  /// break to the lower id.
   std::vector<std::uint64_t> ranked_by_susceptibility() const;
+
+  /// The tracked ids among `candidates` (distinct), in the same order as
+  /// ranked_by_susceptibility(); untracked candidates are left out.
+  /// Each score is computed once, so ranking one node's residents costs
+  /// O(k log k) rather than a fleet-wide sort. The no-argument overload
+  /// stays as the reference.
+  std::vector<std::uint64_t> ranked_by_susceptibility(
+      const std::vector<std::uint64_t>& candidates) const;
 
   std::size_t tracked_vms() const { return histories_.size(); }
 

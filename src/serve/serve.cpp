@@ -40,21 +40,37 @@ ServeMetrics& metrics() {
 }  // namespace
 
 VcpuQueue::VcpuQueue(int vcpus, std::size_t cap)
-    : free_at_(static_cast<std::size_t>(std::max(1, vcpus)), 0.0),
+    : servers_(static_cast<std::size_t>(std::max(1, vcpus))),
       cap_(std::max<std::size_t>(1, cap)) {}
+
+void VcpuQueue::push(Server& server, double completion) {
+  // Grow the ring to the next power of two, unrolling it oldest-first.
+  if (server.size == server.ring.size()) {
+    std::vector<double> grown(std::max<std::size_t>(4, 2 * server.size));
+    for (std::size_t i = 0; i < server.size; ++i) {
+      grown[i] = server.ring[(server.head + i) & (server.ring.size() - 1)];
+    }
+    server.ring = std::move(grown);
+    server.head = 0;
+  }
+  server.ring[(server.head + server.size) & (server.ring.size() - 1)] =
+      completion;
+  ++server.size;
+}
 
 VcpuQueue::Offer VcpuQueue::offer(Seconds arrival, Seconds service) {
   Offer offer;
-  if (in_flight_.size() >= cap_) return offer;
+  if (outstanding_ >= cap_) return offer;
   // Earliest-free server, ties to the lowest index: FIFO dispatch.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < free_at_.size(); ++i) {
-    if (free_at_[i] < free_at_[best]) best = i;
+  Server* best = &servers_.front();
+  for (Server& server : servers_) {
+    if (server.free_at < best->free_at) best = &server;
   }
-  const double start = std::max(arrival.value, free_at_[best]);
+  const double start = std::max(arrival.value, best->free_at);
   const double completion = start + std::max(0.0, service.value);
-  free_at_[best] = completion;
-  in_flight_.push(completion);
+  best->free_at = completion;
+  push(*best, completion);
+  ++outstanding_;
   offer.admitted = true;
   offer.completion = Seconds{completion};
   offer.latency = Seconds{completion - arrival.value};
@@ -63,24 +79,29 @@ VcpuQueue::Offer VcpuQueue::offer(Seconds arrival, Seconds service) {
 
 void VcpuQueue::stall(Seconds at, Seconds duration) {
   const double d = std::max(0.0, duration.value);
-  for (double& horizon : free_at_) {
-    horizon = std::max(horizon, at.value) + d;
+  for (Server& server : servers_) {
+    server.free_at = std::max(server.free_at, at.value) + d;
   }
 }
 
 std::uint64_t VcpuQueue::drain(Seconds now) {
   std::uint64_t completed = 0;
-  while (!in_flight_.empty() && in_flight_.top() <= now.value) {
-    in_flight_.pop();
-    ++completed;
+  for (Server& server : servers_) {
+    const std::size_t mask = server.ring.size() - 1;
+    while (server.size > 0 && server.ring[server.head] <= now.value) {
+      server.head = (server.head + 1) & mask;
+      --server.size;
+      ++completed;
+    }
   }
+  outstanding_ -= completed;
   return completed;
 }
 
 Seconds VcpuQueue::backlog(Seconds now) const {
   double total = 0.0;
-  for (double horizon : free_at_) {
-    total += std::max(0.0, horizon - now.value);
+  for (const Server& server : servers_) {
+    total += std::max(0.0, server.free_at - now.value);
   }
   return Seconds{total};
 }
@@ -116,13 +137,14 @@ void ServeLayer::on_vm_placed(const trace::VmRequest& request,
                               const hw::ServerNode* node) {
   Replica replica{request, node,
                   VcpuQueue(request.vcpus, config_.queue_cap)};
-  replicas_.insert_or_assign(request.id, std::move(replica));
+  Replica* placed =
+      &replicas_.insert_or_assign(request.id, std::move(replica))
+           .first->second;
   auto& members = services_[service_of(request.id)];
-  const auto pos =
-      std::lower_bound(members.begin(), members.end(), request.id);
-  if (pos == members.end() || *pos != request.id) {
-    members.insert(pos, request.id);
-  }
+  const auto pos = std::lower_bound(
+      members.begin(), members.end(), request.id,
+      [](const Replica* r, std::uint64_t id) { return r->request.id < id; });
+  if (pos == members.end() || *pos != placed) members.insert(pos, placed);
 }
 
 void ServeLayer::on_vm_moved(std::uint64_t vm_id,
@@ -142,7 +164,7 @@ void ServeLayer::drop_vm(std::uint64_t vm_id) {
   metrics().dropped.add(orphaned);
   const auto sit = services_.find(service_of(vm_id));
   if (sit != services_.end()) {
-    std::erase(sit->second, vm_id);
+    std::erase(sit->second, &it->second);
     if (sit->second.empty()) services_.erase(sit);
   }
   replicas_.erase(it);
@@ -186,21 +208,42 @@ double ServeLayer::speed_factor(const Replica& replica) const {
   return 1.0 / std::max(1e-9, denom);
 }
 
-void ServeLayer::dispatch(std::uint64_t service, Seconds arrival) {
+ServeLayer::Replica* ServeLayer::least_backlog(const Members& members,
+                                               Seconds at) {
+  Replica* best = nullptr;
+  double best_backlog = 0.0;
+  for (Replica* replica : members) {
+    const double backlog = replica->queue.backlog(at).value;
+    if (best == nullptr || backlog < best_backlog) {
+      best = replica;
+      best_backlog = backlog;
+    }
+  }
+  return best;
+}
+
+std::uint64_t ServeLayer::route(std::uint64_t service, Seconds at) const {
+  const auto sit = services_.find(service);
+  if (sit == services_.end()) return 0;
+  const Replica* best = least_backlog(sit->second, at);
+  return best == nullptr ? 0 : best->request.id;
+}
+
+Seconds ServeLayer::backlog(std::uint64_t vm_id, Seconds at) const {
+  const auto it = replicas_.find(vm_id);
+  return it == replicas_.end() ? Seconds{0.0} : it->second.queue.backlog(at);
+}
+
+void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   ++stats_.generated;
   metrics().generated.add();
-  const auto sit = services_.find(service);
-  if (sit == services_.end() || sit->second.empty()) {
+  Replica* const chosen = least_backlog(members, arrival);
+  if (chosen == nullptr) {
     ++stats_.dropped_unroutable;
     metrics().dropped.add();
     return;
   }
-  std::vector<std::pair<std::uint64_t, Seconds>> backlogs;
-  backlogs.reserve(sit->second.size());
-  for (std::uint64_t id : sit->second) {
-    backlogs.emplace_back(id, replicas_.at(id).queue.backlog(arrival));
-  }
-  Replica& replica = replicas_.at(ReplicaBalancer::route(backlogs));
+  Replica& replica = *chosen;
   const double demand =
       rng_.exponential(1.0 / std::max(1e-9, config_.mean_service.value));
   const Seconds service_time{demand / speed_factor(replica)};
@@ -246,16 +289,18 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
                      return a.first < b.first;
                    });
   std::vector<std::pair<double, std::uint64_t>> later;
-  std::vector<std::uint64_t> service_ids;
-  service_ids.reserve(services_.size());
-  for (const auto& [id, members] : services_) service_ids.push_back(id);
+  std::vector<const Members*> service_members;
+  service_members.reserve(services_.size());
+  for (const auto& [id, members] : services_) {
+    service_members.push_back(&members);
+  }
   for (const auto& [at, count] : pending_bursts_) {
     if (at > window_end.value) {
       later.emplace_back(at, count);
       continue;
     }
     const Seconds when{std::max(at, t0)};
-    if (service_ids.empty()) {
+    if (service_members.empty()) {
       // Nothing placed yet: the burst lands on an empty fleet.
       stats_.generated += count;
       stats_.dropped_unroutable += count;
@@ -264,7 +309,8 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       continue;
     }
     for (std::uint64_t k = 0; k < count; ++k) {
-      dispatch(service_ids[burst_rr_++ % service_ids.size()], when);
+      dispatch(*service_members[burst_rr_++ % service_members.size()],
+               when);
     }
   }
   pending_bursts_ = std::move(later);
@@ -275,8 +321,8 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
   const double peak = std::max(config_.diurnal.peak_factor, 1e-9);
   for (const auto& [service, members] : services_) {
     double vcpus = 0.0;
-    for (std::uint64_t id : members) {
-      vcpus += static_cast<double>(replicas_.at(id).request.vcpus);
+    for (const Replica* replica : members) {
+      vcpus += static_cast<double>(replica->request.vcpus);
     }
     const double rate = config_.requests_per_vcpu_hz * vcpus;
     if (rate <= 0.0) continue;
@@ -286,7 +332,7 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       if (t >= window_end.value) break;
       const double factor =
           trace::diurnal_factor(config_.diurnal, Seconds{t});
-      if (rng_.uniform() * peak <= factor) dispatch(service, Seconds{t});
+      if (rng_.uniform() * peak <= factor) dispatch(members, Seconds{t});
     }
   }
 

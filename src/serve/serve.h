@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "common/rng.h"
@@ -114,20 +113,34 @@ class VcpuQueue {
   /// how many completed.
   std::uint64_t drain(Seconds now);
 
-  std::size_t outstanding() const { return in_flight_.size(); }
+  std::size_t outstanding() const { return outstanding_; }
   /// Pending busy time beyond `now`, summed over servers — the load
   /// signal the replica balancer compares.
   Seconds backlog(Seconds now) const;
 
  private:
-  std::vector<double> free_at_;  // per-server busy horizon (seconds)
-  std::priority_queue<double, std::vector<double>, std::greater<>>
-      in_flight_;  // outstanding completion times
+  /// One vCPU. Its completion times never decrease: `offer` starts no
+  /// earlier than the busy horizon, and `stall` only moves the horizon
+  /// later. So each server's outstanding completions form a FIFO, and
+  /// `drain` retires exactly the requests a global min-heap would.
+  struct Server {
+    double free_at{0.0};       // busy horizon (seconds)
+    std::vector<double> ring;  // completion times, oldest at `head`
+    std::size_t head{0};
+    std::size_t size{0};
+  };
+  static void push(Server& server, double completion);
+
+  std::vector<Server> servers_;
+  std::size_t outstanding_{0};
   std::size_t cap_;
 };
 
 /// Deterministic least-backlog routing across a service's replicas:
-/// smallest backlog wins, ties break to the lowest VM id.
+/// smallest backlog wins, ties break to the lowest VM id. This is the
+/// reference rule: `ServeLayer::route` applies it in place, without
+/// building the pair list, and the differential test in test_serve
+/// holds the two to the same pick.
 class ReplicaBalancer {
  public:
   /// `backlogs` pairs each live member VM id with its current backlog;
@@ -163,6 +176,13 @@ class ServeLayer {
   /// window_end]. Called once per cloud control tick.
   void advance(Seconds window_end, Seconds window);
 
+  /// The replica a request to `service` arriving at `at` routes to:
+  /// the least backlog, ties to the lowest VM id. Returns 0 when the
+  /// service has no live replica.
+  std::uint64_t route(std::uint64_t service, Seconds at) const;
+  /// Backlog of one VM's queue at `at` (zero for an unknown VM).
+  Seconds backlog(std::uint64_t vm_id, Seconds at) const;
+
   const ServeStats& stats() const { return stats_; }
   std::size_t outstanding() const;
   std::size_t services() const { return services_.size(); }
@@ -179,17 +199,24 @@ class ServeLayer {
     VcpuQueue queue;
   };
 
+  using Members = std::vector<Replica*>;
+
   std::uint64_t service_of(std::uint64_t vm_id) const;
   /// Service-time multiplier from the node's current V-F-R point and
   /// the VM's workload signature.
   double speed_factor(const Replica& replica) const;
-  void dispatch(std::uint64_t service, Seconds arrival);
+  /// In-place least-backlog scan over members in ascending VM id: the
+  /// first strict minimum is ReplicaBalancer::route's pick.
+  static Replica* least_backlog(const Members& members, Seconds at);
+  void dispatch(const Members& members, Seconds arrival);
   void drop_vm(std::uint64_t vm_id);
 
   ServeConfig config_;
   Rng rng_;
-  std::map<std::uint64_t, Replica> replicas_;       // by VM id
-  std::map<std::uint64_t, std::vector<std::uint64_t>> services_;
+  std::map<std::uint64_t, Replica> replicas_;  // by VM id
+  // Live replicas per service in ascending VM id. std::map nodes never
+  // move, so the pointers stay valid until the replica is erased.
+  std::map<std::uint64_t, Members> services_;
   std::vector<std::pair<double, std::uint64_t>> pending_bursts_;
   std::uint64_t burst_rr_{0};  // round-robin cursor across services
   ServeStats stats_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
+
+#include "common/rng.h"
+
 namespace uniserver::daemons {
 namespace {
 
@@ -127,6 +133,59 @@ TEST(HealthLog, UncorrectableDoesNotCountTowardCorrectableRate) {
                                 Severity::kUncorrectable, 0});
   }
   EXPECT_DOUBLE_EQ(log.error_rate_per_s(Seconds{6.0}), 0.0);
+}
+
+// The windowed count as a reverse scan over the logfile: walk back from
+// the newest event and stop at the first one stamped before the cutoff.
+double reverse_scan_rate(const HealthLog& log, double now, double window) {
+  if (window <= 0.0) return 0.0;
+  const double cutoff = now - window;
+  std::size_t count = 0;
+  for (auto it = log.errors().rbegin(); it != log.errors().rend(); ++it) {
+    if (it->timestamp.value < cutoff) break;
+    if (it->severity == Severity::kCorrectable) ++count;
+  }
+  return static_cast<double>(count) / window;
+}
+
+TEST(HealthLog, WindowedRateMatchesReverseScan) {
+  // Out-of-order and repeated stamps, a logfile short enough to evict,
+  // daemon restarts, and the odd NaN stamp (never ends the window).
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    HealthLog::Config config;
+    config.capacity = 1 + rng.uniform_u64(48);
+    config.rate_window = Seconds{rng.uniform(1.0, 20.0)};
+    config.recharacterize_cooldown = Seconds{0.0};
+    HealthLog log(config);
+    double clock = 0.0;
+    for (int step = 0; step < 3000; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.002) {
+        log.clear();
+        continue;
+      }
+      if (u < 0.6) {
+        clock += rng.uniform(0.0, 2.0);  // forward in time
+      } else if (u < 0.8) {
+        clock -= rng.uniform(0.0, 15.0);  // a late, out-of-order event
+      }  // otherwise: same stamp as the previous event
+      double stamp = std::round(clock * 4.0) / 4.0;
+      if (rng.bernoulli(0.01)) stamp = std::numeric_limits<double>::quiet_NaN();
+      const double kind = rng.uniform();
+      const Severity severity = kind < 0.7   ? Severity::kCorrectable
+                                : kind < 0.9 ? Severity::kUncorrectable
+                                             : Severity::kCrash;
+      log.record_error(ErrorEvent{Seconds{stamp}, Component::kDram,
+                                  severity, 0});
+      for (int q = 0; q < 4; ++q) {
+        const double now = clock + rng.uniform(-25.0, 25.0);
+        ASSERT_EQ(log.error_rate_per_s(Seconds{now}),
+                  reverse_scan_rate(log, now, config.rate_window.value))
+            << "seed " << seed << " step " << step << " now " << now;
+      }
+    }
+  }
 }
 
 TEST(HealthLog, ComponentAndSeverityNames) {

@@ -1,7 +1,12 @@
 // Tests of the HealthLog logfile format and the fine-grained VM monitor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "daemons/logfile.h"
 #include "openstack/monitor.h"
@@ -152,6 +157,40 @@ TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
   EXPECT_EQ(ranked[2], 1u);
   EXPECT_GT(monitor.susceptibility(3), monitor.susceptibility(2));
   EXPECT_LE(monitor.susceptibility(3), 1.0);
+}
+
+TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
+  Rng rng(23);
+  osk::VmMonitor::Config config;
+  config.window = 8;
+  osk::VmMonitor monitor(config);
+  // Coarse samples so many VMs tie on susceptibility (ties go to the
+  // lower id in both rankings).
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t id = 1 + rng.uniform_u64(150);
+    monitor.record(id, sample_at(i, 0.25 * static_cast<double>(
+                                            rng.uniform_int(0, 4)),
+                                 4096.0 * static_cast<double>(
+                                              rng.uniform_int(0, 4)),
+                                 rng.bernoulli(0.05) ? 1u : 0u));
+  }
+  const std::vector<std::uint64_t> full = monitor.ranked_by_susceptibility();
+  for (int trial = 0; trial < 50; ++trial) {
+    // Distinct candidates in any order, some never tracked.
+    std::vector<std::uint64_t> candidates;
+    for (std::uint64_t id = 1; id <= 200; ++id) {
+      if (rng.bernoulli(0.2)) candidates.push_back(id);
+    }
+    std::shuffle(candidates.begin(), candidates.end(), rng);
+    const std::set<std::uint64_t> wanted(candidates.begin(),
+                                         candidates.end());
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t id : full) {
+      if (wanted.contains(id)) expected.push_back(id);
+    }
+    EXPECT_EQ(monitor.ranked_by_susceptibility(candidates), expected);
+  }
+  EXPECT_TRUE(monitor.ranked_by_susceptibility({}).empty());
 }
 
 TEST(VmMonitorTest, ForgetDropsHistory) {

@@ -1,14 +1,21 @@
 // Request serving layer (ctest label `serve`).
 //
 // Covers the three serve primitives against closed forms and
-// determinism contracts — the virtual-time vCPU queue against M/M/1,
-// the replica balancer's tie-breaking, the layer's conservation
-// books — plus the fuzz integration: replay v3 round-trips, v2 files
-// still parse, request-burst campaigns stay digest-invariant across
-// --jobs, and the serve-slo oracle's balance helper.
+// determinism contracts — the virtual-time vCPU queue against M/M/1
+// and a min-heap of completions, the replica balancer's tie-breaking,
+// the layer's in-place router against that balancer, the layer's
+// conservation books — plus the fuzz integration: replay v3
+// round-trips, v2 files still parse, request-burst campaigns stay
+// digest-invariant across --jobs, and the serve-slo oracle's balance
+// helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
+#include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -103,6 +110,48 @@ TEST(VcpuQueue, MatchesMM1ClosedFormMeanSojourn) {
   const double expected = 1.0 / (mu - lambda);
   EXPECT_NEAR(mean, expected, expected * 0.05)
       << "mean sojourn " << mean << " vs closed form " << expected;
+}
+
+TEST(VcpuQueue, MultiVcpuDrainAndCapMatchMinHeapAcrossStalls) {
+  // The queue keeps one completion FIFO per vCPU; the reference keeps
+  // every handed-out completion in one min-heap. Admission at the cap,
+  // outstanding counts and drain counts must agree through stalls.
+  for (int vcpus : {1, 2, 3, 4}) {
+    const std::size_t cap = 6;
+    serve::VcpuQueue queue(vcpus, cap);
+    std::priority_queue<double, std::vector<double>, std::greater<>> heap;
+    Rng rng(static_cast<std::uint64_t>(17 + vcpus));
+    double t = 0.0;
+    std::size_t shed = 0;
+    std::size_t drained = 0;
+    for (int step = 0; step < 4000; ++step) {
+      t += rng.exponential(4.0);
+      if (rng.bernoulli(0.05)) {
+        queue.stall(Seconds{t}, Seconds{rng.uniform(0.0, 3.0)});
+      }
+      const auto offer =
+          queue.offer(Seconds{t}, Seconds{rng.exponential(1.5)});
+      ASSERT_EQ(offer.admitted, heap.size() < cap) << "step " << step;
+      if (offer.admitted) {
+        heap.push(offer.completion.value);
+      } else {
+        ++shed;
+      }
+      if (rng.bernoulli(0.3)) {
+        const double now = t + rng.uniform(-1.0, 1.0);
+        std::uint64_t expected = 0;
+        while (!heap.empty() && heap.top() <= now) {
+          heap.pop();
+          ++expected;
+        }
+        ASSERT_EQ(queue.drain(Seconds{now}), expected) << "step " << step;
+        drained += expected;
+      }
+      ASSERT_EQ(queue.outstanding(), heap.size()) << "step " << step;
+    }
+    EXPECT_GT(shed, 0u) << vcpus << " vCPUs never reached the cap";
+    EXPECT_GT(drained, 0u);
+  }
 }
 
 // -- ReplicaBalancer ---------------------------------------------------
@@ -303,6 +352,191 @@ TEST(ServeLayer, CriticalSloViolationsAreCountedPerClass) {
 }
 
 // -- serve-slo oracle helper -------------------------------------------
+
+// -- Router differential -----------------------------------------------
+//
+// The layer routes with an in-place scan; ReplicaBalancer::route is the
+// reference. A seeded script places, moves, removes and stalls VMs of
+// 1-4 vCPUs and fires bursts, tracking service membership on its own.
+
+class RouterDifferential {
+ public:
+  RouterDifferential(const serve::ServeConfig& config, std::uint64_t seed)
+      : config_(config),
+        layer_(config),
+        rng_(seed),
+        slow_(hw::NodeSpec{}, 6) {
+    hw::Eop eop;
+    eop.vdd = slow_.spec().chip.vdd_nominal;
+    eop.freq = MegaHertz{slow_.spec().chip.freq_nominal.value / 3.0};
+    eop.refresh = slow_.spec().dimm.nominal_refresh;
+    slow_.set_eop(eop);
+  }
+
+  serve::ServeLayer& layer() { return layer_; }
+  const std::map<std::uint64_t, std::set<std::uint64_t>>& services() const {
+    return services_;
+  }
+
+  /// ReplicaBalancer's pick over the live members' backlogs at `at`,
+  /// listed in shuffled order (the reference is order-independent).
+  std::uint64_t reference_pick(std::uint64_t service, Seconds at) {
+    std::vector<std::pair<std::uint64_t, Seconds>> backlogs;
+    for (std::uint64_t id : services_.at(service)) {
+      backlogs.emplace_back(id, layer_.backlog(id, at));
+    }
+    std::shuffle(backlogs.begin(), backlogs.end(), rng_);
+    return serve::ReplicaBalancer::route(backlogs);
+  }
+
+  /// One random membership or stall change at simulated time `now`.
+  void mutate(double now) {
+    const double u = rng_.uniform();
+    if (u < 0.4 || live_.empty()) {
+      const std::uint64_t id = 1 + rng_.uniform_u64(40);
+      const int vcpus = static_cast<int>(rng_.uniform_int(1, 4));
+      layer_.on_vm_placed(make_vm(id, vcpus), pick_node());
+      live_.insert(id);
+      services_[service_of(id)].insert(id);
+    } else if (u < 0.55) {
+      layer_.on_vm_moved(pick_live(), pick_node());
+    } else if (u < 0.7) {
+      const std::uint64_t id = pick_live();
+      layer_.on_vm_removed(id);
+      live_.erase(id);
+      auto& members = services_.at(service_of(id));
+      members.erase(id);
+      if (members.empty()) services_.erase(service_of(id));
+    } else if (u < 0.85) {
+      layer_.add_stall(pick_live(), Seconds{now},
+                       Seconds{rng_.uniform(0.0, 20.0)});
+    } else {
+      // Stall a whole service by the same amount: idle members then tie
+      // exactly on a non-zero backlog.
+      const std::uint64_t service = service_of(pick_live());
+      const double duration = rng_.uniform(1.0, 10.0);
+      for (std::uint64_t id : services_.at(service)) {
+        layer_.add_stall(id, Seconds{now}, Seconds{duration});
+      }
+    }
+  }
+
+  /// Checks the router against the reference for every live service
+  /// at `probes` times in [from, from + span).
+  void check_routes(double from, double span, int probes) {
+    for (int k = 0; k < probes; ++k) {
+      const Seconds at{from + rng_.uniform(0.0, span)};
+      for (const auto& [service, members] : services_) {
+        ASSERT_EQ(layer_.route(service, at), reference_pick(service, at))
+            << "service " << service << " at " << at.value;
+      }
+    }
+    EXPECT_EQ(layer_.route(1000003, Seconds{from}), 0u);  // no such service
+  }
+
+ private:
+  std::uint64_t service_of(std::uint64_t id) const {
+    return config_.replica_groups <= 1
+               ? id
+               : id % static_cast<std::uint64_t>(config_.replica_groups);
+  }
+  const hw::ServerNode* pick_node() {
+    return rng_.bernoulli(0.5) ? &fast_ : &slow_;
+  }
+  std::uint64_t pick_live() {
+    auto it = live_.begin();
+    std::advance(it, rng_.uniform_u64(live_.size()));
+    return *it;
+  }
+
+  serve::ServeConfig config_;
+  serve::ServeLayer layer_;
+  Rng rng_;
+  const hw::ServerNode fast_{hw::NodeSpec{}, 5};
+  hw::ServerNode slow_;
+  std::set<std::uint64_t> live_;
+  std::map<std::uint64_t, std::set<std::uint64_t>> services_;
+};
+
+serve::ServeConfig router_config() {
+  serve::ServeConfig config = layer_config();
+  config.replica_groups = 3;
+  config.queue_cap = 64;
+  return config;
+}
+
+TEST(RouterDifferential, RouteMatchesReferenceUnderGeneratedLoad) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    RouterDifferential sim(router_config(), seed);
+    for (int tick = 1; tick <= 60; ++tick) {
+      const double t0 = (tick - 1) * 60.0;
+      sim.mutate(t0);
+      if (tick % 7 == 0) sim.layer().inject_burst(Seconds{t0 + 5.0}, 200);
+      sim.check_routes(t0, 60.0, 4);
+      sim.layer().advance(Seconds{t0 + 60.0}, Seconds{60.0});
+      sim.check_routes(t0 + 30.0, 60.0, 4);
+      expect_books_balance(sim.layer());
+    }
+    EXPECT_GT(sim.layer().stats().admitted, 0u);
+  }
+}
+
+TEST(RouterDifferential, EveryBurstRequestLandsOnTheReferencePick) {
+  // Generator off: the only requests are bursts, so each one can be
+  // predicted and then found in exactly one replica's backlog.
+  serve::ServeConfig config = router_config();
+  config.requests_per_vcpu_hz = 0.0;
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    RouterDifferential sim(config, seed);
+    serve::ServeLayer& layer = sim.layer();
+    Rng rng(seed);
+    std::uint64_t burst_cursor = 0;  // mirrors the layer's round-robin
+    int checked = 0;
+    for (int tick = 1; tick <= 300; ++tick) {
+      const double t0 = (tick - 1) * 60.0;
+      const Seconds end{t0 + 60.0};
+      sim.mutate(t0);
+      if (sim.services().empty()) {
+        layer.advance(end, Seconds{60.0});
+        continue;
+      }
+      if (tick % 5 == 0) {
+        // Pile up load so backlogs differ; not checked one by one.
+        const std::uint64_t count = 20 + rng.uniform_u64(40);
+        layer.inject_burst(Seconds{t0 + rng.uniform(0.0, 60.0)}, count);
+        layer.advance(end, Seconds{60.0});
+        burst_cursor += count;
+        continue;
+      }
+      const Seconds at{t0 + rng.uniform(0.0, 60.0)};
+      std::vector<std::uint64_t> ids;
+      for (const auto& [service, members] : sim.services()) {
+        ids.push_back(service);
+      }
+      const std::uint64_t service = ids[burst_cursor++ % ids.size()];
+      const std::uint64_t expected = sim.reference_pick(service, at);
+      std::map<std::uint64_t, double> before;
+      for (std::uint64_t id : sim.services().at(service)) {
+        before[id] = layer.backlog(id, at).value;
+      }
+      const std::uint64_t shed = layer.stats().dropped_overload;
+      layer.inject_burst(at, 1);
+      layer.advance(end, Seconds{60.0});
+      if (layer.stats().dropped_overload > shed) continue;  // at the cap
+      for (const auto& [id, backlog] : before) {
+        const double now = layer.backlog(id, at).value;
+        if (id == expected) {
+          EXPECT_GT(now, backlog) << "request did not reach VM " << id;
+        } else {
+          EXPECT_EQ(now, backlog) << "request leaked to VM " << id;
+        }
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 150);
+    expect_books_balance(layer);
+  }
+}
 
 TEST(ServeOracle, BooksBalanceHelper) {
   serve::ServeStats stats;
