@@ -66,13 +66,16 @@ TrialOutcome run_trial(double evacuation_score, std::uint64_t seed) {
   osk::LogFailurePredictor::Config predictor_config;
   predictor_config.evacuation_score = evacuation_score;
   osk::LogFailurePredictor predictor(predictor_config);
+  constexpr std::size_t kSick = 0;
+  constexpr std::size_t kHealthy = 1;
+  predictor.resize(2);
   sick_hv.healthlog().subscribe_errors(
       [&predictor](const daemons::ErrorEvent& event) {
-        predictor.observe("sick", event);
+        predictor.observe(kSick, event);
       });
   healthy_hv.healthlog().subscribe_errors(
       [&predictor](const daemons::ErrorEvent& event) {
-        predictor.observe("healthy", event);
+        predictor.observe(kHealthy, event);
       });
 
   TrialOutcome outcome;
@@ -93,11 +96,11 @@ TrialOutcome run_trial(double evacuation_score, std::uint64_t seed) {
     const hv::TickReport report = sick_hv.tick(now, 60_s);
     healthy_hv.tick(now, 60_s);
 
-    if (alarm_time < 0.0 && predictor.should_evacuate("sick", now)) {
+    if (alarm_time < 0.0 && predictor.should_evacuate(kSick, now)) {
       alarm_time = now.value;
       outcome.alarmed = true;
     }
-    if (predictor.should_evacuate("healthy", now)) {
+    if (predictor.should_evacuate(kHealthy, now)) {
       outcome.false_alarm = true;
     }
     if (report.hypervisor_fatal && !outcome.fatal) {

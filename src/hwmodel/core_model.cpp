@@ -42,13 +42,21 @@ double CoreModel::crash_margin(const WorkloadSignature& w,
 }
 
 Volt CoreModel::crash_voltage(const WorkloadSignature& w, MegaHertz f) const {
-  return Volt{spec_.vdd_nominal.value * (1.0 - crash_margin(w, f))};
+  return crash_voltage_at(crash_margin(w, f));
 }
 
 Volt CoreModel::crash_voltage_run(const WorkloadSignature& w, MegaHertz f,
                                   Rng& rng) const {
+  return crash_voltage_run_at(crash_margin(w, f), rng);
+}
+
+Volt CoreModel::crash_voltage_at(double margin) const {
+  return Volt{spec_.vdd_nominal.value * (1.0 - margin)};
+}
+
+Volt CoreModel::crash_voltage_run_at(double margin, Rng& rng) const {
   const double noisy_margin =
-      crash_margin(w, f) + rng.normal(0.0, spec_.variation.run_sigma);
+      margin + rng.normal(0.0, spec_.variation.run_sigma);
   const double clamped = std::clamp(noisy_margin, 0.005, 0.5);
   return Volt{spec_.vdd_nominal.value * (1.0 - clamped)};
 }

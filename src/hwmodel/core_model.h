@@ -39,6 +39,12 @@ class CoreModel {
   Volt crash_voltage_run(const WorkloadSignature& w, MegaHertz f,
                          Rng& rng) const;
 
+  /// crash_voltage and crash_voltage_run given `margin`, the value of
+  /// crash_margin(w, f) already evaluated by the caller: a node tick
+  /// evaluates each active core's margin once and uses it for both.
+  Volt crash_voltage_at(double margin) const;
+  Volt crash_voltage_run_at(double margin, Rng& rng) const;
+
   /// Whether the core completes a run of workload w at (v, f).
   bool survives(Volt v, MegaHertz f, const WorkloadSignature& w,
                 Rng& rng) const;

@@ -1,6 +1,7 @@
 #include "hwmodel/dram_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -92,6 +93,7 @@ MemorySystem::MemorySystem(const DimmSpec& spec, int channels,
   }
   channel_refresh_.assign(static_cast<std::size_t>(channels),
                           spec.nominal_refresh);
+  power_ = dimm_power_sum();
 }
 
 std::uint64_t MemorySystem::total_bits() const {
@@ -111,7 +113,13 @@ std::uint64_t MemorySystem::channel_bits(int channel) const {
 }
 
 void MemorySystem::set_channel_refresh(int channel, Seconds interval) {
-  channel_refresh_.at(static_cast<std::size_t>(channel)) = interval;
+  Seconds& refresh = channel_refresh_.at(static_cast<std::size_t>(channel));
+  if (std::bit_cast<std::uint64_t>(refresh.value) ==
+      std::bit_cast<std::uint64_t>(interval.value)) {
+    return;  // same interval: same sum
+  }
+  refresh = interval;
+  power_ = dimm_power_sum();
 }
 
 Seconds MemorySystem::channel_refresh(int channel) const {
@@ -166,7 +174,7 @@ MemorySystem::ErrorSplit MemorySystem::sample_error_split(int channel,
   return split;
 }
 
-Watt MemorySystem::power() const {
+Watt MemorySystem::dimm_power_sum() const {
   Watt total{0.0};
   for (std::size_t c = 0; c < per_channel_.size(); ++c) {
     for (const auto& dimm : per_channel_[c]) {

@@ -135,8 +135,14 @@ class MemorySystem {
   ErrorSplit sample_error_split(int channel, Seconds window, Celsius temp,
                                 Rng& rng) const;
 
-  /// Total memory power at the current per-channel refresh settings.
-  Watt power() const;
+  /// Total memory power at the current per-channel refresh settings,
+  /// kept as a member: dimm_power_sum() is re-run only when a channel's
+  /// refresh interval changes (the constructor and set_channel_refresh).
+  Watt power() const { return power_; }
+
+  /// Sum of the per-DIMM powers at the current refresh settings,
+  /// evaluated on every call (the reference power() caches).
+  Watt dimm_power_sum() const;
 
   /// Power at all-nominal refresh (baseline for savings).
   Watt nominal_power() const;
@@ -146,6 +152,7 @@ class MemorySystem {
  private:
   std::vector<std::vector<DimmModel>> per_channel_;
   std::vector<Seconds> channel_refresh_;
+  Watt power_{Watt{0.0}};
 };
 
 }  // namespace uniserver::hw

@@ -1,6 +1,9 @@
 #include "hwmodel/platform.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numeric>
 
 namespace uniserver::hw {
 
@@ -35,39 +38,86 @@ bool ServerNode::channel_reliable(int channel) const {
   return reliable_channel_.at(static_cast<std::size_t>(channel));
 }
 
+void ServerNode::choose_cores(const WorkloadSignature& w, int active_cores,
+                              std::vector<int>& cores,
+                              std::vector<double>& margins) const {
+  const int n = chip_.num_cores();
+  const auto active =
+      static_cast<std::size_t>(std::clamp(active_cores, 1, n));
+  cores.resize(static_cast<std::size_t>(n));
+  std::iota(cores.begin(), cores.end(), 0);
+  margins.resize(active);
+  if (!spec_.strong_cores_first) {
+    cores.resize(active);
+    for (std::size_t i = 0; i < active; ++i) {
+      margins[i] = chip_.core(cores[i]).crash_margin(w, eop_.freq);
+    }
+    return;
+  }
+  // Strongest first: order every core by its crash voltage, evaluating
+  // each core's margin once rather than once per comparison.
+  std::vector<double> all_margins(cores.size());
+  std::vector<double> volts(cores.size());
+  for (std::size_t c = 0; c < cores.size(); ++c) {
+    all_margins[c] = chip_.core(cores[c]).crash_margin(w, eop_.freq);
+    volts[c] = chip_.core(cores[c]).crash_voltage_at(all_margins[c]).value;
+  }
+  std::sort(cores.begin(), cores.end(), [&](int a, int b) {
+    return volts[static_cast<std::size_t>(a)] <
+           volts[static_cast<std::size_t>(b)];
+  });
+  cores.resize(active);
+  for (std::size_t i = 0; i < active; ++i) {
+    margins[i] = all_margins[static_cast<std::size_t>(cores[i])];
+  }
+}
+
 std::vector<int> ServerNode::active_core_set(const WorkloadSignature& w,
                                              int active_cores) const {
-  active_cores = std::clamp(active_cores, 1, chip_.num_cores());
-  std::vector<int> cores(static_cast<std::size_t>(chip_.num_cores()));
-  for (int c = 0; c < chip_.num_cores(); ++c) {
-    cores[static_cast<std::size_t>(c)] = c;
-  }
-  if (spec_.strong_cores_first) {
-    std::sort(cores.begin(), cores.end(), [&](int a, int b) {
-      return chip_.core(a).crash_voltage(w, eop_.freq).value <
-             chip_.core(b).crash_voltage(w, eop_.freq).value;
-    });
-  }
-  cores.resize(static_cast<std::size_t>(active_cores));
+  std::vector<int> cores;
+  std::vector<double> margins;
+  choose_cores(w, active_cores, cores, margins);
   return cores;
 }
 
 Volt ServerNode::active_crash_voltage(const WorkloadSignature& w,
                                       int active_cores) const {
+  std::vector<int> cores;
+  std::vector<double> margins;
+  choose_cores(w, active_cores, cores, margins);
   Volt worst{0.0};
-  for (const int c : active_core_set(w, active_cores)) {
-    worst = std::max(worst, chip_.core(c).crash_voltage(w, eop_.freq));
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    worst = std::max(worst, chip_.core(cores[i]).crash_voltage_at(margins[i]));
   }
   return worst;
 }
 
+namespace {
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+}  // namespace
+
 RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
-                          int active_cores, Rng& rng) const {
+                          int active_cores, Rng& rng) {
   RunResult result;
   active_cores = std::clamp(active_cores, 1, chip_.num_cores());
 
-  const auto op = chip_.power().steady_state(eop_.vdd, eop_.freq, w.activity,
-                                             active_cores);
+  SteadyStateMemo& memo = steady_memo_;
+  if (!memo.valid || !same_bits(memo.vdd.value, eop_.vdd.value) ||
+      !same_bits(memo.freq.value, eop_.freq.value) ||
+      !same_bits(memo.activity, w.activity) ||
+      memo.active_cores != active_cores) {
+    memo.op = chip_.power().steady_state(eop_.vdd, eop_.freq, w.activity,
+                                         active_cores);
+    memo.vdd = eop_.vdd;
+    memo.freq = eop_.freq;
+    memo.activity = w.activity;
+    memo.active_cores = active_cores;
+    memo.valid = true;
+  }
+  const PowerModel::Operating op = memo.op;
+  result.chip_power = op.power;
   result.junction_temp = op.temp;
 
   // Environmental margin: hot silicon is slower, so running above the
@@ -83,9 +133,11 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
   // Crash check: the first active core whose per-run crash voltage
   // exceeds the (thermally derated) supply takes the node down at a
   // random point in the run.
+  choose_cores(w, active_cores, run_cores_, run_margins_);
   Volt worst_crash{0.0};
-  for (const int c : active_core_set(w, active_cores)) {
-    const Volt vc = chip_.core(c).crash_voltage_run(w, eop_.freq, rng);
+  for (std::size_t i = 0; i < run_cores_.size(); ++i) {
+    const int c = run_cores_[i];
+    const Volt vc = chip_.core(c).crash_voltage_run_at(run_margins_[i], rng);
     if (vc > worst_crash) {
       worst_crash = vc;
       if (vc >= v_effective) {
@@ -110,8 +162,9 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
   // crash point.
   if (!result.crashed) {
     double sdc_rate = 0.0;
-    for (const int c : active_core_set(w, active_cores)) {
-      const Volt crash = chip_.core(c).crash_voltage(w, eop_.freq);
+    for (std::size_t i = 0; i < run_cores_.size(); ++i) {
+      const Volt crash =
+          chip_.core(run_cores_[i]).crash_voltage_at(run_margins_[i]);
       const double headroom_mv =
           v_effective.millivolts() - crash.millivolts();
       if (headroom_mv < 0.0) continue;
@@ -127,17 +180,16 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
   return result;
 }
 
-SensorReadings ServerNode::read_sensors(const WorkloadSignature& w,
-                                        int active_cores, Rng& rng) const {
-  const auto op = chip_.power().steady_state(eop_.vdd, eop_.freq, w.activity,
-                                             active_cores);
+SensorReadings ServerNode::read_sensors(const RunResult& run,
+                                        Rng& rng) const {
   SensorReadings sensors;
   sensors.package_power =
-      Watt{op.power.value + rng.normal(0.0, spec_.sensor_power_noise_w)};
+      Watt{run.chip_power.value + rng.normal(0.0, spec_.sensor_power_noise_w)};
   sensors.memory_power =
       Watt{memory_.power().value + rng.normal(0.0, spec_.sensor_power_noise_w)};
   sensors.temperature =
-      Celsius{op.temp.value + rng.normal(0.0, spec_.sensor_temp_noise_c)};
+      Celsius{run.junction_temp.value +
+              rng.normal(0.0, spec_.sensor_temp_noise_c)};
   sensors.vdd = eop_.vdd;
   sensors.freq = eop_.freq;
   return sensors;

@@ -48,6 +48,10 @@ struct RunResult {
   /// hypervisor), not here, so errors can be attributed to domains.
   Joule energy{Joule{0.0}};
   Watt avg_power{Watt{0.0}};
+  /// The run's steady-state chip operating point (package power and
+  /// junction temperature); read_sensors samples around this point
+  /// instead of solving the power model again.
+  Watt chip_power{Watt{0.0}};
   Celsius junction_temp{Celsius{25.0}};
 };
 
@@ -87,9 +91,13 @@ class ServerNode {
 
   /// Runs `w` on `active_cores` cores for `duration` at the current EOP.
   /// Cores are activated in index order, or strongest-first when
-  /// NodeSpec::strong_cores_first is set.
+  /// NodeSpec::strong_cores_first is set. Non-const: the node memoizes
+  /// its last PowerModel::steady_state result, keyed on every input of
+  /// that call (vdd, frequency, activity, active cores), so a run whose
+  /// inputs are bitwise equal to the previous run's reuses it. A node
+  /// has a single owner (its hypervisor), and no parallel body runs it.
   RunResult run(const WorkloadSignature& w, Seconds duration,
-                int active_cores, Rng& rng) const;
+                int active_cores, Rng& rng);
 
   /// The cores that would be activated for a given vCPU count under the
   /// configured allocation policy (strongest = lowest crash voltage
@@ -103,19 +111,41 @@ class ServerNode {
   Volt active_crash_voltage(const WorkloadSignature& w,
                             int active_cores) const;
 
-  /// Noisy sensor snapshot while running `w` at the current EOP.
-  SensorReadings read_sensors(const WorkloadSignature& w, int active_cores,
-                              Rng& rng) const;
+  /// Noisy sensor snapshot around the operating point of `run`, the
+  /// result of the last run() at the current EOP. The memory term reads
+  /// the memory system's current power, so a channel pinned since the
+  /// run is seen by the sensors.
+  SensorReadings read_sensors(const RunResult& run, Rng& rng) const;
 
   /// Steady-state node power (chip + memory) at the current EOP.
   Watt node_power(const WorkloadSignature& w, int active_cores) const;
 
  private:
+  /// The active core set (as active_core_set) and each chosen core's
+  /// crash_margin, in the same order; every margin is evaluated once.
+  void choose_cores(const WorkloadSignature& w, int active_cores,
+                    std::vector<int>& cores,
+                    std::vector<double>& margins) const;
+
+  /// Inputs and result of the last PowerModel::steady_state call.
+  struct SteadyStateMemo {
+    bool valid{false};
+    Volt vdd{Volt{0.0}};
+    MegaHertz freq{MegaHertz{0.0}};
+    double activity{0.0};
+    int active_cores{0};
+    PowerModel::Operating op{};
+  };
+
   NodeSpec spec_;
   Chip chip_;
   MemorySystem memory_;
   Eop eop_;
   std::vector<bool> reliable_channel_;
+  SteadyStateMemo steady_memo_;
+  /// run()'s per-call core set and margins, kept to reuse the storage.
+  std::vector<int> run_cores_;
+  std::vector<double> run_margins_;
 };
 
 }  // namespace uniserver::hw

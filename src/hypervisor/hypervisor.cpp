@@ -457,7 +457,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   daemons::InfoVector vector;
   vector.timestamp = now;
   vector.eop = node_.eop();
-  vector.sensors = node_.read_sensors(w, active_cores, rng_);
+  vector.sensors = node_.read_sensors(run, rng_);
   vector.ipc = w.ipc;
   vector.utilization =
       static_cast<double>(active_cores) / node_.chip().num_cores();

@@ -1,6 +1,7 @@
 #include "openstack/cloud.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "telemetry/telemetry.h"
@@ -140,7 +141,7 @@ void Cloud::inject_daemon_restart(int node_index) {
   // The restarted daemon begins from an empty logfile, so the predictor
   // history built from its stream restarts too.
   node->hypervisor().healthlog().clear();
-  predictor_.reset(node->name());
+  predictor_.reset(static_cast<std::size_t>(node_index));
 }
 
 MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
@@ -211,11 +212,11 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
 void Cloud::wire_monitoring() {
   // Every node's HealthLog error stream feeds the cloud-level failure
   // predictor (the paper's extended monitoring interface, §2(iv)).
-  for (auto& node : nodes_) {
-    const std::string name = node->name();
-    node->hypervisor().healthlog().subscribe_errors(
-        [this, name](const daemons::ErrorEvent& event) {
-          predictor_.observe(name, event);
+  predictor_.resize(nodes_.size());
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    nodes_[slot]->hypervisor().healthlog().subscribe_errors(
+        [this, slot](const daemons::ErrorEvent& event) {
+          predictor_.observe(slot, event);
         });
   }
 }
@@ -335,15 +336,29 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
   active.request = request;
   active.node = target;
   active.departs_at = Seconds{request.arrival.value + request.lifetime.value};
+  // A NaN departure time never compares due, so it never departs.
+  if (!std::isnan(active.departs_at.value)) {
+    departures_.push(Departure{active.departs_at.value, request.id});
+  }
   active_.emplace(request.id, active);
   if (serve_) serve_->on_vm_placed(request, &target->server());
 }
 
 void Cloud::handle_departures() {
+  // Every active VM has a heap entry at its departure time; entries of
+  // VMs lost, or re-admitted under the same id, are stale and skipped.
+  // The due VMs are handled in ascending id order.
   std::vector<std::uint64_t> done;
-  for (const auto& [id, active] : active_) {
-    if (active.departs_at.value <= now_.value) done.push_back(id);
+  while (!departures_.empty() && departures_.top().at <= now_.value) {
+    const std::uint64_t id = departures_.top().id;
+    departures_.pop();
+    const auto it = active_.find(id);
+    if (it != active_.end() && it->second.departs_at.value <= now_.value) {
+      done.push_back(id);
+    }
   }
+  std::sort(done.begin(), done.end());
+  done.erase(std::unique(done.begin(), done.end()), done.end());
   for (std::uint64_t id : done) {
     // A departing VM abandons any in-flight migration (the ticket's
     // destination reservation is released with the cancellation).
@@ -378,7 +393,8 @@ void Cloud::mark_lost(std::uint64_t vm_id, bool node_crash) {
 }
 
 void Cloud::tick_nodes(Seconds window) {
-  for (auto& node : nodes_) {
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    const std::unique_ptr<ComputeNode>& node = nodes_[slot];
     const bool was_up = node->up();
     const ComputeNode::NodeTick result = node->tick(now_, window);
     if (result.crashed || !result.vms_lost.empty() ||
@@ -414,7 +430,7 @@ void Cloud::tick_nodes(Seconds window) {
       }
     }
     // Repair completed this tick: clear the node's log history.
-    if (!was_up && node->up()) predictor_.reset(node->name());
+    if (!was_up && node->up()) predictor_.reset(slot);
     if (serve_) {
       // Fault-path dispatch stalls: a checkpoint restore pauses the
       // guest for the restore time, a survivable SDC hit costs a
@@ -432,16 +448,17 @@ void Cloud::tick_nodes(Seconds window) {
 }
 
 void Cloud::update_reliability() {
-  for (auto& node : nodes_) {
-    node->set_reliability(1.0 - predictor_.risk(node->name(), now_));
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    nodes_[slot]->set_reliability(1.0 - predictor_.risk(slot, now_));
   }
 }
 
 void Cloud::proactive_evacuation() {
   if (!config_.proactive_migration) return;
-  for (auto& source : nodes_) {
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    const std::unique_ptr<ComputeNode>& source = nodes_[slot];
     if (!source->up()) continue;
-    if (!predictor_.should_evacuate(source->name(), now_)) continue;
+    if (!predictor_.should_evacuate(slot, now_)) continue;
     ++stats_.evacuations;
     metrics().evacuations.add();
     telemetry::trace(
@@ -569,11 +586,16 @@ void Cloud::sync_migration_stats() {
 void Cloud::run(const std::vector<trace::VmRequest>& requests,
                 Seconds horizon) {
   std::size_t next_arrival = 0;
+  // Arrival order, ties broken by id; stable, so requests that share
+  // both keep their given order.
   std::vector<trace::VmRequest> sorted = requests;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const trace::VmRequest& a, const trace::VmRequest& b) {
-              return a.arrival.value < b.arrival.value;
-            });
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const trace::VmRequest& a, const trace::VmRequest& b) {
+                     if (a.arrival.value != b.arrival.value) {
+                       return a.arrival.value < b.arrival.value;
+                     }
+                     return a.id < b.id;
+                   });
 
   while (now_.value < horizon.value) {
     const Seconds window = config_.tick;

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -207,6 +209,14 @@ class Cloud {
     ComputeNode* node{nullptr};
     Seconds departs_at{Seconds{0.0}};
   };
+  /// A departure-heap entry; the heap's top is the earliest (at, id).
+  struct Departure {
+    double at{0.0};
+    std::uint64_t id{0};
+    bool operator>(const Departure& other) const {
+      return at != other.at ? at > other.at : id > other.id;
+    }
+  };
 
   void wire_monitoring();
   MigrationOrchestrator::Callbacks orchestrator_callbacks();
@@ -237,6 +247,8 @@ class Cloud {
   MigrationOrchestrator orchestrator_;
   std::unique_ptr<serve::ServeLayer> serve_;
   std::map<std::uint64_t, ActiveVm> active_;
+  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
+      departures_;
   CloudStats stats_;
   std::vector<PlacementDecision> placements_;
   std::uint64_t placement_digest_{14695981039346656037ULL};

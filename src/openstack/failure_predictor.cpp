@@ -11,9 +11,9 @@ double LogFailurePredictor::decayed(const NodeState& state,
   return state.score * std::exp2(-dt / config_.half_life.value);
 }
 
-void LogFailurePredictor::observe(const std::string& node,
+void LogFailurePredictor::observe(std::size_t slot,
                                   const daemons::ErrorEvent& event) {
-  NodeState& state = nodes_[node];
+  NodeState& state = nodes_.at(slot);
   state.score = decayed(state, event.timestamp);
   state.last_update = event.timestamp;
   switch (event.severity) {
@@ -29,25 +29,23 @@ void LogFailurePredictor::observe(const std::string& node,
   }
 }
 
-double LogFailurePredictor::score(const std::string& node,
-                                  Seconds now) const {
-  const auto it = nodes_.find(node);
-  if (it == nodes_.end()) return 0.0;
-  return decayed(it->second, now);
+double LogFailurePredictor::score(std::size_t slot, Seconds now) const {
+  if (slot >= nodes_.size()) return 0.0;
+  return decayed(nodes_[slot], now);
 }
 
-double LogFailurePredictor::risk(const std::string& node, Seconds now) const {
-  const double s = score(node, now);
+double LogFailurePredictor::risk(std::size_t slot, Seconds now) const {
+  const double s = score(slot, now);
   return 1.0 - std::exp(-s / config_.risk_scale);
 }
 
-bool LogFailurePredictor::should_evacuate(const std::string& node,
+bool LogFailurePredictor::should_evacuate(std::size_t slot,
                                           Seconds now) const {
-  return score(node, now) >= config_.evacuation_score;
+  return score(slot, now) >= config_.evacuation_score;
 }
 
-void LogFailurePredictor::reset(const std::string& node) {
-  nodes_.erase(node);
+void LogFailurePredictor::reset(std::size_t slot) {
+  nodes_.at(slot) = NodeState{};
 }
 
 }  // namespace uniserver::osk

@@ -10,9 +10,9 @@
 // novel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "daemons/info_vector.h"
@@ -37,20 +37,26 @@ class LogFailurePredictor {
   LogFailurePredictor() : LogFailurePredictor(Config{}) {}
   explicit LogFailurePredictor(Config config) : config_(config) {}
 
-  /// Ingests one log event from a node's HealthLog stream.
-  void observe(const std::string& node, const daemons::ErrorEvent& event);
+  /// Nodes are identified by fleet slot, 0 .. slots-1; the cloud sizes
+  /// the predictor to its fleet when it wires monitoring. Every slot
+  /// starts with no history.
+  void resize(std::size_t slots) { nodes_.resize(slots); }
 
-  /// Decayed pattern score of a node at time `now`.
-  double score(const std::string& node, Seconds now) const;
+  /// Ingests one log event from a node's HealthLog stream.
+  void observe(std::size_t slot, const daemons::ErrorEvent& event);
+
+  /// Decayed pattern score of a node at time `now` (0 for a slot
+  /// outside the fleet).
+  double score(std::size_t slot, Seconds now) const;
 
   /// Failure-risk estimate in [0,1) at time `now`.
-  double risk(const std::string& node, Seconds now) const;
+  double risk(std::size_t slot, Seconds now) const;
 
   /// Whether the policy should proactively migrate VMs off the node.
-  bool should_evacuate(const std::string& node, Seconds now) const;
+  bool should_evacuate(std::size_t slot, Seconds now) const;
 
   /// Forgets a node's history (after repair/reboot).
-  void reset(const std::string& node);
+  void reset(std::size_t slot);
 
  private:
   struct NodeState {
@@ -61,7 +67,7 @@ class LogFailurePredictor {
   double decayed(const NodeState& state, Seconds now) const;
 
   Config config_;
-  std::map<std::string, NodeState> nodes_;
+  std::vector<NodeState> nodes_;
 };
 
 }  // namespace uniserver::osk

@@ -138,10 +138,12 @@ TEST(ServerNode, UndervoltingSavesPower) {
 TEST(ServerNode, SensorsAreNoisyButCentered) {
   ServerNode node(node_spec(), 5);
   const auto w = *stress::spec_profile("bzip2");
+  Rng run_rng(1);
+  const RunResult run = node.run(w, 10_s, 8, run_rng);
   Rng rng(2);
   Accumulator power;
   for (int i = 0; i < 500; ++i) {
-    const SensorReadings sensors = node.read_sensors(w, 8, rng);
+    const SensorReadings sensors = node.read_sensors(run, rng);
     power.add(sensors.package_power.value);
     EXPECT_DOUBLE_EQ(sensors.vdd.value, node.eop().vdd.value);
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "hwmodel/chip_spec.h"
 #include "stress/profiles.h"
 
@@ -202,6 +205,110 @@ TEST(Cloud, CrashedNodeRejectsUntilRepairedThenAcceptsAgain) {
     digests[i++] = cloud->placement_digest();
   }
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(Cloud, EqualArrivalsArePlacedInIdOrder) {
+  // 40 requests share one arrival time and are given in descending id
+  // order: more than the sort's insertion-sort cutoff, so an ordering on
+  // arrival time alone leaves their order to the implementation.
+  CloudConfig config = config_with(SchedulerPolicy::kFirstFit, false);
+  config.record_placements = true;
+  auto cloud = Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 4, 1);
+  std::vector<trace::VmRequest> requests;
+  for (std::uint64_t id = 40; id >= 1; --id) {
+    requests.push_back(request_at(id, 30.0, 3600.0, 1));
+  }
+  cloud->run(requests, Seconds{60.0});
+  const auto& placements = cloud->placements();
+  ASSERT_EQ(placements.size(), 40u);
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    EXPECT_EQ(placements[i].vm_id, i + 1) << "decision " << i;
+  }
+}
+
+TEST(Cloud, DeparturesRetireExactlyTheDueVmsAcrossLossesAndMigrations) {
+  // Departures come off a (time, id) heap. Drive the cloud tick by tick
+  // and check, after every tick, that exactly the VMs due by then have
+  // left: VMs sharing a departure time, VMs lost to a crash before they
+  // were due (their heap entries go stale, including one whose id is
+  // admitted again with a later departure), and VMs migrated to another
+  // node before they were due.
+  CloudConfig config = config_with(SchedulerPolicy::kFirstFit, false);
+  config.nodes_per_rack = 2;
+  // 48 vCPUs of VMs fill six 8-core nodes first-fit; two stay empty.
+  auto cloud = Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 8, 1);
+  const auto nodes = cloud->node_ptrs();
+
+  std::map<std::uint64_t, double> departs_at;
+  std::vector<trace::VmRequest> first_batch;
+  for (std::uint64_t id = 24; id >= 1; --id) {
+    // Three departure times shared by eight VMs each: 600, 900, 1500 s.
+    const double departure = id <= 8 ? 600.0 : id <= 16 ? 900.0 : 1500.0;
+    first_batch.push_back(request_at(id, 30.0, departure - 30.0, 2));
+    departs_at[id] = departure;
+  }
+
+  auto active_ids = [&] {
+    std::map<std::uint64_t, const ComputeNode*> ids;
+    for (const auto& placement : cloud->active_placements()) {
+      ids[placement.id] = placement.node;
+    }
+    return ids;
+  };
+  auto hosted_anywhere = [&](std::uint64_t id) {
+    for (const ComputeNode* node : cloud->node_views()) {
+      if (node->hypervisor().vms().contains(id)) return true;
+    }
+    return false;
+  };
+
+  std::uint64_t expected_completed = 0;
+  std::uint64_t reused_id = 0;
+  std::set<std::uint64_t> migrated;
+  std::map<std::uint64_t, const ComputeNode*> before;
+  for (int tick = 1; tick <= 36; ++tick) {
+    const double now = 60.0 * tick;
+    std::vector<trace::VmRequest> batch;
+    if (tick == 1) batch = first_batch;
+    if (tick == 6) {
+      // A VM lost at t=300 comes back under its old id, due at 2100 s.
+      batch.push_back(request_at(reused_id, now - 10.0, 2100.0 - (now - 10.0),
+                                 2));
+      departs_at[reused_id] = 2100.0;
+    }
+    cloud->run(batch, Seconds{now});
+    const auto after = active_ids();
+    for (const auto& [id, node] : before) {
+      if (departs_at.at(id) <= now) {
+        EXPECT_FALSE(after.contains(id)) << "vm " << id << " at " << now;
+        EXPECT_FALSE(hosted_anywhere(id)) << "vm " << id << " at " << now;
+        ++expected_completed;
+      } else {
+        EXPECT_TRUE(after.contains(id)) << "vm " << id << " at " << now;
+        if (after.contains(id) && after.at(id) != node) migrated.insert(id);
+      }
+    }
+    EXPECT_EQ(cloud->stats().completed, expected_completed) << "at " << now;
+    if (tick == 5) {
+      // Lose every VM on node 0, and drain node 2 by migration.
+      const auto on_node = active_ids();
+      for (const auto& [id, node] : on_node) {
+        if (node == nodes[0] && reused_id == 0) reused_id = id;
+      }
+      ASSERT_NE(reused_id, 0u);
+      cloud->inject_node_crash(0);
+      cloud->inject_eop_retreat(2);
+    }
+    before = active_ids();
+  }
+  // Everything is due by 2100 s; nothing was left behind or doubled.
+  EXPECT_TRUE(cloud->active_placements().empty());
+  EXPECT_FALSE(migrated.empty());
+  EXPECT_GT(cloud->stats().lost_to_node_crash, 0u);
+  EXPECT_EQ(cloud->stats().completed + cloud->stats().lost_to_node_crash +
+                cloud->stats().lost_to_errors,
+            cloud->stats().accepted);
+  EXPECT_EQ(cloud->stats().accepted, 25u);
 }
 
 }  // namespace

@@ -10,44 +10,55 @@ daemons::ErrorEvent event_at(double t, daemons::Severity severity) {
                              0};
 }
 
+// Nodes are fleet slots; a slot outside the sized fleet has no history.
+constexpr std::size_t kGhost = 7;
+
 TEST(LogFailurePredictor, UnknownNodeHasZeroRisk) {
   LogFailurePredictor predictor;
-  EXPECT_DOUBLE_EQ(predictor.score("ghost", Seconds{100.0}), 0.0);
-  EXPECT_DOUBLE_EQ(predictor.risk("ghost", Seconds{100.0}), 0.0);
-  EXPECT_FALSE(predictor.should_evacuate("ghost", Seconds{100.0}));
+  predictor.resize(3);
+  EXPECT_DOUBLE_EQ(predictor.score(kGhost, Seconds{100.0}), 0.0);
+  EXPECT_DOUBLE_EQ(predictor.risk(kGhost, Seconds{100.0}), 0.0);
+  EXPECT_FALSE(predictor.should_evacuate(kGhost, Seconds{100.0}));
+  // A slot inside the fleet that never logged anything is unknown too.
+  EXPECT_DOUBLE_EQ(predictor.score(2, Seconds{100.0}), 0.0);
+  EXPECT_DOUBLE_EQ(predictor.risk(2, Seconds{100.0}), 0.0);
+  EXPECT_FALSE(predictor.should_evacuate(2, Seconds{100.0}));
 }
 
 TEST(LogFailurePredictor, SeverityWeighting) {
   LogFailurePredictor::Config config;
   LogFailurePredictor predictor(config);
-  predictor.observe("a", event_at(0.0, daemons::Severity::kCorrectable));
-  predictor.observe("b", event_at(0.0, daemons::Severity::kUncorrectable));
-  predictor.observe("c", event_at(0.0, daemons::Severity::kCrash));
-  EXPECT_NEAR(predictor.score("a", Seconds{0.0}), config.weight_correctable,
+  predictor.resize(3);
+  predictor.observe(0, event_at(0.0, daemons::Severity::kCorrectable));
+  predictor.observe(1, event_at(0.0, daemons::Severity::kUncorrectable));
+  predictor.observe(2, event_at(0.0, daemons::Severity::kCrash));
+  EXPECT_NEAR(predictor.score(0, Seconds{0.0}), config.weight_correctable,
               1e-9);
-  EXPECT_NEAR(predictor.score("b", Seconds{0.0}), config.weight_uncorrectable,
+  EXPECT_NEAR(predictor.score(1, Seconds{0.0}), config.weight_uncorrectable,
               1e-9);
-  EXPECT_NEAR(predictor.score("c", Seconds{0.0}), config.weight_crash, 1e-9);
+  EXPECT_NEAR(predictor.score(2, Seconds{0.0}), config.weight_crash, 1e-9);
 }
 
 TEST(LogFailurePredictor, ScoreDecaysWithHalfLife) {
   LogFailurePredictor::Config config;
   config.half_life = Seconds{100.0};
   LogFailurePredictor predictor(config);
-  predictor.observe("n", event_at(0.0, daemons::Severity::kCrash));
-  const double initial = predictor.score("n", Seconds{0.0});
-  EXPECT_NEAR(predictor.score("n", Seconds{100.0}), initial / 2.0, 1e-9);
-  EXPECT_NEAR(predictor.score("n", Seconds{300.0}), initial / 8.0, 1e-9);
+  predictor.resize(3);
+  predictor.observe(0, event_at(0.0, daemons::Severity::kCrash));
+  const double initial = predictor.score(0, Seconds{0.0});
+  EXPECT_NEAR(predictor.score(0, Seconds{100.0}), initial / 2.0, 1e-9);
+  EXPECT_NEAR(predictor.score(0, Seconds{300.0}), initial / 8.0, 1e-9);
 }
 
 TEST(LogFailurePredictor, AccumulatesAcrossEvents) {
   LogFailurePredictor::Config config;
   config.half_life = Seconds{1e9};  // effectively no decay
   LogFailurePredictor predictor(config);
+  predictor.resize(3);
   for (int i = 0; i < 10; ++i) {
-    predictor.observe("n", event_at(i, daemons::Severity::kUncorrectable));
+    predictor.observe(0, event_at(i, daemons::Severity::kUncorrectable));
   }
-  EXPECT_NEAR(predictor.score("n", Seconds{10.0}),
+  EXPECT_NEAR(predictor.score(0, Seconds{10.0}),
               10.0 * config.weight_uncorrectable, 1e-6);
 }
 
@@ -55,19 +66,21 @@ TEST(LogFailurePredictor, EvacuationThreshold) {
   LogFailurePredictor::Config config;
   config.evacuation_score = 50.0;
   LogFailurePredictor predictor(config);
-  predictor.observe("n", event_at(0.0, daemons::Severity::kUncorrectable));
-  EXPECT_FALSE(predictor.should_evacuate("n", Seconds{0.0}));
-  predictor.observe("n", event_at(1.0, daemons::Severity::kUncorrectable));
-  predictor.observe("n", event_at(2.0, daemons::Severity::kUncorrectable));
-  EXPECT_TRUE(predictor.should_evacuate("n", Seconds{2.0}));
+  predictor.resize(3);
+  predictor.observe(0, event_at(0.0, daemons::Severity::kUncorrectable));
+  EXPECT_FALSE(predictor.should_evacuate(0, Seconds{0.0}));
+  predictor.observe(0, event_at(1.0, daemons::Severity::kUncorrectable));
+  predictor.observe(0, event_at(2.0, daemons::Severity::kUncorrectable));
+  EXPECT_TRUE(predictor.should_evacuate(0, Seconds{2.0}));
 }
 
 TEST(LogFailurePredictor, RiskIsBoundedAndMonotone) {
   LogFailurePredictor predictor;
+  predictor.resize(3);
   double previous = 0.0;
   for (int i = 0; i < 50; ++i) {
-    predictor.observe("n", event_at(0.0, daemons::Severity::kCrash));
-    const double risk = predictor.risk("n", Seconds{0.0});
+    predictor.observe(0, event_at(0.0, daemons::Severity::kCrash));
+    const double risk = predictor.risk(0, Seconds{0.0});
     EXPECT_GE(risk, previous);
     EXPECT_LE(risk, 1.0);
     previous = risk;
@@ -77,16 +90,18 @@ TEST(LogFailurePredictor, RiskIsBoundedAndMonotone) {
 
 TEST(LogFailurePredictor, ResetForgetsHistory) {
   LogFailurePredictor predictor;
-  predictor.observe("n", event_at(0.0, daemons::Severity::kCrash));
-  ASSERT_GT(predictor.score("n", Seconds{0.0}), 0.0);
-  predictor.reset("n");
-  EXPECT_DOUBLE_EQ(predictor.score("n", Seconds{0.0}), 0.0);
+  predictor.resize(3);
+  predictor.observe(0, event_at(0.0, daemons::Severity::kCrash));
+  ASSERT_GT(predictor.score(0, Seconds{0.0}), 0.0);
+  predictor.reset(0);
+  EXPECT_DOUBLE_EQ(predictor.score(0, Seconds{0.0}), 0.0);
 }
 
 TEST(LogFailurePredictor, NodesAreIndependent) {
   LogFailurePredictor predictor;
-  predictor.observe("bad", event_at(0.0, daemons::Severity::kCrash));
-  EXPECT_DOUBLE_EQ(predictor.score("good", Seconds{0.0}), 0.0);
+  predictor.resize(3);
+  predictor.observe(0, event_at(0.0, daemons::Severity::kCrash));
+  EXPECT_DOUBLE_EQ(predictor.score(1, Seconds{0.0}), 0.0);
 }
 
 }  // namespace
