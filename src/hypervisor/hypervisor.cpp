@@ -225,6 +225,32 @@ double Hypervisor::hv_fatality_probability() const {
   return p;
 }
 
+void Hypervisor::hypervisor_corrupted(TickReport& report) {
+  if (rng_.bernoulli(hv_fatality_probability())) {
+    report.hypervisor_fatal = true;
+    ++stats_.hv_fatal_events;
+  } else if (config_.selective_protection) {
+    ++stats_.protection_saves;
+    metrics().protection_saves.add();
+  }
+  // Fatal, saved, or absorbed by a non-crucial object: disposed.
+  ++stats_.uncorrected_resolved;
+}
+
+void Hypervisor::guest_corrupted(std::uint64_t victim, TickReport& report) {
+  if (rng_.bernoulli(config_.guest_sdc_survival)) {
+    report.vms_hit.push_back(victim);
+  } else if (config_.vm_checkpointing) {
+    // Fatal for the guest, but it rolls back to the last checkpoint
+    // instead of dying (bounded work loss).
+    report.vms_restored.push_back(victim);
+    ++stats_.vm_restores;
+  } else {
+    report.vms_killed.push_back(victim);
+  }
+  ++stats_.uncorrected_resolved;
+}
+
 TickReport Hypervisor::tick(Seconds now, Seconds window) {
   TickReport report;
   report.window = window;
@@ -284,15 +310,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         now, daemons::Component::kCore, daemons::Severity::kUncorrectable,
         0});
     if (rng_.bernoulli(config_.hv_cpu_time_share)) {
-      if (rng_.bernoulli(hv_fatality_probability())) {
-        report.hypervisor_fatal = true;
-        ++stats_.hv_fatal_events;
-      } else if (config_.selective_protection) {
-        ++stats_.protection_saves;
-        metrics().protection_saves.add();
-      }
-      // Fatal, saved, or absorbed by a non-crucial object: disposed.
-      ++stats_.uncorrected_resolved;
+      hypervisor_corrupted(report);
     } else if (!vms_.empty()) {
       // Victim guest weighted by vCPU share.
       std::vector<double> weights;
@@ -301,16 +319,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         weights.push_back(static_cast<double>(vm.vcpus));
         ids.push_back(id);
       }
-      const std::uint64_t victim = ids[rng_.weighted_pick(weights)];
-      if (rng_.bernoulli(config_.guest_sdc_survival)) {
-        report.vms_hit.push_back(victim);
-      } else if (config_.vm_checkpointing) {
-        report.vms_restored.push_back(victim);
-        ++stats_.vm_restores;
-      } else {
-        report.vms_killed.push_back(victim);
-      }
-      ++stats_.uncorrected_resolved;
+      guest_corrupted(ids[rng_.weighted_pick(weights)], report);
     } else {
       // Guest context with no guest running: the SDC corrupted idle
       // state nobody will consume.
@@ -392,14 +401,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         0});
     if (roll < hv_relaxed_mb) {
       ++report.dram_errors_into_hv;
-      if (rng_.bernoulli(hv_fatality_probability())) {
-        report.hypervisor_fatal = true;
-        ++stats_.hv_fatal_events;
-      } else if (config_.selective_protection) {
-        ++stats_.protection_saves;
-        metrics().protection_saves.add();
-      }
-      ++stats_.uncorrected_resolved;
+      hypervisor_corrupted(report);
     } else if (roll < hv_relaxed_mb + vm_relaxed_mb) {
       ++report.dram_errors_into_vms;
       // Pick the victim VM weighted by resident memory.
@@ -414,21 +416,13 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         }
       }
       if (victim != 0) {
-        if (rng_.bernoulli(config_.guest_sdc_survival)) {
-          report.vms_hit.push_back(victim);
-        } else if (config_.vm_checkpointing) {
-          // Fatal for the guest, but it rolls back to the last
-          // checkpoint instead of dying (bounded work loss).
-          report.vms_restored.push_back(victim);
-          ++stats_.vm_restores;
-        } else {
-          report.vms_killed.push_back(victim);
-        }
+        guest_corrupted(victim, report);
+      } else {
+        // Every candidate byte was pinned into the reliable domain after
+        // the share was computed: the error landed on protected memory
+        // and is absorbed.
+        ++stats_.uncorrected_resolved;
       }
-      // victim == 0 can only mean every candidate byte was pinned into
-      // the reliable domain after the share was computed — the error
-      // landed on protected memory and is absorbed.
-      ++stats_.uncorrected_resolved;
     } else {
       // The error fell on unallocated memory — harmless.
       ++stats_.uncorrected_resolved;

@@ -183,6 +183,14 @@ class Hypervisor {
   /// given the default KVM object profiles and the protection
   /// configuration.
   double hv_fatality_probability() const;
+  /// One uncorrected error landed in hypervisor state: fatal with the
+  /// Figure-4 criticality probability, else absorbed (a protection save
+  /// when selective protection is on). Resolves the error.
+  void hypervisor_corrupted(TickReport& report);
+  /// One uncorrected error corrupted guest `victim`: it survives (hit),
+  /// rolls back to a checkpoint (restored) or dies (killed). Resolves
+  /// the error.
+  void guest_corrupted(std::uint64_t victim, TickReport& report);
 
   hw::ServerNode& node_;
   HvConfig config_;

@@ -63,8 +63,7 @@ Cloud::Cloud(const CloudConfig& config,
       nodes_(std::move(nodes)),
       engine_(make_placement_engine(config.engine, config.policy)),
       predictor_(config.predictor),
-      orchestrator_(config.migration, config.nodes_per_rack,
-                    orchestrator_callbacks()) {
+      orchestrator_(config.migration, orchestrator_callbacks()) {
   if (config_.serve.enabled) {
     serve_ = std::make_unique<serve::ServeLayer>(config_.serve);
   }
@@ -120,16 +119,7 @@ void Cloud::inject_node_crash(int node_index) {
   if (!node->up()) return;
   const std::vector<std::uint64_t> lost = node->force_crash();
   engine_->node_changed(node);
-  ++stats_.node_crash_events;
-  metrics().node_crashes.add();
-  telemetry::trace(now_, "cloud", "node_crash",
-                   {{"node", node->name()},
-                    {"injected", "1"},
-                    {"vms_lost", std::to_string(lost.size())}});
-  // Cancel-first: tickets touching the dead node fold before any
-  // further control-plane work sees them.
-  orchestrator_.on_node_down(node, now_);
-  for (std::uint64_t id : lost) mark_lost(id, true);
+  account_node_crash(node, lost, true);
   sync_migration_stats();
 }
 
@@ -224,32 +214,19 @@ void Cloud::wire_monitoring() {
 int Cloud::rack_of(const ComputeNode* node) const {
   const auto it = slot_index_.find(node);
   if (it == slot_index_.end()) return 0;
-  return it->second / std::max(1, config_.nodes_per_rack);
+  return it->second / static_cast<int>(rack_size());
 }
 
-Watt Cloud::rack_power(int rack) {
-  Watt total{0.0};
+std::vector<Watt> Cloud::rack_power() const {
+  const std::size_t per_rack = rack_size();
+  std::vector<Watt> watts((nodes_.size() + per_rack - 1) / per_rack,
+                          Watt{0.0});
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (static_cast<int>(i) / std::max(1, config_.nodes_per_rack) != rack) {
-      continue;
-    }
     ComputeNode* node = nodes_[i].get();
-    total += node->server().node_power(
+    watts[i / per_rack] += node->server().node_power(
         node->hypervisor().aggregate_signature(), node->used_vcpus());
   }
-  return total;
-}
-
-bool Cloud::rack_admits(ComputeNode* node, const hv::Vm& vm) {
-  if (config_.rack_power_cap.value <= 0.0) return true;
-  // Marginal power of the new VM: its vCPUs at the node's current EOP.
-  const auto& chip = node->server().chip();
-  const hw::Eop eop = node->server().eop();
-  const Watt marginal =
-      chip.power().core_dynamic(eop.vdd, eop.freq, vm.workload.activity) *
-      static_cast<double>(vm.vcpus);
-  const Watt projected = rack_power(rack_of(node)) + marginal;
-  return projected.value <= config_.rack_power_cap.value;
+  return watts;
 }
 
 void Cloud::record_decision(std::uint64_t vm_id, const ComputeNode* target,
@@ -275,21 +252,13 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
   hv::Vm vm = vm_from_request(request);
   // Rack power admission: nodes whose rack has no headroom for this VM
   // are masked out of the pick. One O(n) pass computes every rack's
-  // current draw, so per-node admission is O(1) (the old prefilter
-  // recomputed the whole rack sum for every candidate node).
+  // current draw, so per-node admission is O(1).
   PlacementConstraint constraint;
   std::vector<std::uint8_t> allowed;
   bool power_limited = false;
   if (config_.rack_power_cap.value > 0.0 && !nodes_.empty()) {
-    const std::size_t per_rack =
-        static_cast<std::size_t>(std::max(1, config_.nodes_per_rack));
-    std::vector<Watt> rack_watts((nodes_.size() + per_rack - 1) / per_rack,
-                                 Watt{0.0});
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      ComputeNode* node = nodes_[i].get();
-      rack_watts[i / per_rack] += node->server().node_power(
-          node->hypervisor().aggregate_signature(), node->used_vcpus());
-    }
+    const std::size_t per_rack = rack_size();
+    const std::vector<Watt> rack_watts = rack_power();
     allowed.assign(nodes_.size(), 1);
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       ComputeNode* node = nodes_[i].get();
@@ -392,6 +361,22 @@ void Cloud::mark_lost(std::uint64_t vm_id, bool node_crash) {
   active_.erase(it);
 }
 
+void Cloud::account_node_crash(ComputeNode* node,
+                               const std::vector<std::uint64_t>& lost,
+                               bool injected) {
+  ++stats_.node_crash_events;
+  metrics().node_crashes.add();
+  std::vector<std::pair<std::string, std::string>> tags{
+      {"node", node->name()}};
+  if (injected) tags.emplace_back("injected", "1");
+  tags.emplace_back("vms_lost", std::to_string(lost.size()));
+  telemetry::trace(now_, "cloud", "node_crash", std::move(tags));
+  // Cancel-first: tickets touching the dead node fold before any
+  // further control-plane work sees them.
+  orchestrator_.on_node_down(node, now_);
+  for (std::uint64_t id : lost) mark_lost(id, true);
+}
+
 void Cloud::tick_nodes(Seconds window) {
   for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
     const std::unique_ptr<ComputeNode>& node = nodes_[slot];
@@ -414,14 +399,7 @@ void Cloud::tick_nodes(Seconds window) {
       monitor_.record(id, sample);
     }
     if (result.crashed) {
-      ++stats_.node_crash_events;
-      metrics().node_crashes.add();
-      telemetry::trace(now_, "cloud", "node_crash",
-                       {{"node", node->name()},
-                        {"vms_lost",
-                         std::to_string(result.vms_lost.size())}});
-      orchestrator_.on_node_down(node.get(), now_);
-      for (std::uint64_t id : result.vms_lost) mark_lost(id, true);
+      account_node_crash(node.get(), result.vms_lost, false);
     } else {
       for (std::uint64_t id : result.vms_lost) {
         // An SDC killed the VM in place; fold its migration if any.
@@ -523,23 +501,24 @@ void Cloud::inject_rack_power_loss(int node_index) {
   if (node_index < 0 || node_index >= static_cast<int>(nodes_.size())) {
     return;
   }
-  const int rack = node_index / std::max(1, config_.nodes_per_rack);
-  // Every node in the rack is about to lose power together, so none of
-  // them is an acceptable destination.
+  // The rack is the run of slots [first, last). Every node in it is
+  // about to lose power together, so none is an acceptable destination.
+  const std::size_t per_rack = rack_size();
+  const std::size_t rack = static_cast<std::size_t>(node_index) / per_rack;
+  const std::size_t first = rack * per_rack;
+  const std::size_t last = std::min(nodes_.size(), first + per_rack);
   std::vector<std::uint8_t> allowed(nodes_.size(), 1);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (rack_of(nodes_[i].get()) == rack) allowed[i] = 0;
-  }
-  int vms = 0;
-  for (const auto& node : nodes_) {
-    if (rack_of(node.get()) == rack) vms += node->hypervisor().vm_count();
+  std::size_t vms = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    allowed[i] = 0;
+    vms += nodes_[i]->hypervisor().vm_count();
   }
   telemetry::trace(now_, "cloud", "rack_evacuation",
                    {{"rack", std::to_string(rack)},
                     {"resident_vms", std::to_string(vms)}});
-  for (auto& node : nodes_) {
-    if (rack_of(node.get()) != rack || !node->up()) continue;
-    evacuate_node(node.get(), MigrationPriority::kCrashEvacuation,
+  for (std::size_t i = first; i < last; ++i) {
+    if (!nodes_[i]->up()) continue;
+    evacuate_node(nodes_[i].get(), MigrationPriority::kCrashEvacuation,
                   &allowed);
   }
   sync_migration_stats();

@@ -6,6 +6,7 @@
 // §5.B: the integrated fault-tolerance component).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -179,10 +180,9 @@ class Cloud {
 
   /// Rack index of a node (grouping is by construction order).
   int rack_of(const ComputeNode* node) const;
-  /// Aggregate current power draw of a rack.
-  Watt rack_power(int rack);
-  /// Whether admitting `vm` onto `node` keeps its rack under the cap.
-  bool rack_admits(ComputeNode* node, const hv::Vm& vm);
+  /// Aggregate current power draw of every rack, indexed by rack, in
+  /// one pass over the fleet (what rack power admission checks).
+  std::vector<Watt> rack_power() const;
 
   // -- placement-decision audit trail ---------------------------------
 
@@ -233,6 +233,15 @@ class Cloud {
   /// Mirrors the orchestrator's cumulative books into CloudStats.
   void sync_migration_stats();
   void mark_lost(std::uint64_t vm_id, bool node_crash);
+  /// Books a node crash (organic or injected) after the node dropped
+  /// its VMs: counter, trace, migration cancellations, lost VMs.
+  void account_node_crash(ComputeNode* node,
+                          const std::vector<std::uint64_t>& lost,
+                          bool injected);
+  /// Nodes per rack; racks are consecutive runs of fleet slots.
+  std::size_t rack_size() const {
+    return static_cast<std::size_t>(std::max(1, config_.nodes_per_rack));
+  }
   /// Folds one decision into the digest (and the log when recording).
   void record_decision(std::uint64_t vm_id, const ComputeNode* target,
                        bool evacuation);

@@ -1,19 +1,15 @@
-// Live-migration cost model.
+// Live-migration model knobs.
 //
 // Proactive migration (the paper's §5.B strategy: "proactively migrate
 // the running workloads on the healthy nodes") is not free: pre-copy
 // rounds move the working set over the management network, dirty pages
 // are re-sent, and a short stop-and-copy pause completes the switch.
-//
-// `cost_for` is the *static planning estimate* (fixed pre-copy rounds,
-// no contention). The asynchronous execution of a migration — rounds
-// advanced by the DES clock, convergence checks, per-link bandwidth
-// queueing, cancellation — lives in migration_orchestrator.h and shares
-// this model's knobs.
+// The orchestrator (migration_orchestrator.h) executes each migration
+// asynchronously against these knobs: rounds advanced by the DES clock,
+// convergence checks, per-link bandwidth queueing and cancellation.
 #pragma once
 
 #include "common/units.h"
-#include "hypervisor/vm.h"
 
 namespace uniserver::osk {
 
@@ -23,8 +19,8 @@ struct MigrationModel {
   double bandwidth_mb_per_s{1000.0};
   /// Fraction of the just-copied memory dirtied per pre-copy round.
   /// Values >= 1.0 mean pre-copy can never converge (the guest dirties
-  /// memory faster than the link drains it) — both the static estimate
-  /// and the orchestrator then fall back to post-copy.
+  /// memory faster than the link drains it) — the orchestrator then
+  /// falls back to post-copy. Negative rates clamp to 0.
   double dirty_rate{0.15};
   /// Maximum pre-copy rounds before giving up on convergence.
   int precopy_rounds{3};
@@ -41,21 +37,6 @@ struct MigrationModel {
   /// Pause for the post-copy ownership switch (page tables move, pages
   /// are pulled on demand afterwards).
   Seconds postcopy_switch{Seconds{0.05}};
-
-  struct Cost {
-    Seconds duration{Seconds{0.0}};   ///< total migration time
-    Seconds downtime{Seconds{0.0}};   ///< stop-and-copy / switch pause
-    double transferred_mb{0.0};
-    Joule energy{Joule{0.0}};
-    /// Pre-copy could not converge; this estimate is for a post-copy
-    /// migration (short switch pause, pages pulled over the link).
-    bool post_copy{false};
-  };
-
-  /// Static cost estimate for migrating a VM of the given resident
-  /// size. Negative dirty rates clamp to 0; rates >= 1.0 surface the
-  /// post-copy fallback cost instead of a silently diverging duration.
-  Cost cost_for(const hv::Vm& vm) const;
 };
 
 }  // namespace uniserver::osk

@@ -73,11 +73,8 @@ const char* to_string(MigrationPhase phase) {
 }
 
 MigrationOrchestrator::MigrationOrchestrator(const MigrationModel& model,
-                                             int nodes_per_rack,
                                              Callbacks callbacks)
-    : model_(model),
-      nodes_per_rack_(std::max(1, nodes_per_rack)),
-      callbacks_(std::move(callbacks)) {}
+    : model_(model), callbacks_(std::move(callbacks)) {}
 
 int MigrationOrchestrator::slots_per_link() const {
   const double stream = std::max(1e-6, model_.bandwidth_mb_per_s);
@@ -87,29 +84,26 @@ int MigrationOrchestrator::slots_per_link() const {
 
 bool MigrationOrchestrator::links_have_capacity(
     const MigrationTicket& t) const {
-  const auto it = racks_.find(t.vm_id);
-  if (it == racks_.end()) return false;
   const int slots = slots_per_link();
-  const auto [src_rack, dst_rack] = it->second;
   const auto busy = [this](int rack) {
-    const auto bit = busy_slots_.find(rack);
-    return bit == busy_slots_.end() ? 0 : bit->second;
+    const auto it = busy_slots_.find(rack);
+    return it == busy_slots_.end() ? 0 : it->second;
   };
-  if (busy(src_rack) >= slots) return false;
-  if (src_rack != dst_rack && busy(dst_rack) >= slots) return false;
+  if (busy(t.source_rack) >= slots) return false;
+  if (t.source_rack != t.dest_rack && busy(t.dest_rack) >= slots) {
+    return false;
+  }
   return true;
 }
 
 void MigrationOrchestrator::occupy_links(const MigrationTicket& t) {
-  const auto [src_rack, dst_rack] = racks_.at(t.vm_id);
-  ++busy_slots_[src_rack];
-  if (src_rack != dst_rack) ++busy_slots_[dst_rack];
+  ++busy_slots_[t.source_rack];
+  if (t.source_rack != t.dest_rack) ++busy_slots_[t.dest_rack];
 }
 
 void MigrationOrchestrator::release_links(const MigrationTicket& t) {
-  const auto [src_rack, dst_rack] = racks_.at(t.vm_id);
-  --busy_slots_[src_rack];
-  if (src_rack != dst_rack) --busy_slots_[dst_rack];
+  --busy_slots_[t.source_rack];
+  if (t.source_rack != t.dest_rack) --busy_slots_[t.dest_rack];
 }
 
 double MigrationOrchestrator::link_utilization() const {
@@ -136,14 +130,14 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
   t.source = source;
   t.dest = dest;
   t.priority = priority;
+  t.source_rack = rack_of_source;
+  t.dest_rack = rack_of_dest;
+  t.submit_seq = next_seq_++;
   t.reserved_vcpus = vcpus;
   t.reserved_memory_mb = memory_mb;
   t.submitted_at = now;
   tickets_.emplace(vm_id, t);
-  racks_.emplace(vm_id, std::make_pair(rack_of_source, rack_of_dest));
-  const std::uint64_t seq = next_seq_++;
-  submit_seq_.emplace(vm_id, seq);
-  queue_.insert({static_cast<int>(priority), seq, vm_id});
+  queue_.insert({static_cast<int>(priority), t.submit_seq, vm_id});
   ++stats_.submitted;
   mig_metrics().submitted.add();
   telemetry::trace(now, "cloud", "migration_start",
@@ -291,8 +285,6 @@ void MigrationOrchestrator::complete(MigrationTicket& t, Seconds now) {
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCompleted);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
-  racks_.erase(vm_id);
-  submit_seq_.erase(vm_id);
   // generation_ stays: it must keep growing monotonically if the same
   // VM migrates again, or messages from this ticket could alias.
   start_ready(now);
@@ -309,8 +301,7 @@ void MigrationOrchestrator::drop_reservation(MigrationTicket& t) {
 void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
                                    bool vm_lost) {
   if (t.phase == MigrationPhase::kQueued) {
-    queue_.erase({static_cast<int>(t.priority), submit_seq_.at(t.vm_id),
-                  t.vm_id});
+    queue_.erase({static_cast<int>(t.priority), t.submit_seq, t.vm_id});
   } else {
     release_links(t);
   }
@@ -330,8 +321,6 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCancelled);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
-  racks_.erase(vm_id);
-  submit_seq_.erase(vm_id);
   start_ready(now);
   refresh_gauges();
 }

@@ -67,7 +67,6 @@ const char* to_string(MigrationPhase phase);
 enum class MigrationPriority {
   kCrashEvacuation = 0,  ///< rack power loss / imminent-failure drain
   kEopRetreat = 1,       ///< predicted-unsafe EOP retreat
-  kRebalance = 2,        ///< policy-driven consolidation (future)
 };
 
 /// One migration's full state, readable by oracles and tests.
@@ -77,6 +76,11 @@ struct MigrationTicket {
   ComputeNode* dest{nullptr};
   MigrationPriority priority{MigrationPriority::kEopRetreat};
   MigrationPhase phase{MigrationPhase::kQueued};
+  /// Rack links the copy occupies once admitted.
+  int source_rack{0};
+  int dest_rack{0};
+  /// Submit order: the FIFO tie-break inside a priority class.
+  std::uint64_t submit_seq{0};
   /// Capacity held on `dest` from submit until cutover/cancel.
   int reserved_vcpus{0};
   double reserved_memory_mb{0.0};
@@ -125,8 +129,7 @@ class MigrationOrchestrator {
     std::function<void(ComputeNode*)> node_changed;
   };
 
-  MigrationOrchestrator(const MigrationModel& model, int nodes_per_rack,
-                        Callbacks callbacks);
+  MigrationOrchestrator(const MigrationModel& model, Callbacks callbacks);
 
   /// Enqueues a migration and reserves destination capacity. False if
   /// the VM is already in flight or the reservation does not fit.
@@ -190,16 +193,10 @@ class MigrationOrchestrator {
   void refresh_gauges() const;
 
   MigrationModel model_;
-  int nodes_per_rack_{8};
   Callbacks callbacks_;
   std::map<std::uint64_t, MigrationTicket> tickets_;
-  /// Rack index per in-flight ticket (source, dest), kept off the
-  /// ticket so the public view stays node-centric.
-  std::map<std::uint64_t, std::pair<int, int>> racks_;
-  /// Wait queue in (priority, submit seq) order.
+  /// Wait queue in (priority, submit seq, VM id) order.
   std::set<std::tuple<int, std::uint64_t, std::uint64_t>> queue_;
-  /// Submit sequence per ticket (FIFO tie-break inside a priority).
-  std::map<std::uint64_t, std::uint64_t> submit_seq_;
   /// Busy stream slots per rack link.
   std::map<int, int> busy_slots_;
   /// Pending timer messages in (time, seq) order. Pushed only by

@@ -81,23 +81,16 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
     result.vms_restored = report.vms_restored;
     result.hypervisor_fatal = report.hypervisor_fatal;
     if (report.node_crash || report.hypervisor_fatal) {
+      // Every resident VM is lost with the node, after the SDC kills.
       result.crashed = true;
-      // Every resident VM is lost with the node.
-      for (const auto& [id, vm] : hypervisor_->vms()) {
-        result.vms_lost.push_back(id);
-      }
-      std::vector<std::uint64_t> ids = result.vms_lost;
-      for (std::uint64_t id : ids) hypervisor_->destroy_vm(id);
-      up_ = false;
-      repair_remaining_ = repair_time_;
-      // Inbound-migration reservations die with the node; the
-      // orchestrator cancels the matching tickets on notification.
-      reserved_vcpus_ = 0;
-      reserved_memory_mb_ = 0.0;
+      const std::vector<std::uint64_t> resident = force_crash();
+      result.vms_lost.insert(result.vms_lost.end(), resident.begin(),
+                             resident.end());
+    } else if (!result.vms_lost.empty()) {
+      // SDC kills destroy VMs inside the hypervisor, bypassing
+      // remove_vm's incremental accounting.
+      resync_capacity_cache();
     }
-    // SDC kills and crash cleanup destroy VMs inside the hypervisor,
-    // bypassing remove_vm's incremental accounting.
-    if (result.crashed || !result.vms_lost.empty()) resync_capacity_cache();
     metrics_.energy_kwh += result.energy.kwh();
   }
 
@@ -146,6 +139,8 @@ std::vector<std::uint64_t> ComputeNode::force_crash() {
   resync_capacity_cache();
   up_ = false;
   repair_remaining_ = repair_time_;
+  // Inbound-migration reservations die with the node; the
+  // orchestrator cancels the matching tickets on notification.
   reserved_vcpus_ = 0;
   reserved_memory_mb_ = 0.0;
   return lost;

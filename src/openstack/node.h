@@ -113,10 +113,10 @@ class ComputeNode {
   /// Repair/reboot completes: VMs are gone, node is schedulable again.
   void reboot();
 
-  /// Fault injection: hard power-fail an up node now. All resident VMs
-  /// are destroyed and their ids returned so the caller can account the
-  /// losses; the node then serves repair time exactly as after an
-  /// organic crash. Returns empty on a node that is already down.
+  /// Hard-fails an up node now: an injected power loss, and the crash
+  /// branch of tick(). All resident VMs are destroyed and their ids
+  /// returned so the caller can account the losses; the node then
+  /// serves `repair_time`. Returns empty on a node that is already down.
   std::vector<std::uint64_t> force_crash();
 
   /// Recomputes the cached committed-capacity totals from the resident

@@ -2,9 +2,10 @@
 //
 // Each test recomputes a small, fixed-seed slice of a paper-facing
 // pipeline — shmoo characterization (§6.A / Table 2), the DRAM
-// retention/BER model (§6.B), and the TCO design-space sweep (§6.D) —
-// and compares it cell-by-cell against a CSV checked in under
-// tests/golden/. A refactor that silently shifts these numbers fails
+// retention/BER model (§6.B), the TCO design-space sweep (§6.D), the
+// serving layer's counters and the cloud control plane's fault books
+// (§4.B, §5.B) — and compares it cell-by-cell against a CSV checked in
+// under tests/golden/. A refactor that silently shifts these numbers fails
 // here with a pointer to the exact cell.
 //
 // Every run also writes the freshly computed table into the build tree
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -31,7 +33,10 @@
 #include "hwmodel/chip.h"
 #include "hwmodel/chip_spec.h"
 #include "hwmodel/dram_model.h"
+#include "hwmodel/eop.h"
 #include "hwmodel/platform.h"
+#include "hypervisor/hypervisor.h"
+#include "openstack/cloud.h"
 #include "serve/serve.h"
 #include "stress/profiles.h"
 #include "stress/shmoo.h"
@@ -273,6 +278,140 @@ TEST(GoldenTraces, ServeCounters) {
   csv.add_row({"p99_ms", fmt(layer.latency_percentile_ms(99.0))});
   csv.add_row({"p999_ms", fmt(layer.latency_percentile_ms(99.9))});
   expect_matches_golden("serve_counters.csv", csv);
+}
+
+/// One setting of the cloud fault-books golden.
+struct FaultSetting {
+  Watt rack_cap{Watt{0.0}};
+  double undervolt_percent{0.0};
+  double refresh_s{0.0};  ///< 0 keeps the nominal refresh
+  bool checkpointing{false};
+  bool reliable_domain{true};
+  double hv_cpu_time_share{0.05};
+  double dirty_rate{0.15};
+};
+
+/// One fixed-seed 16-node cloud run of six hours with the control
+/// plane's fault paths exercised: the rack power cap, organic SDCs and
+/// crashes from an aggressive operating point, and the three injectors.
+/// Returns the books as (metric, value) rows.
+std::vector<std::pair<std::string, std::string>> cloud_fault_books(
+    const FaultSetting& setting) {
+  osk::CloudConfig config;
+  config.nodes_per_rack = 4;
+  config.rack_power_cap = setting.rack_cap;
+  config.migration.dirty_rate = setting.dirty_rate;
+  hv::HvConfig hv_config;
+  hv_config.vm_checkpointing = setting.checkpointing;
+  hv_config.use_reliable_domain = setting.reliable_domain;
+  hv_config.hv_cpu_time_share = setting.hv_cpu_time_share;
+  hw::NodeSpec spec;
+  spec.chip = hw::arm_soc_spec();
+  auto cloud = osk::Cloud::make_uniform(config, spec, hv_config, 16, 2024);
+  for (osk::ComputeNode* node : cloud->node_ptrs()) {
+    hw::Eop eop = node->server().eop();
+    eop.vdd = hw::apply_undervolt_percent(spec.chip.vdd_nominal,
+                                          setting.undervolt_percent);
+    if (setting.refresh_s > 0.0) eop.refresh = Seconds{setting.refresh_s};
+    node->hypervisor().apply_eop(eop);
+  }
+
+  const char* profiles[] = {"mcf", "milc", "namd", "h264ref"};
+  Rng rng(99);
+  std::vector<std::vector<trace::VmRequest>> hours(6);
+  for (std::uint64_t id = 1; id <= 180; ++id) {
+    trace::VmRequest request;
+    request.id = id;
+    const int hour = static_cast<int>((id - 1) / 30);
+    request.arrival = Seconds{hour * 3600.0 + rng.uniform() * 3600.0};
+    request.lifetime = Seconds{600.0 + rng.uniform() * 14400.0};
+    request.vcpus = 1 + static_cast<int>(rng.uniform_u64(4));
+    request.memory_mb = 512.0 * static_cast<double>(1 + rng.uniform_u64(6));
+    request.sla = static_cast<trace::SlaClass>(rng.uniform_u64(3));
+    request.workload = *stress::spec_profile(profiles[id % 4]);
+    hours[static_cast<std::size_t>(hour)].push_back(request);
+  }
+  for (std::size_t hour = 0; hour < hours.size(); ++hour) {
+    if (hour == 2) cloud->inject_node_crash(3);
+    if (hour == 3) cloud->inject_rack_power_loss(5);
+    if (hour == 4) cloud->inject_eop_retreat(9);
+    cloud->run(hours[hour], Seconds{(static_cast<double>(hour) + 1) * 3600.0});
+  }
+
+  hv::HvStats hv;
+  for (const osk::ComputeNode* node : cloud->node_views()) {
+    const hv::HvStats& s = node->hypervisor().stats();
+    hv.vm_kills += s.vm_kills;
+    hv.vm_restores += s.vm_restores;
+    hv.hv_fatal_events += s.hv_fatal_events;
+    hv.node_crashes += s.node_crashes;
+    hv.protection_saves += s.protection_saves;
+    hv.uncorrected_seen += s.uncorrected_seen;
+    hv.uncorrected_resolved += s.uncorrected_resolved;
+  }
+  const osk::CloudStats& c = cloud->stats();
+  std::ostringstream digest;
+  digest << std::hex << cloud->placement_digest();
+  const auto n = [](std::uint64_t v) { return std::to_string(v); };
+  return {
+      {"submitted", n(c.submitted)},
+      {"accepted", n(c.accepted)},
+      {"rejected", n(c.rejected)},
+      {"rejected_for_power", n(c.rejected_for_power)},
+      {"completed", n(c.completed)},
+      {"lost_to_errors", n(c.lost_to_errors)},
+      {"lost_to_node_crash", n(c.lost_to_node_crash)},
+      {"evacuations", n(c.evacuations)},
+      {"migrations", n(c.migrations)},
+      {"migrations_started", n(c.migrations_started)},
+      {"migrations_cancelled", n(c.migrations_cancelled)},
+      {"postcopy_migrations", n(c.postcopy_migrations)},
+      {"migration_failures", n(c.migration_failures)},
+      {"node_crash_events", n(c.node_crash_events)},
+      {"sla_violations", n(c.sla_violations)},
+      {"total_energy_kwh", fmt(c.total_energy_kwh, 17)},
+      {"migration_energy_kwh", fmt(c.migration_energy_kwh, 17)},
+      {"migration_transferred_mb", fmt(c.migration_transferred_mb, 17)},
+      {"migration_downtime_s", fmt(c.migration_downtime_s, 17)},
+      {"mean_node_availability", fmt(c.mean_node_availability, 17)},
+      {"hv_vm_kills", n(hv.vm_kills)},
+      {"hv_vm_restores", n(hv.vm_restores)},
+      {"hv_fatal_events", n(hv.hv_fatal_events)},
+      {"hv_node_crashes", n(hv.node_crashes)},
+      {"hv_protection_saves", n(hv.protection_saves)},
+      {"hv_uncorrected_seen", n(hv.uncorrected_seen)},
+      {"hv_uncorrected_resolved", n(hv.uncorrected_resolved)},
+      {"placement_digest", "0x" + digest.str()},
+  };
+}
+
+TEST(GoldenTraces, CloudFaultBooks) {
+  // Pins the cloud's books and placement digest under every fault path
+  // of the control plane, one column per setting: a nominal fleet under
+  // a rack power cap, a deep CPU undervolt (organic SDCs and crashes),
+  // and an undervolted, refresh-relaxed fleet with VM checkpointing on
+  // and off. Every setting also takes an injected node crash, rack
+  // power loss and EOP retreat. The undervolt column also raises the
+  // dirty rate so large guests fall back to post-copy, and widens the
+  // hypervisor's CPU share so CPU SDCs reach hypervisor state.
+  const auto cap = cloud_fault_books({.rack_cap = Watt{150.0}});
+  const auto deep = cloud_fault_books({.undervolt_percent = 15.0,
+                                       .hv_cpu_time_share = 0.5,
+                                       .dirty_rate = 0.6});
+  const FaultSetting relaxed{.undervolt_percent = 11.0,
+                             .refresh_s = 5.0,
+                             .reliable_domain = false};
+  FaultSetting relaxed_ckpt = relaxed;
+  relaxed_ckpt.checkpointing = true;
+  const auto ckpt_on = cloud_fault_books(relaxed_ckpt);
+  const auto ckpt_off = cloud_fault_books(relaxed);
+
+  CsvWriter csv({"metric", "rack_cap", "undervolt", "ckpt_on", "ckpt_off"});
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    csv.add_row({cap[i].first, cap[i].second, deep[i].second,
+                 ckpt_on[i].second, ckpt_off[i].second});
+  }
+  expect_matches_golden("cloud_fault_books.csv", csv);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "hwmodel/chip_spec.h"
 #include "openstack/cloud.h"
-#include "openstack/migration.h"
 #include "openstack/node.h"
 #include "stress/profiles.h"
 #include "trace/arrivals.h"
@@ -13,80 +12,6 @@ namespace uniserver::osk {
 namespace {
 
 using namespace uniserver::literals;
-
-TEST(MigrationModel, CostScalesWithMemory) {
-  const MigrationModel model;
-  hv::Vm small;
-  small.memory_mb = 1024.0;
-  hv::Vm big;
-  big.memory_mb = 8192.0;
-  const auto small_cost = model.cost_for(small);
-  const auto big_cost = model.cost_for(big);
-  EXPECT_NEAR(big_cost.transferred_mb / small_cost.transferred_mb, 8.0,
-              1e-9);
-  EXPECT_GT(big_cost.duration.value, small_cost.duration.value);
-  EXPECT_GT(big_cost.energy.value, small_cost.energy.value);
-}
-
-TEST(MigrationModel, DowntimeIsFractionOfDuration) {
-  const MigrationModel model;
-  hv::Vm vm;
-  vm.memory_mb = 4096.0;
-  const auto cost = model.cost_for(vm);
-  EXPECT_LT(cost.downtime.value, cost.duration.value);
-  // Stop-and-copy moves dirty_rate^rounds of the memory.
-  EXPECT_NEAR(cost.downtime.value,
-              4096.0 * 0.15 * 0.15 * 0.15 / 1000.0, 1e-9);
-}
-
-TEST(MigrationModel, MorePrecopyRoundsShrinkDowntime) {
-  MigrationModel few;
-  few.precopy_rounds = 1;
-  MigrationModel many;
-  many.precopy_rounds = 5;
-  hv::Vm vm;
-  vm.memory_mb = 4096.0;
-  EXPECT_GT(few.cost_for(vm).downtime.value,
-            many.cost_for(vm).downtime.value);
-  EXPECT_LT(few.cost_for(vm).transferred_mb,
-            many.cost_for(vm).transferred_mb);
-}
-
-TEST(MigrationModel, NegativeDirtyRateClampsToZero) {
-  MigrationModel model;
-  model.dirty_rate = -0.5;
-  hv::Vm vm;
-  vm.memory_mb = 4096.0;
-  const auto cost = model.cost_for(vm);
-  // Nothing re-dirties: one full copy, zero-length stop-and-copy.
-  EXPECT_FALSE(cost.post_copy);
-  EXPECT_NEAR(cost.transferred_mb, 4096.0, 1e-9);
-  EXPECT_NEAR(cost.downtime.value, 0.0, 1e-12);
-  EXPECT_NEAR(cost.duration.value, 4096.0 / model.bandwidth_mb_per_s,
-              1e-12);
-}
-
-TEST(MigrationModel, DivergentDirtyRateFallsBackToPostCopy) {
-  // dirty_rate >= 1.0 used to make the planning estimate diverge (every
-  // pre-copy round re-sends at least a full working set). The estimate
-  // now plans a post-copy migration: warm-up copy + on-demand pull.
-  for (const double rate : {1.0, 1.5, 10.0}) {
-    MigrationModel model;
-    model.dirty_rate = rate;
-    hv::Vm vm;
-    vm.memory_mb = 4096.0;
-    const auto cost = model.cost_for(vm);
-    EXPECT_TRUE(cost.post_copy) << "rate " << rate;
-    EXPECT_NEAR(cost.transferred_mb, 2.0 * 4096.0, 1e-9);
-    EXPECT_NEAR(cost.downtime.value, model.postcopy_switch.value, 1e-12);
-    EXPECT_NEAR(cost.duration.value,
-                2.0 * 4096.0 / model.bandwidth_mb_per_s +
-                    model.postcopy_switch.value,
-                1e-12);
-    EXPECT_NEAR(cost.energy.value, 2.0 * 4096.0 * model.joule_per_mb,
-                1e-9);
-  }
-}
 
 hw::NodeSpec node_spec() {
   hw::NodeSpec spec;
@@ -162,6 +87,50 @@ TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
   EXPECT_EQ(ticks_down, 5);
   EXPECT_LT(node.metrics().availability, 1.0);
   EXPECT_TRUE(node.place_vm(make_vm(2, 1)));
+}
+
+TEST(ComputeNodeTest, OrganicCrashLeavesTheSameBooksAsForceCrash) {
+  // Two identical nodes, each with residents and an inbound-migration
+  // reservation: one crashes organically (tick past the crash margin),
+  // the other is force-crashed. Both must drop every VM, reservation
+  // and committed capacity, and stay down for the same repair time.
+  ComputeNode organic("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode forced("n1", node_spec(), hv::HvConfig{}, 1);
+  for (ComputeNode* node : {&organic, &forced}) {
+    ASSERT_TRUE(node->place_vm(make_vm(1, 2)));
+    ASSERT_TRUE(node->place_vm(make_vm(2, 3)));
+    ASSERT_TRUE(node->reserve(2, 1024.0));
+  }
+  const hw::Eop nominal = organic.server().eop();
+  hw::Eop deep = nominal;
+  deep.vdd = Volt{organic.server().spec().chip.vdd_nominal.value * 0.5};
+  organic.hypervisor().apply_eop(deep);
+
+  const auto result = organic.tick(0_s, 60_s);
+  ASSERT_TRUE(result.crashed);
+  EXPECT_EQ(result.vms_lost, forced.force_crash());
+
+  const auto repair_ticks = [](ComputeNode& node) {
+    int ticks = 0;
+    for (double t = 60.0; !node.up() && ticks < 100; t += 60.0) {
+      node.tick(Seconds{t}, 60_s);
+      ++ticks;
+    }
+    return ticks;
+  };
+  organic.hypervisor().apply_eop(nominal);
+  for (ComputeNode* node : {&organic, &forced}) {
+    EXPECT_FALSE(node->up());
+    EXPECT_EQ(node->hypervisor().vm_count(), 0u);
+    EXPECT_EQ(node->used_vcpus(), 0);
+    EXPECT_DOUBLE_EQ(node->used_memory_mb(), 0.0);
+    EXPECT_EQ(node->reserved_vcpus(), 0);
+    EXPECT_DOUBLE_EQ(node->reserved_memory_mb(), 0.0);
+    EXPECT_EQ(node->free_vcpus(), node->total_vcpus());
+    // repair_time is 300 s: five 60 s windows down.
+    EXPECT_EQ(repair_ticks(*node), 5);
+    EXPECT_TRUE(node->up());
+  }
 }
 
 TEST(ComputeNodeTest, ForceCrashLosesResidentsAndIsIdempotent) {

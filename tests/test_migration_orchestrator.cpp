@@ -59,8 +59,7 @@ struct DirectHarness {
   MigrationTicket last_finished{};
   std::unique_ptr<MigrationOrchestrator> orch;
 
-  DirectHarness(int node_count, const MigrationModel& model,
-                int nodes_per_rack = 8) {
+  DirectHarness(int node_count, const MigrationModel& model) {
     for (int i = 0; i < node_count; ++i) {
       nodes.push_back(std::make_unique<ComputeNode>(
           "n" + std::to_string(i), node_spec(), hv::HvConfig{},
@@ -89,8 +88,7 @@ struct DirectHarness {
       last_finished = t;
     };
     cb.node_changed = [](ComputeNode*) {};
-    orch = std::make_unique<MigrationOrchestrator>(model, nodes_per_rack,
-                                                   std::move(cb));
+    orch = std::make_unique<MigrationOrchestrator>(model, std::move(cb));
   }
 
   ComputeNode* node(int i) { return nodes[static_cast<std::size_t>(i)].get(); }
@@ -156,9 +154,9 @@ TEST(MigrationOrchestrator, LinkBudgetSerializesAndPriorityJumpsQueue) {
   }
 
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kRebalance, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
   ASSERT_TRUE(h.orch->submit(2, h.node(0), h.node(2), 2, 2048.0,
-                             MigrationPriority::kRebalance, 0_s, 0, 1));
+                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
   ASSERT_TRUE(h.orch->submit(3, h.node(0), h.node(3), 2, 2048.0,
                              MigrationPriority::kCrashEvacuation, 0_s, 0,
                              1));
@@ -183,6 +181,34 @@ TEST(MigrationOrchestrator, LinkBudgetSerializesAndPriorityJumpsQueue) {
   EXPECT_EQ(h.finished[1].first, 3u);  // priority jumped the queue
   EXPECT_EQ(h.finished[2].first, 2u);
   EXPECT_EQ(h.node(0)->hypervisor().vm_count(), 0u);
+}
+
+TEST(MigrationOrchestrator, NegativeDirtyRateClampsToZero) {
+  // dirty_rate < 0 clamps to 0: nothing re-dirties, so round 1 (the
+  // full 2048 MB copy, 2.048 s) converges at once and the stop-and-copy
+  // moves nothing and pauses for zero time.
+  MigrationModel model;
+  model.dirty_rate = -0.5;
+  DirectHarness h(2, model);
+  ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
+  ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
+                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+
+  h.orch->advance(Seconds{2.0});
+  EXPECT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPreCopy);
+  h.orch->advance(Seconds{2.048});  // copy done; zero-length pause too
+  EXPECT_FALSE(h.orch->in_flight(1));
+  ASSERT_EQ(h.finished.size(), 1u);
+  EXPECT_EQ(h.finished[0].second,
+            MigrationOrchestrator::Outcome::kCompleted);
+  EXPECT_FALSE(h.last_finished.post_copy);
+  EXPECT_EQ(h.last_finished.round, 1);
+  EXPECT_NEAR(h.last_finished.transferred_mb, 2048.0, 1e-9);
+  EXPECT_NEAR(h.traffic_mb, 2048.0, 1e-9);
+  EXPECT_DOUBLE_EQ(h.last_finished.downtime.value, 0.0);
+  EXPECT_NEAR(h.last_finished.finished_at.value,
+              2048.0 / model.bandwidth_mb_per_s, 1e-12);
+  EXPECT_EQ(h.orch->stats().postcopy_fallbacks, 0u);
 }
 
 TEST(MigrationOrchestrator, PostCopyFallbackWhenPreCopyCannotConverge) {

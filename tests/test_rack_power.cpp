@@ -1,6 +1,8 @@
 // Tests of rack-level power provisioning in the cloud layer.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hwmodel/chip_spec.h"
 #include "hwmodel/eop.h"
 #include "openstack/cloud.h"
@@ -46,29 +48,33 @@ TEST(RackPower, RackPowerAggregatesNodes) {
   config.nodes_per_rack = 2;
   auto cloud =
       Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 4, 1);
-  const Watt idle_rack = cloud->rack_power(0);
+  const std::vector<Watt> idle = cloud->rack_power();
+  ASSERT_EQ(idle.size(), 2u);
+  const Watt idle_rack = idle[0];
   EXPECT_GT(idle_rack.value, 0.0);
   // Load rack 0 and its power rises; rack 1 unaffected.
-  const Watt rack1_before = cloud->rack_power(1);
+  const Watt rack1_before = idle[1];
   hv::Vm vm;
   vm.id = 1;
   vm.vcpus = 6;
   vm.memory_mb = 2048.0;
   vm.workload = stress::analytics_profile();
   ASSERT_TRUE(cloud->node_ptrs()[0]->place_vm(vm));
-  EXPECT_GT(cloud->rack_power(0).value, idle_rack.value);
-  EXPECT_NEAR(cloud->rack_power(1).value, rack1_before.value, 1e-9);
+  const std::vector<Watt> loaded = cloud->rack_power();
+  EXPECT_GT(loaded[0].value, idle_rack.value);
+  EXPECT_NEAR(loaded[1].value, rack1_before.value, 1e-9);
 }
 
 TEST(RackPower, UncappedAdmitsEverything) {
+  // No cap: a VM filling a whole node is admitted, and nothing is ever
+  // rejected for power.
   CloudConfig config;
   config.rack_power_cap = Watt{0.0};
   auto cloud =
       Cloud::make_uniform(config, node_spec(), hv::HvConfig{}, 2, 1);
-  hv::Vm vm;
-  vm.vcpus = 8;
-  vm.workload = stress::analytics_profile();
-  EXPECT_TRUE(cloud->rack_admits(cloud->node_ptrs()[0], vm));
+  cloud->run({request_at(1, 8)}, Seconds{120.0});
+  EXPECT_EQ(cloud->stats().accepted, 1u);
+  EXPECT_EQ(cloud->stats().rejected_for_power, 0u);
 }
 
 TEST(RackPower, CapRejectsWorkOverBudget) {
@@ -80,7 +86,7 @@ TEST(RackPower, CapRejectsWorkOverBudget) {
   CloudConfig probe = config;
   auto probe_cloud =
       Cloud::make_uniform(probe, node_spec(), hv::HvConfig{}, 4, 1);
-  const double idle = probe_cloud->rack_power(0).value;
+  const double idle = probe_cloud->rack_power()[0].value;
   config.rack_power_cap = Watt{idle + 12.0};
 
   auto cloud =
