@@ -55,16 +55,33 @@ const char* to_string(Severity severity) {
   return "?";
 }
 
+const char* to_string(VectorSource source) {
+  switch (source) {
+    case VectorSource::kHealthLog:
+      return "healthlog";
+    case VectorSource::kStressLog:
+      return "stresslog";
+    case VectorSource::kUnknown:
+      return "unknown";
+  }
+  return "unknown";
+}
+
 HealthLog::HealthLog(Config config) : config_(config) {}
 
 void HealthLog::record(const InfoVector& vector) {
-  vectors_.push_back(vector);
-  while (vectors_.size() > config_.capacity) vectors_.pop_front();
   metrics().vectors.add();
+  if (vectors_.size() < config_.vector_capacity) {
+    vectors_.push_back(vector);
+  } else if (!vectors_.empty()) {
+    vectors_[oldest_vector_] = vector;
+    oldest_vector_ = (oldest_vector_ + 1) % vectors_.size();
+  }
 }
 
 void HealthLog::clear() {
   vectors_.clear();
+  oldest_vector_ = 0;
   errors_.clear();
   correctable_through_.clear();
   suffix_minima_.clear();
@@ -129,7 +146,15 @@ void HealthLog::subscribe_recharacterize(RecharacterizeListener listener) {
 
 InfoVector HealthLog::latest() const {
   if (vectors_.empty()) return InfoVector{};
-  return vectors_.back();
+  return vector_at(vectors_.size() - 1);
+}
+
+std::vector<InfoVector> HealthLog::vectors() const {
+  std::vector<InfoVector> ordered(vectors_);
+  std::rotate(ordered.begin(),
+              ordered.begin() + static_cast<std::ptrdiff_t>(oldest_vector_),
+              ordered.end());
+  return ordered;
 }
 
 HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
@@ -137,7 +162,8 @@ HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
   double power = 0.0;
   double temp = 0.0;
   double ipc = 0.0;
-  for (const auto& vector : vectors_) {
+  for (std::size_t i = 0; i < vectors_.size(); ++i) {
+    const InfoVector& vector = vector_at(i);
     if (vector.timestamp < since) continue;
     ++aggregate.vectors;
     aggregate.correctable_errors += vector.correctable_errors;

@@ -25,7 +25,13 @@ namespace uniserver::daemons {
 class HealthLog {
  public:
   struct Config {
-    std::size_t capacity{4096};          ///< bounded logfile length
+    /// Error events retained. They feed the rate window, and through
+    /// it the re-characterization trigger and the failure predictor.
+    std::size_t capacity{4096};
+    /// Monitoring vectors retained, a separate and much smaller bound
+    /// (64 is one hour of 60 s ticks). No decision reads the vector
+    /// history; only latest(), aggregate() and the logfile dump do.
+    std::size_t vector_capacity{64};
     double error_rate_threshold_per_s{0.05};
     Seconds rate_window{Seconds{120.0}};
     /// Minimum spacing between re-characterization triggers. A
@@ -73,7 +79,8 @@ class HealthLog {
   /// On-demand service: most recent vector (default-constructed if none).
   InfoVector latest() const;
 
-  /// On-demand service: aggregate of vectors/events since `since`.
+  /// On-demand service: aggregate of the retained vectors and events
+  /// stamped at or after `since`.
   Aggregate aggregate(Seconds since) const;
 
   /// Correctable-error rate over the trailing window ending at `now`:
@@ -84,14 +91,23 @@ class HealthLog {
 
   bool threshold_exceeded(Seconds now) const;
 
-  const std::deque<InfoVector>& vectors() const { return vectors_; }
+  /// The retained vectors, oldest first (a copy of the ring).
+  std::vector<InfoVector> vectors() const;
   const std::deque<ErrorEvent>& errors() const { return errors_; }
   std::uint64_t total_correctable() const { return total_correctable_; }
   std::uint64_t total_uncorrectable() const { return total_uncorrectable_; }
 
  private:
+  /// The i-th retained vector, oldest first.
+  const InfoVector& vector_at(std::size_t i) const {
+    return vectors_[(oldest_vector_ + i) % vectors_.size()];
+  }
+
   Config config_;
-  std::deque<InfoVector> vectors_;
+  // Ring of at most vector_capacity vectors: it grows until full, then
+  // each record overwrites the oldest, at oldest_vector_.
+  std::vector<InfoVector> vectors_;
+  std::size_t oldest_vector_{0};
   std::deque<ErrorEvent> errors_;
   // Window-count index, evicted in step with errors_. Entry i of
   // correctable_through_ is total_correctable_ just after errors_[i]

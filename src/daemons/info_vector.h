@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 #include "hwmodel/eop.h"
@@ -31,6 +30,12 @@ struct ErrorEvent {
   int unit{0};
 };
 
+/// Which daemon produced a monitoring record; the logfile writes it as
+/// `healthlog`, `stresslog` or `unknown`.
+enum class VectorSource { kHealthLog, kStressLog, kUnknown };
+
+const char* to_string(VectorSource source);
+
 /// One monitoring record: "system configuration values, sensor readings
 /// and performance counters" plus error tallies.
 struct InfoVector {
@@ -41,7 +46,7 @@ struct InfoVector {
   double utilization{0.0};
   std::uint64_t correctable_errors{0};
   std::uint64_t uncorrectable_errors{0};
-  std::string source{"healthlog"};
+  VectorSource source{VectorSource::kHealthLog};
 };
 
 }  // namespace uniserver::daemons

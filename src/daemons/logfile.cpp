@@ -51,6 +51,12 @@ std::optional<Component> component_from(const std::string& token) {
   return std::nullopt;
 }
 
+VectorSource source_from(const std::string& token) {
+  if (token == "healthlog") return VectorSource::kHealthLog;
+  if (token == "stresslog") return VectorSource::kStressLog;
+  return VectorSource::kUnknown;
+}
+
 std::optional<Severity> severity_from(const std::string& token) {
   if (token == "correctable") return Severity::kCorrectable;
   if (token == "uncorrectable") return Severity::kUncorrectable;
@@ -72,7 +78,7 @@ std::string serialize(const InfoVector& vector) {
       vector.ipc, vector.utilization,
       static_cast<unsigned long long>(vector.correctable_errors),
       static_cast<unsigned long long>(vector.uncorrectable_errors),
-      vector.source.empty() ? "unknown" : vector.source.c_str());
+      to_string(vector.source));
   return buffer;
 }
 
@@ -110,7 +116,7 @@ std::optional<InfoVector> parse_info_vector(const std::string& line) {
   get_u64(fields, "ce", vector.correctable_errors);
   get_u64(fields, "ue", vector.uncorrectable_errors);
   const auto src = fields.find("src");
-  if (src != fields.end()) vector.source = src->second;
+  if (src != fields.end()) vector.source = source_from(src->second);
   return vector;
 }
 

@@ -128,7 +128,7 @@ SafeMargins StressLog::run_cycle(const hw::ServerNode& node,
     vector.timestamp = now;
     vector.eop = node.eop();
     vector.correctable_errors = margins.ecc_events_observed;
-    vector.source = "stresslog";
+    vector.source = VectorSource::kStressLog;
     health->record(vector);
   }
 

@@ -130,10 +130,28 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
       eop_.vdd.value *
       (1.0 - var.temp_margin_per_c * temp_excess)};
 
+  // The active core set and margins, memoized like the steady state.
+  // The key holds the aging loss rather than the age: the loss is what
+  // crash_margin reads, and Chip::set_age writes it to every core.
+  CoreSetMemo& cores_memo = core_set_memo_;
+  const double aging_loss = chip_.core(0).aging_loss();
+  if (!cores_memo.valid || cores_memo.workload != w.name ||
+      !same_bits(cores_memo.didt_stress, w.didt_stress) ||
+      !same_bits(cores_memo.freq.value, eop_.freq.value) ||
+      !same_bits(cores_memo.aging_loss, aging_loss) ||
+      cores_memo.active_cores != active_cores) {
+    choose_cores(w, active_cores, run_cores_, run_margins_);
+    cores_memo.workload = w.name;
+    cores_memo.didt_stress = w.didt_stress;
+    cores_memo.freq = eop_.freq;
+    cores_memo.aging_loss = aging_loss;
+    cores_memo.active_cores = active_cores;
+    cores_memo.valid = true;
+  }
+
   // Crash check: the first active core whose per-run crash voltage
   // exceeds the (thermally derated) supply takes the node down at a
   // random point in the run.
-  choose_cores(w, active_cores, run_cores_, run_margins_);
   Volt worst_crash{0.0};
   for (std::size_t i = 0; i < run_cores_.size(); ++i) {
     const int c = run_cores_[i];

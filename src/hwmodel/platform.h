@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -93,9 +94,12 @@ class ServerNode {
   /// Cores are activated in index order, or strongest-first when
   /// NodeSpec::strong_cores_first is set. Non-const: the node memoizes
   /// its last PowerModel::steady_state result, keyed on every input of
-  /// that call (vdd, frequency, activity, active cores), so a run whose
-  /// inputs are bitwise equal to the previous run's reuses it. A node
-  /// has a single owner (its hypervisor), and no parallel body runs it.
+  /// that call (vdd, frequency, activity, active cores), and its last
+  /// active core set with the cores' crash margins, keyed on every input
+  /// of choose_cores (workload name, dI/dt stress, frequency, aging
+  /// loss, active cores). A run whose inputs are bitwise equal to the
+  /// previous run's reuses them. A node has a single owner (its
+  /// hypervisor), and no parallel body runs it.
   RunResult run(const WorkloadSignature& w, Seconds duration,
                 int active_cores, Rng& rng);
 
@@ -137,13 +141,26 @@ class ServerNode {
     PowerModel::Operating op{};
   };
 
+  /// Inputs of the choose_cores call that filled run_cores_ and
+  /// run_margins_. strong_cores_first and the cores' base margins are
+  /// fixed at construction, so they are not part of the key.
+  struct CoreSetMemo {
+    bool valid{false};
+    std::string workload;
+    double didt_stress{0.0};
+    MegaHertz freq{MegaHertz{0.0}};
+    double aging_loss{0.0};
+    int active_cores{0};
+  };
+
   NodeSpec spec_;
   Chip chip_;
   MemorySystem memory_;
   Eop eop_;
   std::vector<bool> reliable_channel_;
   SteadyStateMemo steady_memo_;
-  /// run()'s per-call core set and margins, kept to reuse the storage.
+  CoreSetMemo core_set_memo_;
+  /// run()'s active core set and each core's crash margin.
   std::vector<int> run_cores_;
   std::vector<double> run_margins_;
 };

@@ -388,14 +388,18 @@ void Cloud::tick_nodes(Seconds window) {
     }
     stats_.total_energy_kwh += result.energy.kwh();
     // Fine-grained VM monitoring: one sample per resident VM per tick,
-    // with this tick's survivable-SDC hits attributed per VM.
+    // with this tick's survivable-SDC hits attributed per VM. Residents
+    // iterate in ascending id, so one pass over the sorted hits counts
+    // them all.
+    std::vector<std::uint64_t> hits = result.vms_hit;
+    std::sort(hits.begin(), hits.end());
+    auto hit = hits.cbegin();
     for (const auto& [id, vm] : node->hypervisor().vms()) {
       VmSample sample;
-      sample.timestamp = now_;
       sample.cpu_utilization = vm.workload.activity;
       sample.memory_mb = vm.memory_mb;
-      sample.error_events = static_cast<std::uint64_t>(std::count(
-          result.vms_hit.begin(), result.vms_hit.end(), id));
+      while (hit != hits.cend() && *hit < id) ++hit;
+      for (; hit != hits.cend() && *hit == id; ++hit) ++sample.error_events;
       monitor_.record(id, sample);
     }
     if (result.crashed) {

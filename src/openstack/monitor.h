@@ -10,18 +10,15 @@
 // is the first thing to move.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <unordered_map>
 #include <vector>
-
-#include "common/units.h"
 
 namespace uniserver::osk {
 
 /// One monitoring sample for a VM.
 struct VmSample {
-  Seconds timestamp{Seconds{0.0}};
   double cpu_utilization{0.0};  ///< [0, 1]
   double memory_mb{0.0};
   /// Uncorrectable-error events that hit this VM in the window.
@@ -81,11 +78,21 @@ class VmMonitor {
   std::vector<std::uint64_t> ranked_by_susceptibility(
       const std::vector<std::uint64_t>& candidates) const;
 
-  std::size_t tracked_vms() const { return histories_.size(); }
+  std::size_t tracked_vms() const { return slot_of_.size(); }
 
  private:
   Config config_;
-  std::map<std::uint64_t, std::deque<VmSample>> histories_;
+  // Each tracked VM owns a slot: a ring of `window` samples at
+  // samples_[slot * window], allocated once and reused through
+  // free_slots_ after forget(). recorded_[slot] counts the samples ever
+  // recorded into the slot, so sample k sits at k % window and the ring
+  // holds the last min(recorded, window) of them. Nothing iterates
+  // slot_of_ in an order that reaches an output: the full ranking sorts
+  // by a total order.
+  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
+  std::vector<std::uint64_t> recorded_;
+  std::vector<VmSample> samples_;
+  std::vector<std::size_t> free_slots_;
 };
 
 }  // namespace uniserver::osk

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -35,20 +37,35 @@ TEST(HealthLog, LatestOnEmptyIsDefault) {
   EXPECT_DOUBLE_EQ(log.latest().ipc, 0.0);
 }
 
-TEST(HealthLog, CapacityBoundsBothLogs) {
+TEST(HealthLog, EachLogIsBoundedByItsOwnCapacity) {
   HealthLog::Config config;
   config.capacity = 10;
+  config.vector_capacity = 4;
   HealthLog log(config);
   for (int i = 0; i < 100; ++i) {
     InfoVector v;
     v.timestamp = Seconds{static_cast<double>(i)};
     log.record(v);
     log.record_error(correctable_at(i));
+    // The ring keeps the newest vectors, oldest first.
+    const std::vector<InfoVector> kept = log.vectors();
+    ASSERT_EQ(kept.size(), std::min<std::size_t>(i + 1, 4)) << "after " << i;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      ASSERT_EQ(kept[k].timestamp.value,
+                static_cast<double>(i + 1 - kept.size() + k));
+    }
+    ASSERT_EQ(log.latest().timestamp.value, static_cast<double>(i));
   }
-  EXPECT_EQ(log.vectors().size(), 10u);
   EXPECT_EQ(log.errors().size(), 10u);
-  // Totals keep counting past the window.
+  EXPECT_EQ(log.errors().front().timestamp.value, 90.0);
+  EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, 4u);
+  // Totals keep counting past both bounds.
   EXPECT_EQ(log.total_correctable(), 100u);
+
+  HealthLog none(HealthLog::Config{.vector_capacity = 0});
+  none.record(InfoVector{});
+  EXPECT_TRUE(none.vectors().empty());
+  EXPECT_EQ(none.latest().timestamp.value, 0.0);
 }
 
 TEST(HealthLog, EventDrivenServiceNotifiesSubscribers) {

@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,7 +35,7 @@ daemons::InfoVector sample_vector() {
   vector.utilization = 0.75;
   vector.correctable_errors = 3;
   vector.uncorrectable_errors = 1;
-  vector.source = "healthlog";
+  vector.source = daemons::VectorSource::kHealthLog;
   return vector;
 }
 
@@ -47,7 +53,29 @@ TEST(Logfile, InfoVectorRoundTrips) {
   EXPECT_NEAR(parsed->ipc, 1.3, 1e-3);
   EXPECT_EQ(parsed->correctable_errors, 3u);
   EXPECT_EQ(parsed->uncorrectable_errors, 1u);
-  EXPECT_EQ(parsed->source, "healthlog");
+  EXPECT_EQ(parsed->source, daemons::VectorSource::kHealthLog);
+}
+
+TEST(Logfile, SourceIsWrittenByNameAndUnknownNamesParseAsUnknown) {
+  auto vector = sample_vector();
+  for (const auto& [source, name] :
+       {std::pair{daemons::VectorSource::kHealthLog, "src=healthlog"},
+        std::pair{daemons::VectorSource::kStressLog, "src=stresslog"},
+        std::pair{daemons::VectorSource::kUnknown, "src=unknown"}}) {
+    vector.source = source;
+    const std::string line = daemons::serialize(vector);
+    EXPECT_NE(line.find(name), std::string::npos) << line;
+    const auto parsed = daemons::parse_info_vector(line);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->source, source);
+  }
+  const auto foreign = daemons::parse_info_vector("IV t=1.0 src=ipmi");
+  ASSERT_TRUE(foreign.has_value());
+  EXPECT_EQ(foreign->source, daemons::VectorSource::kUnknown);
+  // A line without a source field keeps the HealthLog default.
+  const auto bare = daemons::parse_info_vector("IV t=1.0");
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->source, daemons::VectorSource::kHealthLog);
 }
 
 TEST(Logfile, ErrorEventRoundTrips) {
@@ -107,15 +135,14 @@ TEST(Logfile, LoadFiresSubscribers) {
   EXPECT_EQ(events, 1);
 }
 
-osk::VmSample sample_at(double t, double cpu, double mb,
-                        std::uint64_t errors = 0) {
-  return osk::VmSample{Seconds{t}, cpu, mb, errors};
+osk::VmSample sample(double cpu, double mb, std::uint64_t errors = 0) {
+  return osk::VmSample{cpu, mb, errors};
 }
 
 TEST(VmMonitorTest, UsageAggregates) {
   osk::VmMonitor monitor;
-  monitor.record(1, sample_at(0.0, 0.5, 2000.0));
-  monitor.record(1, sample_at(60.0, 0.7, 4000.0, 2));
+  monitor.record(1, sample(0.5, 2000.0));
+  monitor.record(1, sample(0.7, 4000.0, 2));
   const osk::VmUsage usage = monitor.usage(1);
   EXPECT_EQ(usage.samples, 2u);
   EXPECT_NEAR(usage.mean_cpu, 0.6, 1e-12);
@@ -136,7 +163,7 @@ TEST(VmMonitorTest, WindowBoundsHistory) {
   config.window = 4;
   osk::VmMonitor monitor(config);
   for (int i = 0; i < 20; ++i) {
-    monitor.record(1, sample_at(i, 1.0, 1000.0));
+    monitor.record(1, sample(1.0, 1000.0));
   }
   EXPECT_EQ(monitor.usage(1).samples, 4u);
 }
@@ -146,9 +173,9 @@ TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
   // VM 1: small, idle. VM 2: big and busy. VM 3: big, busy AND has
   // already absorbed errors.
   for (int i = 0; i < 10; ++i) {
-    monitor.record(1, sample_at(i, 0.05, 512.0));
-    monitor.record(2, sample_at(i, 0.9, 16384.0));
-    monitor.record(3, sample_at(i, 0.9, 16384.0, i == 0 ? 5u : 0u));
+    monitor.record(1, sample(0.05, 512.0));
+    monitor.record(2, sample(0.9, 16384.0));
+    monitor.record(3, sample(0.9, 16384.0, i == 0 ? 5u : 0u));
   }
   const auto ranked = monitor.ranked_by_susceptibility();
   ASSERT_EQ(ranked.size(), 3u);
@@ -168,11 +195,10 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
   // lower id in both rankings).
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t id = 1 + rng.uniform_u64(150);
-    monitor.record(id, sample_at(i, 0.25 * static_cast<double>(
-                                            rng.uniform_int(0, 4)),
-                                 4096.0 * static_cast<double>(
-                                              rng.uniform_int(0, 4)),
-                                 rng.bernoulli(0.05) ? 1u : 0u));
+    monitor.record(
+        id, sample(0.25 * static_cast<double>(rng.uniform_int(0, 4)),
+                   4096.0 * static_cast<double>(rng.uniform_int(0, 4)),
+                   rng.bernoulli(0.05) ? 1u : 0u));
   }
   const std::vector<std::uint64_t> full = monitor.ranked_by_susceptibility();
   for (int trial = 0; trial < 50; ++trial) {
@@ -195,11 +221,168 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
 
 TEST(VmMonitorTest, ForgetDropsHistory) {
   osk::VmMonitor monitor;
-  monitor.record(1, sample_at(0.0, 0.5, 2048.0));
+  monitor.record(1, sample(0.5, 2048.0));
   EXPECT_EQ(monitor.tracked_vms(), 1u);
   monitor.forget(1);
   EXPECT_EQ(monitor.tracked_vms(), 0u);
   EXPECT_EQ(monitor.usage(1).samples, 0u);
+}
+
+// The monitor as it was first written: a deque of samples per VM in an
+// ordered map. Kept as the reference the ring-buffer monitor must match
+// bit for bit.
+class DequeMonitor {
+ public:
+  explicit DequeMonitor(osk::VmMonitor::Config config) : config_(config) {}
+
+  void record(std::uint64_t vm_id, const osk::VmSample& sample) {
+    auto& history = histories_[vm_id];
+    history.push_back(sample);
+    while (history.size() > config_.window) history.pop_front();
+  }
+
+  void forget(std::uint64_t vm_id) { histories_.erase(vm_id); }
+
+  osk::VmUsage usage(std::uint64_t vm_id) const {
+    osk::VmUsage usage;
+    const auto it = histories_.find(vm_id);
+    if (it == histories_.end() || it->second.empty()) return usage;
+    for (const osk::VmSample& sample : it->second) {
+      usage.mean_cpu += sample.cpu_utilization;
+      usage.peak_cpu = std::max(usage.peak_cpu, sample.cpu_utilization);
+      usage.mean_memory_mb += sample.memory_mb;
+      usage.peak_memory_mb = std::max(usage.peak_memory_mb, sample.memory_mb);
+      usage.total_errors += sample.error_events;
+    }
+    usage.samples = it->second.size();
+    const auto n = static_cast<double>(usage.samples);
+    usage.mean_cpu /= n;
+    usage.mean_memory_mb /= n;
+    return usage;
+  }
+
+  double susceptibility(std::uint64_t vm_id) const {
+    const osk::VmUsage u = usage(vm_id);
+    if (u.samples == 0) return 0.0;
+    const double memory_term =
+        std::min(1.0, u.mean_memory_mb / config_.memory_scale_mb);
+    const double cpu_term = std::min(1.0, u.mean_cpu);
+    const double error_term = std::min(
+        1.0, static_cast<double>(u.total_errors) / config_.error_scale);
+    return config_.weight_memory * memory_term +
+           config_.weight_cpu * cpu_term + config_.weight_errors * error_term;
+  }
+
+  std::vector<std::uint64_t> ranked_by_susceptibility() const {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, history] : histories_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end(),
+              [this](std::uint64_t a, std::uint64_t b) {
+                const double sa = susceptibility(a);
+                const double sb = susceptibility(b);
+                if (sa != sb) return sa > sb;
+                return a < b;
+              });
+    return ids;
+  }
+
+  std::vector<std::uint64_t> ranked_by_susceptibility(
+      const std::vector<std::uint64_t>& candidates) const {
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t id : ranked_by_susceptibility()) {
+      if (std::find(candidates.begin(), candidates.end(), id) !=
+          candidates.end()) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  }
+
+  std::size_t tracked_vms() const { return histories_.size(); }
+
+ private:
+  osk::VmMonitor::Config config_;
+  std::map<std::uint64_t, std::deque<osk::VmSample>> histories_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(VmMonitorDifferential, RingMonitorMatchesDequeReference) {
+  int forgets = 0;
+  int reused = 0;
+  std::map<std::size_t, int> full_windows;
+  for (const std::size_t window : {0u, 1u, 2u, 7u, 128u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
+                   std::to_string(seed));
+      osk::VmMonitor::Config config;
+      config.window = window;
+      osk::VmMonitor monitor(config);
+      DequeMonitor reference(config);
+      Rng rng(seed * 131 + window);
+      // Frequent forgets churn slots; rare ones let 128-entry rings wrap.
+      const double forget_share = seed <= 2 ? 0.06 : 0.005;
+      std::set<std::uint64_t> forgotten;
+      for (int step = 0; step < 4000; ++step) {
+        // A small id pool, so forgotten ids come back and reuse a slot.
+        const std::uint64_t id = 1 + rng.uniform_u64(24);
+        if (rng.bernoulli(forget_share)) {
+          monitor.forget(id);
+          reference.forget(id);
+          forgotten.insert(id);
+          ++forgets;
+          continue;
+        }
+        if (forgotten.erase(id) > 0) ++reused;
+        // Fine values exercise summation order; coarse ones make ties
+        // for the rankings.
+        const bool coarse = rng.bernoulli(0.5);
+        const osk::VmSample s =
+            coarse ? sample(0.25 * static_cast<double>(rng.uniform_int(0, 4)),
+                            4096.0 * static_cast<double>(rng.uniform_int(0, 4)),
+                            rng.bernoulli(0.05) ? 1u : 0u)
+                   : sample(rng.uniform(), rng.uniform(0.0, 32768.0),
+                            rng.uniform_u64(3));
+        monitor.record(id, s);
+        reference.record(id, s);
+        if (step % 37 != 0) continue;
+
+        ASSERT_EQ(monitor.tracked_vms(), reference.tracked_vms());
+        for (std::uint64_t q = 0; q <= 25; ++q) {
+          const osk::VmUsage got = monitor.usage(q);
+          const osk::VmUsage want = reference.usage(q);
+          ASSERT_EQ(got.samples, want.samples) << "vm " << q;
+          ASSERT_EQ(bits(got.mean_cpu), bits(want.mean_cpu)) << "vm " << q;
+          ASSERT_EQ(bits(got.peak_cpu), bits(want.peak_cpu)) << "vm " << q;
+          ASSERT_EQ(bits(got.mean_memory_mb), bits(want.mean_memory_mb))
+              << "vm " << q;
+          ASSERT_EQ(bits(got.peak_memory_mb), bits(want.peak_memory_mb))
+              << "vm " << q;
+          ASSERT_EQ(got.total_errors, want.total_errors) << "vm " << q;
+          ASSERT_EQ(bits(monitor.susceptibility(q)),
+                    bits(reference.susceptibility(q)))
+              << "vm " << q;
+          if (window > 0 && got.samples == window) ++full_windows[window];
+        }
+        ASSERT_EQ(monitor.ranked_by_susceptibility(),
+                  reference.ranked_by_susceptibility());
+        std::vector<std::uint64_t> candidates;
+        for (std::uint64_t q = 0; q <= 25; ++q) {
+          if (rng.bernoulli(0.4)) candidates.push_back(q);
+        }
+        std::shuffle(candidates.begin(), candidates.end(), rng);
+        ASSERT_EQ(monitor.ranked_by_susceptibility(candidates),
+                  reference.ranked_by_susceptibility(candidates));
+      }
+    }
+  }
+  // The sequences forget VMs, bring their ids back and fill every
+  // window size.
+  EXPECT_GT(forgets, 500);
+  EXPECT_GT(reused, 500);
+  for (const std::size_t window : {1u, 2u, 7u, 128u}) {
+    EXPECT_GT(full_windows[window], 50) << "window " << window;
+  }
 }
 
 }  // namespace

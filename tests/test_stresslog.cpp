@@ -105,7 +105,7 @@ TEST(StressLog, HealthLogObservesTheCycle) {
   // correctable events which land in the HealthLog.
   EXPECT_GT(margins.ecc_events_observed, 0u);
   EXPECT_EQ(health.total_correctable(), margins.ecc_events_observed);
-  EXPECT_EQ(health.latest().source, "stresslog");
+  EXPECT_EQ(health.latest().source, VectorSource::kStressLog);
 }
 
 TEST(SafeMarginsTest, PointForPicksNearestFrequency) {
