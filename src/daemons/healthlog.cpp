@@ -71,11 +71,11 @@ HealthLog::HealthLog(Config config) : config_(config) {}
 
 void HealthLog::record(const InfoVector& vector) {
   metrics().vectors.add();
-  if (vectors_.size() < config_.vector_capacity) {
+  if (vectors_.size() < kVectorCapacity) {
     vectors_.push_back(vector);
-  } else if (!vectors_.empty()) {
+  } else {
     vectors_[oldest_vector_] = vector;
-    oldest_vector_ = (oldest_vector_ + 1) % vectors_.size();
+    oldest_vector_ = (oldest_vector_ + 1) % kVectorCapacity;
   }
 }
 

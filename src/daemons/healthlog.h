@@ -24,14 +24,16 @@ namespace uniserver::daemons {
 
 class HealthLog {
  public:
+  /// Monitoring vectors retained, a separate and much smaller bound
+  /// than the error log (64 is one hour of 60 s ticks). No decision
+  /// reads the vector history; only latest(), aggregate() and the
+  /// logfile dump do.
+  static constexpr std::size_t kVectorCapacity = 64;
+
   struct Config {
     /// Error events retained. They feed the rate window, and through
     /// it the re-characterization trigger and the failure predictor.
     std::size_t capacity{4096};
-    /// Monitoring vectors retained, a separate and much smaller bound
-    /// (64 is one hour of 60 s ticks). No decision reads the vector
-    /// history; only latest(), aggregate() and the logfile dump do.
-    std::size_t vector_capacity{64};
     double error_rate_threshold_per_s{0.05};
     Seconds rate_window{Seconds{120.0}};
     /// Minimum spacing between re-characterization triggers. A
@@ -104,7 +106,7 @@ class HealthLog {
   }
 
   Config config_;
-  // Ring of at most vector_capacity vectors: it grows until full, then
+  // Ring of at most kVectorCapacity vectors: it grows until full, then
   // each record overwrites the oldest, at oldest_vector_.
   std::vector<InfoVector> vectors_;
   std::size_t oldest_vector_{0};

@@ -163,6 +163,7 @@ struct Tally {
   int sdc_ticks{0};
   int ecc_ticks{0};
   int repeated_inputs{0};
+  int name_only_changes{0};
   int mid_tick_pins{0};
 };
 
@@ -184,6 +185,8 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
   std::uint64_t next_vm = 1;
   std::vector<std::uint64_t> resident;
   double last_activity = -1.0;
+  std::string last_name;
+  double last_didt = -1.0;
   int last_cores = -1;
   Eop last_eop = node.eop();
 
@@ -191,7 +194,8 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
     const std::string where =
         "seed " + std::to_string(seed) + " tick " + std::to_string(t);
     bool direct = false;
-    switch (ops.uniform_u64(8)) {
+    bool rename = false;
+    switch (ops.uniform_u64(9)) {
       case 0:
       case 1:
         break;  // unchanged inputs: the memoized operating point
@@ -201,8 +205,12 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
         if (ops.bernoulli(0.25)) {
           eop.vdd = spec.chip.vdd_nominal;
         } else {
-          const Volt crash = node.chip().system_crash_voltage(
-              profile("bzip2"), eop.freq);
+          // Near the crash point of a loaded or an idle node, so that
+          // idle-stress ticks also reach the crash and SDC paths.
+          const WorkloadSignature near =
+              ops.bernoulli(0.8) ? profile("bzip2") : idle_signature();
+          const Volt crash =
+              node.chip().system_crash_voltage(near, eop.freq);
           eop.vdd = crash + Volt::from_mv(ops.uniform(-6.0, 30.0));
         }
         eop.refresh = refreshes[ops.uniform_u64(refreshes.size())];
@@ -235,8 +243,11 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
       case 6:
         node.advance_age(Seconds{86400.0 * ops.uniform(1.0, 120.0)});
         break;
-      default:
+      case 7:
         direct = true;
+        break;
+      default:
+        rename = true;
         break;
     }
 
@@ -246,6 +257,13 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
       // Same workload, varying core count: only the core count moves.
       w = profile("h264ref");
       active_cores = static_cast<int>(ops.uniform_int(1, 8));
+    } else if (rename) {
+      // Only the name moves when the last tick ran at the idle stress:
+      // idle <-> an aggregate at the idle stress. The name keys the
+      // core x workload interaction term of every crash margin.
+      w = idle_signature();
+      if (last_name == w.name) w.name = "vm-aggregate";
+      active_cores = std::max(last_cores, 1);
     } else {
       w = hypervisor.aggregate_signature();
       for (const auto& [id, vm] : hypervisor.vms()) active_cores += vm.vcpus;
@@ -255,7 +273,13 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
         active_cores == last_cores && node.eop() == last_eop) {
       ++tally.repeated_inputs;
     }
+    if (w.name != last_name && bits(w.didt_stress) == bits(last_didt) &&
+        active_cores == last_cores && node.eop() == last_eop) {
+      ++tally.name_only_changes;
+    }
     last_activity = w.activity;
+    last_name = w.name;
+    last_didt = w.didt_stress;
     last_cores = active_cores;
     last_eop = node.eop();
 
@@ -298,139 +322,15 @@ TEST(NodeModelDifferential, TickMatchesPerCallReferenceUnderChurn) {
     ASSERT_FALSE(HasFailure()) << "seed " << seed;
   }
   // The sequences reach every path the reuse touches: memo hits,
-  // crashes, SDCs, ECC events and channel pins between run and read.
+  // name-only workload changes, crashes, SDCs, ECC events and channel
+  // pins between run and read.
   EXPECT_EQ(tally.ticks, 12 * 400);
   EXPECT_GT(tally.repeated_inputs, 200);
+  EXPECT_GT(tally.name_only_changes, 50);
   EXPECT_GT(tally.crashes, 10);
   EXPECT_GT(tally.sdc_ticks, 10);
   EXPECT_GT(tally.ecc_ticks, 10);
   EXPECT_GT(tally.mid_tick_pins, 100);
-}
-
-/// A node built fresh from the same spec and seed, in the same state as
-/// `node` (EOP, age, pinned channels) but with nothing memoized: its
-/// next run chooses the core set and margins afresh.
-ServerNode fresh_copy(const ServerNode& node, std::uint64_t seed) {
-  ServerNode fresh(node.spec(), seed);
-  fresh.chip().set_age(node.chip().age());
-  for (int c = 0; c < node.memory().channels(); ++c) {
-    fresh.pin_channel_reliable(c, node.channel_reliable(c));
-  }
-  fresh.set_eop(node.eop());
-  return fresh;
-}
-
-TEST(NodeModelDifferential, CoreSetMemoMatchesAFreshChoiceEveryTick) {
-  int ticks = 0;
-  int repeated_core_inputs = 0;
-  int name_only_changes = 0;
-  int crashes = 0;
-  int sdc_ticks = 0;
-  for (const bool strong : {false, true}) {
-    NodeSpec spec;
-    spec.chip = arm_soc_spec();
-    spec.strong_cores_first = strong;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      ServerNode node(spec, seed);
-      Rng ops(seed * 6271 + (strong ? 1 : 0));
-      Rng rng(seed * 3557 + 11);
-      const MegaHertz fnom = spec.chip.freq_nominal;
-      const std::vector<MegaHertz> freqs = {fnom, fnom * 0.8, fnom * 0.6};
-      // The hypervisor's two workload names. An aggregate at the idle
-      // dI/dt stress differs from idle only in its name, which keys the
-      // core x workload interaction term.
-      WorkloadSignature w = idle_signature();
-      int active_cores = 1;
-      WorkloadSignature last_w = w;
-      int last_cores = -1;
-      MegaHertz last_freq = node.eop().freq;
-      Seconds last_age = node.chip().age();
-      for (int t = 0; t < 300; ++t) {
-        const std::string where = std::string(strong ? "strong" : "index") +
-                                  " seed " + std::to_string(seed) +
-                                  " tick " + std::to_string(t);
-        switch (ops.uniform_u64(8)) {
-          case 0:
-          case 1:
-            break;  // unchanged inputs: the memoized core set
-          case 2: {  // frequency change, with a supply near the crash point
-            Eop eop = node.eop();
-            eop.freq = freqs[ops.uniform_u64(freqs.size())];
-            eop.vdd = node.chip().system_crash_voltage(w, eop.freq) +
-                      Volt::from_mv(ops.uniform(-4.0, 25.0));
-            node.set_eop(eop);
-            break;
-          }
-          case 3: {  // supply change only: not part of the core-set key
-            Eop eop = node.eop();
-            eop.vdd = node.chip().system_crash_voltage(w, eop.freq) +
-                      Volt::from_mv(ops.uniform(-4.0, 25.0));
-            node.set_eop(eop);
-            break;
-          }
-          case 4:
-            node.advance_age(Seconds{86400.0 * ops.uniform(1.0, 200.0)});
-            break;
-          case 5: {  // idle <-> vm-aggregate, sometimes at the same stress
-            const bool was_idle = w.name == "idle";
-            w = idle_signature();
-            if (was_idle) {
-              w.name = "vm-aggregate";
-              if (ops.bernoulli(0.5)) {
-                w.didt_stress = ops.uniform(0.1, 0.9);
-                w.activity = ops.uniform(0.2, 0.9);
-              }
-            }
-            break;
-          }
-          case 6:  // the aggregate's stress moves (a VM mix change)
-            if (w.name != "idle") w.didt_stress = ops.uniform(0.1, 0.9);
-            break;
-          default:
-            active_cores = static_cast<int>(ops.uniform_int(1, 8));
-            break;
-        }
-        if (w.name != last_w.name &&
-            bits(w.didt_stress) == bits(last_w.didt_stress)) {
-          ++name_only_changes;
-        }
-        if (w.name == last_w.name &&
-            bits(w.didt_stress) == bits(last_w.didt_stress) &&
-            active_cores == last_cores && node.eop().freq == last_freq &&
-            node.chip().age() == last_age) {
-          ++repeated_core_inputs;
-        }
-        last_w = w;
-        last_cores = active_cores;
-        last_freq = node.eop().freq;
-        last_age = node.chip().age();
-
-        ServerNode fresh = fresh_copy(node, seed);
-        const Seconds window{60.0};
-        Rng fresh_rng = rng;
-        const RunResult got = node.run(w, window, active_cores, rng);
-        const RunResult want = fresh.run(w, window, active_cores, fresh_rng);
-        expect_same(got, want, where + " run");
-        expect_same_stream(rng, fresh_rng, where + " run stream");
-        const SensorReadings sensors = node.read_sensors(got, rng);
-        const SensorReadings want_sensors =
-            fresh.read_sensors(want, fresh_rng);
-        expect_same(sensors, want_sensors, where + " sensors");
-        expect_same_stream(rng, fresh_rng, where + " sensor stream");
-        ASSERT_FALSE(HasFailure()) << where;
-        ++ticks;
-        if (got.crashed) ++crashes;
-        if (got.cpu_sdcs > 0) ++sdc_ticks;
-      }
-    }
-  }
-  // The sequences hit the memo, change only the workload name, and
-  // reach the crash and SDC paths that read the margins.
-  EXPECT_EQ(ticks, 2 * 6 * 300);
-  EXPECT_GT(repeated_core_inputs, 500);
-  EXPECT_GT(name_only_changes, 50);
-  EXPECT_GT(crashes, 10);
-  EXPECT_GT(sdc_ticks, 10);
 }
 
 TEST(NodeModelDifferential, ActiveCoreSetAndCrashVoltageMatchReference) {
