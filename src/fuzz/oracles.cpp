@@ -291,23 +291,9 @@ void MigrationEnergyOracle::check(const StackView& view,
   const osk::CloudStats& stats = view.cloud->stats();
   const osk::MigrationStats& books = view.cloud->migrations().stats();
 
-  // The cloud's traffic ledger and the orchestrator's byte ledger
-  // accrue from the same per-round events; they must track exactly.
-  const double traffic_drift =
-      std::fabs(stats.migration_transferred_mb - books.transferred_mb);
-  const double traffic_scale =
-      std::max(1.0, std::fabs(books.transferred_mb));
-  if (traffic_drift > rel_tolerance_ * traffic_scale) {
-    out.push_back(Violation{
-        name(),
-        "cloud copy-traffic ledger " + fmt(stats.migration_transferred_mb) +
-            " MB != orchestrator ledger " + fmt(books.transferred_mb) +
-            " MB",
-        at});
-  }
-
-  // Migration energy must equal the bytes moved at the model's rate —
-  // including rounds of still-in-flight or later-cancelled tickets.
+  // The cloud's migration energy, accrued per round, must equal the
+  // orchestrator's bytes moved at the model's rate — including rounds
+  // of still-in-flight or later-cancelled tickets.
   const double joule_per_mb = view.cloud->config().migration.joule_per_mb;
   const double expected_kwh =
       Joule{books.transferred_mb * joule_per_mb}.kwh();

@@ -159,22 +159,22 @@ int Hypervisor::usable_cores() const {
   return node_.chip().num_cores() - static_cast<int>(retired_cores_.size());
 }
 
-double Hypervisor::hypervisor_footprint_mb() const {
+double Hypervisor::resident_vm_mb() const {
   double vm_mb = 0.0;
   for (const auto& [id, vm] : vms_) vm_mb += vm.memory_mb;
-  return footprint_.hypervisor_mb(vms_.size(), vm_mb);
+  return vm_mb;
+}
+
+double Hypervisor::hypervisor_footprint_mb() const {
+  return footprint_.hypervisor_mb(vms_.size(), resident_vm_mb());
 }
 
 double Hypervisor::total_utilized_mb() const {
-  double vm_mb = 0.0;
-  for (const auto& [id, vm] : vms_) vm_mb += vm.memory_mb;
-  return footprint_.total_utilized_mb(vms_.size(), vm_mb);
+  return footprint_.total_utilized_mb(vms_.size(), resident_vm_mb());
 }
 
 double Hypervisor::hypervisor_share() const {
-  double vm_mb = 0.0;
-  for (const auto& [id, vm] : vms_) vm_mb += vm.memory_mb;
-  return footprint_.hypervisor_share(vms_.size(), vm_mb);
+  return footprint_.hypervisor_share(vms_.size(), resident_vm_mb());
 }
 
 hw::WorkloadSignature Hypervisor::aggregate_signature() const {

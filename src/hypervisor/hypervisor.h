@@ -178,6 +178,8 @@ class Hypervisor {
   TickReport tick(Seconds now, Seconds window);
 
  private:
+  /// Memory of the resident VMs, summed in ascending VM id.
+  double resident_vm_mb() const;
   void reconfigure_domains();
   /// Average probability that an SDC into hypervisor memory is fatal,
   /// given the default KVM object profiles and the protection

@@ -111,6 +111,17 @@ std::vector<Cloud::ActivePlacement> Cloud::active_placements() const {
   return placements;
 }
 
+CloudStats Cloud::stats() const {
+  CloudStats stats = stats_;
+  const MigrationStats& books = orchestrator_.stats();
+  stats.migrations = books.completed;
+  stats.migrations_started = books.started;
+  stats.migrations_cancelled = books.cancelled;
+  stats.migration_transferred_mb = books.transferred_mb;
+  stats.migration_downtime_s = books.downtime_s;
+  return stats;
+}
+
 void Cloud::inject_node_crash(int node_index) {
   if (node_index < 0 || node_index >= static_cast<int>(nodes_.size())) {
     return;
@@ -120,7 +131,6 @@ void Cloud::inject_node_crash(int node_index) {
   const std::vector<std::uint64_t> lost = node->force_crash();
   engine_->node_changed(node);
   account_node_crash(node, lost, true);
-  sync_migration_stats();
 }
 
 void Cloud::inject_daemon_restart(int node_index) {
@@ -146,7 +156,6 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
     const double kwh = Joule{mb * config_.migration.joule_per_mb}.kwh();
     stats_.total_energy_kwh += kwh;
     stats_.migration_energy_kwh += kwh;
-    stats_.migration_transferred_mb += mb;
   };
   cb.commit = [this](const MigrationTicket& t, bool post_copy) -> bool {
     (void)post_copy;  // books move the same way; the ticket keeps the flag
@@ -187,10 +196,8 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
   cb.finished = [this](const MigrationTicket& t,
                        MigrationOrchestrator::Outcome outcome) {
     if (outcome != MigrationOrchestrator::Outcome::kCompleted) return;
-    ++stats_.migrations;
     metrics().migrations.add();
     if (t.post_copy) ++stats_.postcopy_migrations;
-    stats_.migration_downtime_s += t.downtime.value;
     telemetry::trace(now_, "cloud", "migration",
                      {{"vm", std::to_string(t.vm_id)},
                       {"from", t.source->name()},
@@ -382,16 +389,17 @@ void Cloud::tick_nodes(Seconds window) {
     const std::unique_ptr<ComputeNode>& node = nodes_[slot];
     const bool was_up = node->up();
     const ComputeNode::NodeTick result = node->tick(now_, window);
+    const hv::TickReport& report = result.report;
     if (result.crashed || !result.vms_lost.empty() ||
         was_up != node->up()) {
       engine_->node_changed(node.get());
     }
-    stats_.total_energy_kwh += result.energy.kwh();
+    stats_.total_energy_kwh += report.energy.kwh();
     // Fine-grained VM monitoring: one sample per resident VM per tick,
     // with this tick's survivable-SDC hits attributed per VM. Residents
     // iterate in ascending id, so one pass over the sorted hits counts
     // them all.
-    std::vector<std::uint64_t> hits = result.vms_hit;
+    std::vector<std::uint64_t> hits = report.vms_hit;
     std::sort(hits.begin(), hits.end());
     auto hit = hits.cbegin();
     for (const auto& [id, vm] : node->hypervisor().vms()) {
@@ -419,10 +427,10 @@ void Cloud::tick_nodes(Seconds window) {
       // shorter glitch. Both land at the window edge and gate the
       // VM's next dispatches — this is where EOP aggressiveness
       // (more hits, more restores) fattens the latency tail.
-      for (std::uint64_t id : result.vms_restored) {
+      for (std::uint64_t id : report.vms_restored) {
         serve_->add_stall(id, now_, config_.serve.restore_stall);
       }
-      for (std::uint64_t id : result.vms_hit) {
+      for (std::uint64_t id : report.vms_hit) {
         serve_->add_stall(id, now_, config_.serve.hit_stall);
       }
     }
@@ -525,7 +533,6 @@ void Cloud::inject_rack_power_loss(int node_index) {
     evacuate_node(nodes_[i].get(), MigrationPriority::kCrashEvacuation,
                   &allowed);
   }
-  sync_migration_stats();
 }
 
 void Cloud::inject_eop_retreat(int node_index) {
@@ -549,7 +556,6 @@ void Cloud::inject_eop_retreat(int node_index) {
                     {"resident_vms",
                      std::to_string(node->hypervisor().vm_count())}});
   evacuate_node(node, MigrationPriority::kEopRetreat, nullptr);
-  sync_migration_stats();
 }
 
 void Cloud::inject_request_burst(Seconds at, std::uint64_t count) {
@@ -558,12 +564,6 @@ void Cloud::inject_request_burst(Seconds at, std::uint64_t count) {
   telemetry::trace(now_, "cloud", "request_burst",
                    {{"at", std::to_string(at.value)},
                     {"requests", std::to_string(count)}});
-}
-
-void Cloud::sync_migration_stats() {
-  const MigrationStats& books = orchestrator_.stats();
-  stats_.migrations_started = books.started;
-  stats_.migrations_cancelled = books.cancelled;
 }
 
 void Cloud::run(const std::vector<trace::VmRequest>& requests,
@@ -607,14 +607,12 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
     // regardless of batching.
     orchestrator_.advance(now_);
     proactive_evacuation();
-    sync_migration_stats();
     // Requests are generated against the post-tick fleet state, so a
     // stall recorded at `now_` gates dispatches from this window on.
     if (serve_) serve_->advance(now_, window);
     metrics().energy_kwh.set(stats_.total_energy_kwh);
   }
 
-  sync_migration_stats();
   double availability = 0.0;
   for (const auto& node : nodes_) {
     availability += node->metrics().availability;

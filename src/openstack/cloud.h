@@ -69,11 +69,13 @@ struct CloudStats {
   std::uint64_t lost_to_errors{0};
   std::uint64_t lost_to_node_crash{0};
   std::uint64_t evacuations{0};
-  /// Migrations whose cutover committed (VM now lives on the target).
+  // Cloud::stats() fills the five migration books below from the
+  // orchestrator's MigrationStats; each names its source field.
+  /// Cutovers committed (`completed`): the VM now lives on the target.
   std::uint64_t migrations{0};
-  /// Tickets admitted to a link by the orchestrator.
+  /// Tickets admitted to a link (`started`).
   std::uint64_t migrations_started{0};
-  /// Tickets abandoned in flight (crash, departure, commit race).
+  /// Tickets abandoned in flight (`cancelled`).
   std::uint64_t migrations_cancelled{0};
   /// Completions that went through the post-copy fallback.
   std::uint64_t postcopy_migrations{0};
@@ -86,9 +88,9 @@ struct CloudStats {
   /// per-node energy + migration energy (the fuzz oracle checks this).
   double migration_energy_kwh{0.0};
   /// Copy traffic moved by migrations, including rounds of tickets
-  /// later cancelled (the bytes were on the wire either way).
+  /// later cancelled (`transferred_mb`).
   double migration_transferred_mb{0.0};
-  double migration_downtime_s{0.0};
+  double migration_downtime_s{0.0};  ///< `downtime_s`
   double mean_node_availability{1.0};
 
   /// Fraction of accepted VMs that ran to natural completion or were
@@ -122,7 +124,9 @@ class Cloud {
   /// fleet and applies the proactive-migration policy until `horizon`.
   void run(const std::vector<trace::VmRequest>& requests, Seconds horizon);
 
-  const CloudStats& stats() const { return stats_; }
+  /// The run's books. The migration fields are the orchestrator's
+  /// (MigrationStats), which owns them.
+  CloudStats stats() const;
   std::vector<ComputeNode*> node_ptrs();
   /// Read-only fleet view for invariant oracles and monitoring.
   std::vector<const ComputeNode*> node_views() const;
@@ -230,8 +234,6 @@ class Cloud {
   /// tickets were accepted.
   int evacuate_node(ComputeNode* source, MigrationPriority priority,
                     const std::vector<std::uint8_t>* banned);
-  /// Mirrors the orchestrator's cumulative books into CloudStats.
-  void sync_migration_stats();
   void mark_lost(std::uint64_t vm_id, bool node_crash);
   /// Books a node crash (organic or injected) after the node dropped
   /// its VMs: counter, trace, migration cancellations, lost VMs.
@@ -258,6 +260,7 @@ class Cloud {
   std::map<std::uint64_t, ActiveVm> active_;
   std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
       departures_;
+  /// The cloud's own books; stats() adds the orchestrator's.
   CloudStats stats_;
   std::vector<PlacementDecision> placements_;
   std::uint64_t placement_digest_{14695981039346656037ULL};

@@ -125,17 +125,16 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
   if (!dest->reserve(vcpus, memory_mb)) return false;
   if (callbacks_.node_changed) callbacks_.node_changed(dest);
 
-  MigrationTicket t;
-  t.vm_id = vm_id;
-  t.source = source;
-  t.dest = dest;
-  t.priority = priority;
-  t.source_rack = rack_of_source;
-  t.dest_rack = rack_of_dest;
-  t.submit_seq = next_seq_++;
-  t.reserved_vcpus = vcpus;
-  t.reserved_memory_mb = memory_mb;
-  t.submitted_at = now;
+  const MigrationTicket t{.vm_id = vm_id,
+                          .source = source,
+                          .dest = dest,
+                          .priority = priority,
+                          .source_rack = rack_of_source,
+                          .dest_rack = rack_of_dest,
+                          .submit_seq = next_seq_++,
+                          .reserved_vcpus = vcpus,
+                          .reserved_memory_mb = memory_mb,
+                          .submitted_at = now};
   tickets_.emplace(vm_id, t);
   queue_.insert({static_cast<int>(priority), t.submit_seq, vm_id});
   ++stats_.submitted;
@@ -179,24 +178,22 @@ void MigrationOrchestrator::start(MigrationTicket& t, Seconds now) {
   mig_metrics().started.add();
   mig_metrics().queue_wait_s.record(now.value - t.submitted_at.value);
   const double bw = std::max(1e-6, model_.bandwidth_mb_per_s);
-  schedule(t.vm_id, Seconds{now.value + t.copying_mb / bw});
+  schedule(t, Seconds{now.value + t.copying_mb / bw});
 }
 
-void MigrationOrchestrator::schedule(std::uint64_t vm_id, Seconds at) {
-  const std::uint64_t generation = ++generation_[vm_id];
-  messages_.push(Message{at.value, next_seq_++, vm_id, generation});
+void MigrationOrchestrator::schedule(MigrationTicket& t, Seconds at) {
+  t.timer_seq = next_seq_++;
+  messages_.push(Message{at.value, t.timer_seq, t.vm_id});
 }
 
 void MigrationOrchestrator::advance(Seconds now) {
   while (!messages_.empty() && messages_.top().at <= now.value) {
     const Message msg = messages_.top();
     messages_.pop();
-    const auto gen = generation_.find(msg.vm_id);
-    if (gen == generation_.end() || gen->second != msg.generation) {
+    const auto it = tickets_.find(msg.vm_id);
+    if (it == tickets_.end() || it->second.timer_seq != msg.seq) {
       continue;  // superseded by a later transition or a cancellation
     }
-    const auto it = tickets_.find(msg.vm_id);
-    if (it == tickets_.end()) continue;
     on_timer(it->second, Seconds{msg.at});
   }
   start_ready(now);
@@ -221,7 +218,7 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
         t.phase = MigrationPhase::kStopCopy;
         t.copying_mb = dirty;
         t.downtime = Seconds{pause};
-        schedule(t.vm_id, Seconds{now.value + pause});
+        schedule(t, Seconds{now.value + pause});
       } else if (t.round >= model_.precopy_rounds) {
         // Rounds exhausted without converging: post-copy fallback.
         // Ownership switches immediately; the dirty remainder drains
@@ -237,11 +234,11 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
         }
         t.phase = MigrationPhase::kPostCopy;
         t.copying_mb = dirty;
-        schedule(t.vm_id, Seconds{now.value +
-                                  model_.postcopy_switch.value + pause});
+        schedule(t, Seconds{now.value + model_.postcopy_switch.value +
+                            pause});
       } else {
         t.copying_mb = dirty;
-        schedule(t.vm_id, Seconds{now.value + pause});
+        schedule(t, Seconds{now.value + pause});
       }
       break;
     }
@@ -285,8 +282,6 @@ void MigrationOrchestrator::complete(MigrationTicket& t, Seconds now) {
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCompleted);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
-  // generation_ stays: it must keep growing monotonically if the same
-  // VM migrates again, or messages from this ticket could alias.
   start_ready(now);
 }
 
@@ -310,7 +305,6 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   const char* from_phase = to_string(t.phase);
   t.phase = MigrationPhase::kCancelled;
   t.finished_at = now;
-  ++generation_[t.vm_id];  // poison any in-flight timer message
   ++stats_.cancelled;
   mig_metrics().cancelled.add();
   telemetry::trace(now, "cloud", "migration_cancelled",

@@ -81,6 +81,10 @@ struct MigrationTicket {
   int dest_rack{0};
   /// Submit order: the FIFO tie-break inside a priority class.
   std::uint64_t submit_seq{0};
+  /// Sequence number of the ticket's one live timer message; only
+  /// schedule() writes it. A queued ticket has no timer yet, so it
+  /// starts at `submit_seq`, which no message carries.
+  std::uint64_t timer_seq{submit_seq};
   /// Capacity held on `dest` from submit until cutover/cancel.
   int reserved_vcpus{0};
   double reserved_memory_mb{0.0};
@@ -172,7 +176,6 @@ class MigrationOrchestrator {
     double at{0.0};
     std::uint64_t seq{0};
     std::uint64_t vm_id{0};
-    std::uint64_t generation{0};  ///< stale-message guard
     bool operator>(const Message& other) const {
       if (at != other.at) return at > other.at;
       return seq > other.seq;
@@ -183,7 +186,7 @@ class MigrationOrchestrator {
   bool links_have_capacity(const MigrationTicket& t) const;
   void occupy_links(const MigrationTicket& t);
   void release_links(const MigrationTicket& t);
-  void schedule(std::uint64_t vm_id, Seconds at);
+  void schedule(MigrationTicket& t, Seconds at);
   void start_ready(Seconds now);
   void start(MigrationTicket& t, Seconds now);
   void on_timer(MigrationTicket& t, Seconds now);
@@ -201,11 +204,10 @@ class MigrationOrchestrator {
   std::map<int, int> busy_slots_;
   /// Pending timer messages in (time, seq) order. Pushed only by
   /// schedule(); uniserver-race enforces both that and the
-  /// single-threaded discipline the annotations document.
+  /// single-threaded discipline the annotations document. A message
+  /// whose seq is not its ticket's `timer_seq` is stale and dropped.
   std::priority_queue<Message, std::vector<Message>, std::greater<>>
       messages_ US_NOT_GUARDED("single-threaded control plane");
-  std::map<std::uint64_t, std::uint64_t> generation_ US_NOT_GUARDED(
-      "single-threaded control plane");
   std::uint64_t next_seq_ US_NOT_GUARDED("single-threaded control plane"){0};
   MigrationStats stats_;
 };

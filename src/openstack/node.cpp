@@ -72,14 +72,9 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
     if (repair_remaining_.value <= 0.0) reboot();
   } else {
     up_time_ += window;
-    const hv::TickReport report = hypervisor_->tick(now, window);
-    result.energy = report.energy;
-    result.masked_errors = report.cache_ecc_masked;
-    result.dram_errors = report.dram_errors_relaxed;
+    result.report = hypervisor_->tick(now, window);
+    const hv::TickReport& report = result.report;
     result.vms_lost = report.vms_killed;
-    result.vms_hit = report.vms_hit;
-    result.vms_restored = report.vms_restored;
-    result.hypervisor_fatal = report.hypervisor_fatal;
     if (report.node_crash || report.hypervisor_fatal) {
       // Every resident VM is lost with the node, after the SDC kills.
       result.crashed = true;
@@ -91,7 +86,7 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
       // remove_vm's incremental accounting.
       resync_capacity_cache();
     }
-    metrics_.energy_kwh += result.energy.kwh();
+    metrics_.energy_kwh += report.energy.kwh();
   }
 
   const double total_time = up_time_.value + down_time_.value;

@@ -93,17 +93,13 @@ class ComputeNode {
   bool remove_vm(std::uint64_t id);
 
   struct NodeTick {
+    /// The node went down this tick (hardware crash or fatal
+    /// hypervisor error).
     bool crashed{false};
-    bool hypervisor_fatal{false};
+    /// The hypervisor's SDC kills, then, on a crash, every resident.
     std::vector<std::uint64_t> vms_lost;
-    /// VMs that absorbed a survivable SDC this tick.
-    std::vector<std::uint64_t> vms_hit;
-    /// VMs restored from their last checkpoint this tick (the restore
-    /// pause is visible to the serving layer as a dispatch stall).
-    std::vector<std::uint64_t> vms_restored;
-    Joule energy{Joule{0.0}};
-    std::uint64_t masked_errors{0};
-    std::uint64_t dram_errors{0};
+    /// The hypervisor's report; all zero for a node that is down.
+    hv::TickReport report;
   };
 
   /// Advances the node by one window. A down node consumes the window

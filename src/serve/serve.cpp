@@ -6,6 +6,11 @@
 namespace uniserver::serve {
 
 namespace {
+// Latency histogram geometry (ms), shared by the global
+// serve.latency_ms and each layer's own histogram.
+constexpr double kLatencyHiMs = 20000.0;
+constexpr std::size_t kLatencyBuckets = 2000;
+
 struct ServeMetrics {
   telemetry::Counter& generated = telemetry::counter(
       "serve.requests_generated", "requests",
@@ -26,7 +31,7 @@ struct ServeMetrics {
       "serve.queue_depth", "requests",
       "Outstanding requests across all VM queues after the last tick");
   telemetry::Histogram& latency_ms = telemetry::histogram(
-      "serve.latency_ms", 0.0, 20000.0, 2000, "ms",
+      "serve.latency_ms", 0.0, kLatencyHiMs, kLatencyBuckets, "ms",
       "Request sojourn time (queue wait + service)");
   telemetry::Histogram& stall_ms = telemetry::histogram(
       "serve.stall_ms", 0.0, 60000.0, 600, "ms",
@@ -125,8 +130,7 @@ std::uint64_t ReplicaBalancer::route(
 ServeLayer::ServeLayer(const ServeConfig& config)
     : config_(config),
       rng_(config.seed),
-      latency_ms_(0.0, config.histogram_hi_ms,
-                  std::max<std::size_t>(1, config.histogram_buckets)) {}
+      latency_ms_(0.0, kLatencyHiMs, kLatencyBuckets) {}
 
 std::uint64_t ServeLayer::service_of(std::uint64_t vm_id) const {
   if (config_.replica_groups <= 1) return vm_id;
@@ -153,9 +157,7 @@ void ServeLayer::on_vm_moved(std::uint64_t vm_id,
   if (it != replicas_.end()) it->second.node = node;
 }
 
-void ServeLayer::on_vm_removed(std::uint64_t vm_id) { drop_vm(vm_id); }
-
-void ServeLayer::drop_vm(std::uint64_t vm_id) {
+void ServeLayer::on_vm_removed(std::uint64_t vm_id) {
   const auto it = replicas_.find(vm_id);
   if (it == replicas_.end()) return;
   const auto orphaned =

@@ -61,9 +61,6 @@ struct ServeConfig {
   double refresh_overhead_nominal{0.08};
   /// Day shape of the request rate (only the factor fields are read).
   trace::DiurnalConfig diurnal{};
-  /// Latency histogram range/resolution (milliseconds).
-  double histogram_hi_ms{20000.0};
-  std::size_t histogram_buckets{2000};
 };
 
 /// Cumulative serving books. Conservation (checked by the fuzz oracle):
@@ -209,7 +206,6 @@ class ServeLayer {
   /// first strict minimum is ReplicaBalancer::route's pick.
   static Replica* least_backlog(const Members& members, Seconds at);
   void dispatch(const Members& members, Seconds arrival);
-  void drop_vm(std::uint64_t vm_id);
 
   ServeConfig config_;
   Rng rng_;

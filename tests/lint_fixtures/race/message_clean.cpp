@@ -18,18 +18,22 @@ class Orchestrator {
   void cancel(std::uint64_t vm);
 
  private:
+  struct Ticket {
+    std::uint64_t vm_id{0};
+    std::uint64_t submit_seq{0};
+    std::uint64_t timer_seq{submit_seq};  // no timer yet
+  };
   struct Message {
     double at{0.0};
     std::uint64_t seq{0};
     std::uint64_t vm_id{0};
-    std::uint64_t generation{0};
     bool operator>(const Message& other) const { return at > other.at; }
   };
 
-  void schedule(std::uint64_t vm, Seconds at);
+  void schedule(Ticket& t, Seconds at);
 
   std::priority_queue<Message, std::vector<Message>, std::greater<>> messages_;
-  std::map<std::uint64_t, std::uint64_t> generation_;
+  std::map<std::uint64_t, Ticket> tickets_;
   std::uint64_t next_seq_{0};
   Seconds now_{0.0};
 };
@@ -38,17 +42,20 @@ void Orchestrator::advance(Seconds to) {
   now_ = to;  // time moves forward only here
 }
 
-void Orchestrator::schedule(std::uint64_t vm, Seconds at) {
-  // (time, seq) ordering and generation stamping, all in one place.
-  messages_.push({at.value, next_seq_++, vm, generation_[vm]});
+void Orchestrator::schedule(Ticket& t, Seconds at) {
+  // (time, seq) ordering and the ticket's one live timer, in one place.
+  t.timer_seq = next_seq_++;
+  messages_.push({at.value, t.timer_seq, t.vm_id});
 }
 
 void Orchestrator::submit(std::uint64_t vm, Seconds now) {
-  schedule(vm, Seconds{now.value + 0.5});  // strictly in the future
+  Ticket& t = tickets_[vm];
+  t.vm_id = vm;
+  schedule(t, Seconds{now.value + 0.5});  // strictly in the future
 }
 
 void Orchestrator::cancel(std::uint64_t vm) {
-  ++generation_[vm];  // growing the generation poisons in-flight mail
+  tickets_.erase(vm);  // its pending timer no longer matches a ticket
 }
 
 }  // namespace demo

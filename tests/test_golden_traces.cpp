@@ -6,7 +6,8 @@
 // serving layer's counters and the cloud control plane's fault books
 // (§4.B, §5.B) — and compares it cell-by-cell against a CSV checked in
 // under tests/golden/. A refactor that silently shifts these numbers fails
-// here with a pointer to the exact cell.
+// here with a pointer to the exact cell. The fuzz campaign's digests are
+// 64-bit hashes, so they are pinned exactly, in hex, in the test itself.
 //
 // Every run also writes the freshly computed table into the build tree
 // (UNISERVER_GOLDEN_ACTUAL_DIR). To regenerate a golden after an
@@ -19,9 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,6 +34,7 @@
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "fuzz/harness.h"
 #include "hwmodel/chip.h"
 #include "hwmodel/chip_spec.h"
 #include "hwmodel/dram_model.h"
@@ -412,6 +417,48 @@ TEST(GoldenTraces, CloudFaultBooks) {
                  ckpt_on[i].second, ckpt_off[i].second});
   }
   expect_matches_golden("cloud_fault_books.csv", csv);
+}
+
+std::string hex64(std::uint64_t value) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << value;
+  return os.str();
+}
+
+TEST(GoldenTraces, FuzzCampaignDigests) {
+  // Pins a storm- and request-heavy fuzz campaign: every case's outcome
+  // digest (cloud books, placements, per-node hypervisor books, serve
+  // books) and the campaign digest folded over them. Rack power losses
+  // and EOP retreats put tickets in flight while crashes, departures
+  // and SDC deaths cancel them, so the migration control plane's timer
+  // handling is inside the pinned behaviour.
+  fuzz::CampaignConfig config;
+  config.seed = 7;
+  config.cases = 16;
+  config.scenario.storm_share = 0.2;
+  config.scenario.request_share = 0.15;
+  const fuzz::CampaignResult result = fuzz::run_campaign(config);
+
+  constexpr std::uint64_t kCaseDigests[] = {
+      0x8984c3774886c975ULL, 0xddde6f8cce7173a4ULL, 0x1a957663c0d448a4ULL,
+      0x57c4c7a06d75f276ULL, 0x074a90f9f51a48fdULL, 0xc65e6cea5c7a314eULL,
+      0x98665e204639b6d1ULL, 0x63af18579764182eULL, 0xd5d4df3e2d829ae4ULL,
+      0x0d1a104ad2ee1702ULL, 0xeae8fef451bfd214ULL, 0xc71509256c7f9948ULL,
+      0x0e7c795b6d401b30ULL, 0x07a1bb61a80b06d9ULL, 0xdab546d40b3e7ac4ULL,
+      0x20b640f90e4dfe14ULL,
+  };
+  ASSERT_EQ(result.cases.size(), std::size(kCaseDigests));
+  std::uint64_t cancelled = 0;
+  for (std::size_t i = 0; i < result.cases.size(); ++i) {
+    const fuzz::RunOutcome& outcome = result.cases[i].outcome;
+    EXPECT_FALSE(outcome.violated()) << "case " << i;
+    EXPECT_EQ(hex64(outcome.digest), hex64(kCaseDigests[i])) << "case " << i;
+    cancelled += outcome.cloud_stats.migrations_cancelled;
+  }
+  EXPECT_EQ(hex64(result.digest), "dab48b1dd37fb868");
+  // The campaign must cancel tickets, or it pins nothing about
+  // cancellation racing a pending timer.
+  EXPECT_GT(cancelled, 0u);
 }
 
 }  // namespace

@@ -223,13 +223,16 @@ TEST(RaceMessage, FiresOncePerSeededViolation) {
   const RunResult r =
       run(race("--rules message " + fixture("race/message_violation.cpp")));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_occurrences(r.output, "[message]"), 6) << r.output;
+  EXPECT_EQ(count_occurrences(r.output, "[message]"), 7) << r.output;
   EXPECT_NE(r.output.find("simulated time 'now_'"), std::string::npos);
   EXPECT_NE(r.output.find("'next_seq_' rewound"), std::string::npos);
   EXPECT_EQ(count_occurrences(r.output, "generation counter reset"), 2)
       << r.output;
   EXPECT_NE(r.output.find("heap push outside schedule()"), std::string::npos);
   EXPECT_NE(r.output.find("negative delay"), std::string::npos);
+  EXPECT_EQ(count_occurrences(r.output, "timer_seq written outside schedule()"),
+            1)
+      << r.output;
 }
 
 TEST(RaceMessage, QuietOnDisciplinedControlPlane) {

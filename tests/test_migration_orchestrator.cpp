@@ -264,7 +264,7 @@ TEST(MigrationOrchestrator, SourceCrashMidRoundCancelsCleanly) {
   EXPECT_DOUBLE_EQ(h.orch->link_utilization(), 0.0);
 
   // The round-completion message is now stale: advancing past its due
-  // time must not resurrect the ticket (generation poisoning).
+  // time must not resurrect the ticket (no ticket holds its seq).
   h.orch->advance(Seconds{5.0});
   EXPECT_EQ(h.orch->stats().completed, 0u);
   EXPECT_EQ(h.orch->stats().cancelled, 1u);
@@ -339,9 +339,9 @@ TEST(MigrationOrchestrator, CancelRacesTimerThenVmMigratesAgain) {
   EXPECT_EQ(h.commits, 0);
   EXPECT_EQ(h.orch->stats().cancelled, 1u);
 
-  // The same VM id migrates again afterwards: the generation counter
-  // keeps growing across tickets, so the old message cannot alias the
-  // new ticket and the re-migration completes normally.
+  // The same VM id migrates again afterwards: sequence numbers are never
+  // reused, so the old message cannot alias the new ticket's timer and
+  // the re-migration completes normally.
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(2), 2, 2048.0,
                              MigrationPriority::kEopRetreat, Seconds{3.0},
                              0, 2));
@@ -355,6 +355,43 @@ TEST(MigrationOrchestrator, CancelRacesTimerThenVmMigratesAgain) {
             MigrationOrchestrator::Outcome::kCancelled);
   EXPECT_EQ(h.finished[1].second,
             MigrationOrchestrator::Outcome::kCompleted);
+}
+
+TEST(MigrationOrchestrator, StaleTimerIsIgnoredByAResubmittedTicket) {
+  DirectHarness h(3, MigrationModel{});
+  ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
+  ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
+                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
+  h.orch->advance(Seconds{1.0});
+
+  // Cancel with the first round's message pending for t = 2.048, and
+  // resubmit the same VM at once: the new ticket's first round is due
+  // at t = 1 + 2.048 = 3.048, after the stale message.
+  h.orch->cancel_vm(1, Seconds{1.0});
+  ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(2), 2, 2048.0,
+                             MigrationPriority::kEopRetreat, Seconds{1.0},
+                             0, 2));
+
+  // The stale message pops here and must not run the new ticket's round.
+  h.orch->advance(Seconds{2.5});
+  ASSERT_TRUE(h.orch->in_flight(1));
+  const MigrationTicket& t = h.orch->tickets().at(1);
+  EXPECT_EQ(t.phase, MigrationPhase::kPreCopy);
+  EXPECT_EQ(t.round, 0);
+  EXPECT_EQ(t.transferred_mb, 0.0);
+  EXPECT_EQ(h.traffic_mb, 0.0);
+  EXPECT_EQ(h.orch->stats().transferred_mb, 0.0);
+
+  h.orch->advance(Seconds{6.0});
+  EXPECT_FALSE(h.orch->in_flight(1));
+  EXPECT_EQ(h.commits, 1);
+  EXPECT_EQ(h.orch->stats().completed, 1u);
+  EXPECT_EQ(h.orch->stats().cancelled, 1u);
+  EXPECT_EQ(h.node(2)->hypervisor().vm_count(), 1u);
+  ASSERT_EQ(h.finished.size(), 2u);
+  EXPECT_EQ(h.finished[1].second,
+            MigrationOrchestrator::Outcome::kCompleted);
+  EXPECT_NEAR(h.last_finished.finished_at.value, 1.0 + 2.3552, 1e-9);
 }
 
 TEST(MigrationOrchestrator, CommitRefusalCancelsTheTicket) {

@@ -64,6 +64,7 @@ bool is_rng_method(const std::string& m) {
 struct Lvalue {
   bool resolved{false};
   std::string base;               ///< leftmost identifier of the chain
+  std::string leaf;               ///< rightmost identifier: what is written
   std::size_t base_tok{0};
   std::vector<std::size_t> subscript_tokens;  ///< every token inside []
 };
@@ -94,6 +95,7 @@ Lvalue walk_lvalue(const std::vector<Token>& toks, std::size_t end_idx,
       continue;
     }
     if (is_ident(toks, i)) {
+      if (out.leaf.empty()) out.leaf = toks[i].text;
       if (i > lo && is_punct(toks, i - 1, '.')) {
         i -= 2;
         continue;
@@ -126,6 +128,7 @@ Lvalue walk_lvalue_forward(const std::vector<Token>& toks, std::size_t start,
   if (!is_ident(toks, start)) return out;
   out.resolved = true;
   out.base = toks[start].text;
+  out.leaf = out.base;
   out.base_tok = start;
   std::size_t i = start + 1;
   for (std::size_t guard = 0; guard < 64 && i < hi; ++guard) {
@@ -138,11 +141,13 @@ Lvalue walk_lvalue_forward(const std::vector<Token>& toks, std::size_t start,
       continue;
     }
     if (is_punct(toks, i, '.') && is_ident(toks, i + 1)) {
+      out.leaf = toks[i + 1].text;
       i += 2;
       continue;
     }
     if (is_punct(toks, i, '-') && is_punct(toks, i + 1, '>') &&
         is_ident(toks, i + 2)) {
+      out.leaf = toks[i + 2].text;
       i += 3;
       continue;
     }
@@ -568,17 +573,26 @@ void check_message_plane(const FileInput& file,
             {file.path, toks[w.at].line, "message",
              "per-VM generation counter reset; generations must grow "
              "monotonically so stale in-flight messages stay poisoned "
-             "(docs/MIGRATION.md)"});
+             "(docs/STATIC_ANALYSIS.md)"});
         continue;
       }
+    }
+    if (w.method.empty() && w.lv.leaf == "timer_seq" &&
+        fn_name != "schedule") {
+      findings.push_back(
+          {file.path, toks[w.at].line, "message",
+           "ticket timer_seq written outside schedule(); it must name the "
+           "message schedule() pushed last, or a stale timer could fire "
+           "(docs/MIGRATION.md)"});
+      continue;
     }
     if ((w.method == "push" || w.method == "emplace") &&
         w.lv.base == "messages_" && fn_name != "schedule") {
       findings.push_back(
           {file.path, toks[w.at].line, "message",
            "messages_ heap push outside schedule(); every message must go "
-           "through schedule() to get (time, seq) ordering and a generation "
-           "stamp (docs/MIGRATION.md)"});
+           "through schedule() to get (time, seq) ordering and become its "
+           "ticket's live timer (docs/MIGRATION.md)"});
       continue;
     }
   }

@@ -14,8 +14,9 @@
 //     vector without a per-item index.
 //   message — inside the migration orchestrator and the serve layer:
 //     no direct mutation of simulated time, no schedule() with a
-//     negative delay, no messages_ heap push outside schedule(), no
-//     rewinding the per-VM generation or global sequence counters.
+//     negative delay, no messages_ heap push or ticket timer_seq write
+//     outside schedule(), no rewinding a per-VM generation or the
+//     global sequence counters.
 //   guarded — every data member of a class that holds a std::mutex
 //     must declare its protection: US_GUARDED_BY(that_mutex),
 //     US_NOT_GUARDED("rationale"), or an exempt type (atomic, mutex,
