@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "core/ecosystem.h"
@@ -73,41 +74,24 @@ struct LevelResult {
 };
 
 // FNV-1a over the deterministic per-level outcome.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return fnv1a_u64(h, bits);
-}
-
 std::uint64_t digest_level(std::uint64_t h, const LevelResult& level) {
-  h = fnv1a_double(h, level.energy_kwh);
-  h = fnv1a_double(h, level.p50_ms);
-  h = fnv1a_double(h, level.p99_ms);
-  h = fnv1a_double(h, level.p999_ms);
+  h = fnv::mix_double(h, level.energy_kwh);
+  h = fnv::mix_double(h, level.p50_ms);
+  h = fnv::mix_double(h, level.p99_ms);
+  h = fnv::mix_double(h, level.p999_ms);
   const serve::ServeStats& s = level.stats;
-  h = fnv1a_u64(h, s.generated);
-  h = fnv1a_u64(h, s.admitted);
-  h = fnv1a_u64(h, s.completed);
-  h = fnv1a_u64(h, s.dropped_overload);
-  h = fnv1a_u64(h, s.dropped_unroutable);
-  h = fnv1a_u64(h, s.dropped_lost);
-  h = fnv1a_u64(h, s.slo_violations);
-  h = fnv1a_u64(h, s.slo_violations_critical);
-  h = fnv1a_u64(h, s.stalls);
-  h = fnv1a_double(h, s.latency_sum_s);
-  h = fnv1a_double(h, s.max_latency_s);
-  return fnv1a_u64(h, level.outstanding);
+  h = fnv::mix_u64(h, s.generated);
+  h = fnv::mix_u64(h, s.admitted);
+  h = fnv::mix_u64(h, s.completed);
+  h = fnv::mix_u64(h, s.dropped_overload);
+  h = fnv::mix_u64(h, s.dropped_unroutable);
+  h = fnv::mix_u64(h, s.dropped_lost);
+  h = fnv::mix_u64(h, s.slo_violations);
+  h = fnv::mix_u64(h, s.slo_violations_critical);
+  h = fnv::mix_u64(h, s.stalls);
+  h = fnv::mix_double(h, s.latency_sum_s);
+  h = fnv::mix_double(h, s.max_latency_s);
+  return fnv::mix_u64(h, level.outstanding);
 }
 
 LevelResult run_level(double guard, const Options& options) {
@@ -151,7 +135,7 @@ LevelResult run_level(double guard, const Options& options) {
 
 struct SweepRun {
   std::vector<LevelResult> levels;
-  std::uint64_t digest{kFnvOffset};
+  std::uint64_t digest{fnv::kShortOffset};
   double wall_s{0.0};
 };
 

@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -79,19 +80,11 @@ void reset_fleet(std::vector<std::unique_ptr<osk::ComputeNode>>& fleet) {
   }
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 struct WorkloadRun {
   std::uint64_t picks{0};
   std::uint64_t accepted{0};
   /// Decision digest over the full run / at the prefix mark.
-  std::uint64_t digest{1469598103934665603ULL};
+  std::uint64_t digest{fnv::kShortOffset};
   std::uint64_t digest_at_prefix{0};
   /// Time spent inside pick() calls.
   double pick_wall_s{0.0};
@@ -178,8 +171,8 @@ WorkloadRun run_workload(osk::SchedulerEngine kind,
       departures.push(Departure{
           request->arrival.value + request->lifetime.value, vm.id, target});
     }
-    out.digest = fnv_mix(out.digest, vm.id);
-    out.digest = fnv_mix(out.digest, static_cast<std::uint64_t>(
+    out.digest = fnv::mix_u64(out.digest, vm.id);
+    out.digest = fnv::mix_u64(out.digest, static_cast<std::uint64_t>(
                                          static_cast<std::int64_t>(slot)));
     if (out.picks == prefix_mark) out.digest_at_prefix = out.digest;
   }

@@ -1,10 +1,10 @@
 #include "fuzz/harness.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <sstream>
 
+#include "common/fnv.h"
 #include "common/parallel.h"
 #include "core/ecosystem.h"
 #include "daemons/info_vector.h"
@@ -42,90 +42,63 @@ hw::ChipSpec chip_by_name(const std::string& name) {
 
 // -- outcome digest ----------------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof v);
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return fnv1a_u64(h, bits);
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  h = fnv1a_u64(h, s.size());
-  return fnv1a(h, s.data(), s.size());
-}
-
 std::uint64_t digest_outcome(const RunOutcome& outcome,
                              const osk::Cloud& cloud) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u64(h, outcome.steps);
-  h = fnv1a_u64(h, outcome.placement_digest);
+  std::uint64_t h = fnv::kShortOffset;
+  h = fnv::mix_u64(h, outcome.steps);
+  h = fnv::mix_u64(h, outcome.placement_digest);
   const osk::CloudStats& s = outcome.cloud_stats;
-  h = fnv1a_u64(h, s.submitted);
-  h = fnv1a_u64(h, s.accepted);
-  h = fnv1a_u64(h, s.rejected);
-  h = fnv1a_u64(h, s.completed);
-  h = fnv1a_u64(h, s.lost_to_errors);
-  h = fnv1a_u64(h, s.lost_to_node_crash);
-  h = fnv1a_u64(h, s.evacuations);
-  h = fnv1a_u64(h, s.migrations);
-  h = fnv1a_u64(h, s.migrations_started);
-  h = fnv1a_u64(h, s.migrations_cancelled);
-  h = fnv1a_u64(h, s.postcopy_migrations);
-  h = fnv1a_u64(h, s.migration_failures);
-  h = fnv1a_u64(h, s.node_crash_events);
-  h = fnv1a_u64(h, s.sla_violations);
-  h = fnv1a_double(h, s.total_energy_kwh);
-  h = fnv1a_double(h, s.migration_energy_kwh);
-  h = fnv1a_double(h, s.migration_transferred_mb);
-  h = fnv1a_double(h, s.migration_downtime_s);
+  h = fnv::mix_u64(h, s.submitted);
+  h = fnv::mix_u64(h, s.accepted);
+  h = fnv::mix_u64(h, s.rejected);
+  h = fnv::mix_u64(h, s.completed);
+  h = fnv::mix_u64(h, s.lost_to_errors);
+  h = fnv::mix_u64(h, s.lost_to_node_crash);
+  h = fnv::mix_u64(h, s.evacuations);
+  h = fnv::mix_u64(h, s.migrations);
+  h = fnv::mix_u64(h, s.migrations_started);
+  h = fnv::mix_u64(h, s.migrations_cancelled);
+  h = fnv::mix_u64(h, s.postcopy_migrations);
+  h = fnv::mix_u64(h, s.migration_failures);
+  h = fnv::mix_u64(h, s.node_crash_events);
+  h = fnv::mix_u64(h, s.sla_violations);
+  h = fnv::mix_double(h, s.total_energy_kwh);
+  h = fnv::mix_double(h, s.migration_energy_kwh);
+  h = fnv::mix_double(h, s.migration_transferred_mb);
+  h = fnv::mix_double(h, s.migration_downtime_s);
   for (const osk::ComputeNode* node : cloud.node_views()) {
     const hv::HvStats& hv = node->hypervisor().stats();
-    h = fnv1a_u64(h, hv.ticks);
-    h = fnv1a_u64(h, hv.masked_errors);
-    h = fnv1a_u64(h, hv.vm_kills);
-    h = fnv1a_u64(h, hv.vm_restores);
-    h = fnv1a_u64(h, hv.hv_fatal_events);
-    h = fnv1a_u64(h, hv.node_crashes);
-    h = fnv1a_u64(h, hv.protection_saves);
-    h = fnv1a_u64(h, hv.uncorrected_seen);
-    h = fnv1a_u64(h, hv.uncorrected_resolved);
-    h = fnv1a_double(h, hv.energy.value);
+    h = fnv::mix_u64(h, hv.ticks);
+    h = fnv::mix_u64(h, hv.masked_errors);
+    h = fnv::mix_u64(h, hv.vm_kills);
+    h = fnv::mix_u64(h, hv.vm_restores);
+    h = fnv::mix_u64(h, hv.hv_fatal_events);
+    h = fnv::mix_u64(h, hv.node_crashes);
+    h = fnv::mix_u64(h, hv.protection_saves);
+    h = fnv::mix_u64(h, hv.uncorrected_seen);
+    h = fnv::mix_u64(h, hv.uncorrected_resolved);
+    h = fnv::mix_double(h, hv.energy.value);
   }
   // Serve books fold in only when the layer ran, so every pre-serve
   // campaign digest is unchanged (request_share == 0 -> no layer).
   if (const serve::ServeLayer* layer = cloud.serving()) {
     const serve::ServeStats& sv = layer->stats();
-    h = fnv1a_u64(h, sv.generated);
-    h = fnv1a_u64(h, sv.admitted);
-    h = fnv1a_u64(h, sv.completed);
-    h = fnv1a_u64(h, sv.dropped_overload);
-    h = fnv1a_u64(h, sv.dropped_unroutable);
-    h = fnv1a_u64(h, sv.dropped_lost);
-    h = fnv1a_u64(h, sv.slo_violations);
-    h = fnv1a_u64(h, sv.slo_violations_critical);
-    h = fnv1a_u64(h, sv.stalls);
-    h = fnv1a_double(h, sv.latency_sum_s);
-    h = fnv1a_double(h, sv.max_latency_s);
+    h = fnv::mix_u64(h, sv.generated);
+    h = fnv::mix_u64(h, sv.admitted);
+    h = fnv::mix_u64(h, sv.completed);
+    h = fnv::mix_u64(h, sv.dropped_overload);
+    h = fnv::mix_u64(h, sv.dropped_unroutable);
+    h = fnv::mix_u64(h, sv.dropped_lost);
+    h = fnv::mix_u64(h, sv.slo_violations);
+    h = fnv::mix_u64(h, sv.slo_violations_critical);
+    h = fnv::mix_u64(h, sv.stalls);
+    h = fnv::mix_double(h, sv.latency_sum_s);
+    h = fnv::mix_double(h, sv.max_latency_s);
   }
   for (const Violation& v : outcome.violations) {
-    h = fnv1a_str(h, v.oracle);
-    h = fnv1a_str(h, v.detail);
-    h = fnv1a_double(h, v.at.value);
+    h = fnv::mix_string(h, v.oracle);
+    h = fnv::mix_string(h, v.detail);
+    h = fnv::mix_double(h, v.at.value);
   }
   return h;
 }
@@ -520,9 +493,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
   CampaignResult campaign;
   campaign.cases = std::move(results);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = fnv::kShortOffset;
   for (const CaseResult& result : campaign.cases) {
-    h = fnv1a_u64(h, result.outcome.digest);
+    h = fnv::mix_u64(h, result.outcome.digest);
     if (result.outcome.violated()) ++campaign.violated_cases;
   }
   campaign.digest = h;

@@ -116,12 +116,6 @@ bool Hypervisor::destroy_vm(std::uint64_t id) {
   return erased;
 }
 
-void Hypervisor::update_vm_memory(std::uint64_t id, double memory_mb) {
-  auto it = vms_.find(id);
-  if (it == vms_.end()) return;
-  it->second.memory_mb = memory_mb;
-}
-
 void Hypervisor::apply_margins(const daemons::SafeMargins& margins,
                                MegaHertz freq) {
   const auto& point = margins.point_for(freq);

@@ -134,8 +134,6 @@ class Hypervisor {
   bool destroy_vm(std::uint64_t id);
   std::size_t vm_count() const { return vms_.size(); }
   const std::map<std::uint64_t, Vm>& vms() const { return vms_; }
-  /// Monitoring hook: guest-resident memory changed (e.g. LDBC ramp).
-  void update_vm_memory(std::uint64_t id, double memory_mb);
 
   // -- EOP control ----------------------------------------------------
   /// Applies the safe margins from a StressLog cycle at a frequency,

@@ -19,13 +19,15 @@ struct VmRequirements {
   bool critical{false};
 };
 
-/// A VM instance resident on the node.
+/// A VM instance resident on the node. Nothing changes a resident VM:
+/// the hypervisor keeps the copy it was created with, so its memory and
+/// workload activity are the usage profile the cloud's VmMonitor
+/// records once, at admission.
 struct Vm {
   std::uint64_t id{0};
   std::string name;
   int vcpus{1};
-  /// Current resident memory (updated by the monitoring loop as the
-  /// guest workload ramps).
+  /// Resident memory.
   double memory_mb{1024.0};
   hw::WorkloadSignature workload{};
   VmRequirements requirements{};

@@ -26,8 +26,6 @@ struct CloudMetrics {
   telemetry::Counter& evacuations = telemetry::counter(
       "cloud.evacuations", "events",
       "Proactive evacuations triggered by the failure predictor");
-  telemetry::Counter& migrations = telemetry::counter(
-      "cloud.migrations", "vms", "Successful live migrations");
   telemetry::Counter& migration_failures = telemetry::counter(
       "cloud.migration_failures", "vms",
       "Migrations abandoned (no target or capacity raced away)");
@@ -46,14 +44,6 @@ struct CloudMetrics {
 CloudMetrics& metrics() {
   static CloudMetrics m;
   return m;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 }  // namespace
 
@@ -196,7 +186,6 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
   cb.finished = [this](const MigrationTicket& t,
                        MigrationOrchestrator::Outcome outcome) {
     if (outcome != MigrationOrchestrator::Outcome::kCompleted) return;
-    metrics().migrations.add();
     if (t.post_copy) ++stats_.postcopy_migrations;
     telemetry::trace(now_, "cloud", "migration",
                      {{"vm", std::to_string(t.vm_id)},
@@ -243,11 +232,11 @@ void Cloud::record_decision(std::uint64_t vm_id, const ComputeNode* target,
     const auto it = slot_index_.find(target);
     if (it != slot_index_.end()) slot = it->second;
   }
-  placement_digest_ = fnv_mix(placement_digest_, vm_id);
-  placement_digest_ = fnv_mix(
+  placement_digest_ = fnv::mix_u64(placement_digest_, vm_id);
+  placement_digest_ = fnv::mix_u64(
       placement_digest_, static_cast<std::uint64_t>(
                              static_cast<std::int64_t>(slot)));
-  placement_digest_ = fnv_mix(placement_digest_, evacuation ? 1 : 0);
+  placement_digest_ = fnv::mix_u64(placement_digest_, evacuation ? 1 : 0);
   if (config_.record_placements) {
     placements_.push_back(PlacementDecision{vm_id, slot, evacuation});
   }
@@ -316,7 +305,9 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
   if (!std::isnan(active.departs_at.value)) {
     departures_.push(Departure{active.departs_at.value, request.id});
   }
-  active_.emplace(request.id, active);
+  if (active_.emplace(request.id, active).second) {
+    monitor_.admit(request.id, vm.workload.activity, vm.memory_mb);
+  }
   if (serve_) serve_->on_vm_placed(request, &target->server());
 }
 
@@ -385,6 +376,7 @@ void Cloud::account_node_crash(ComputeNode* node,
 }
 
 void Cloud::tick_nodes(Seconds window) {
+  monitor_.advance();
   for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
     const std::unique_ptr<ComputeNode>& node = nodes_[slot];
     const bool was_up = node->up();
@@ -395,21 +387,9 @@ void Cloud::tick_nodes(Seconds window) {
       engine_->node_changed(node.get());
     }
     stats_.total_energy_kwh += report.energy.kwh();
-    // Fine-grained VM monitoring: one sample per resident VM per tick,
-    // with this tick's survivable-SDC hits attributed per VM. Residents
-    // iterate in ascending id, so one pass over the sorted hits counts
-    // them all.
-    std::vector<std::uint64_t> hits = report.vms_hit;
-    std::sort(hits.begin(), hits.end());
-    auto hit = hits.cbegin();
-    for (const auto& [id, vm] : node->hypervisor().vms()) {
-      VmSample sample;
-      sample.cpu_utilization = vm.workload.activity;
-      sample.memory_mb = vm.memory_mb;
-      while (hit != hits.cend() && *hit < id) ++hit;
-      for (; hit != hits.cend() && *hit == id; ++hit) ++sample.error_events;
-      monitor_.record(id, sample);
-    }
+    // Fine-grained VM monitoring: this tick's survivable-SDC hits,
+    // attributed per VM.
+    for (std::uint64_t id : report.vms_hit) monitor_.record_hit(id);
     if (result.crashed) {
       account_node_crash(node.get(), result.vms_lost, false);
     } else {
@@ -472,16 +452,10 @@ int Cloud::evacuate_node(ComputeNode* source, MigrationPriority priority,
   for (const auto& [id, vm] : source->hypervisor().vms()) {
     on_node.push_back(id);
   }
-  std::vector<std::uint64_t> resident =
-      monitor_.ranked_by_susceptibility(on_node);
-  for (std::uint64_t id : on_node) {
-    if (std::find(resident.begin(), resident.end(), id) ==
-        resident.end()) {
-      resident.push_back(id);
-    }
-  }
+  // The monitor tracks exactly the active VMs, so the ranking leaves
+  // out only residents the control plane does not own.
   int submitted = 0;
-  for (std::uint64_t id : resident) {
+  for (std::uint64_t id : monitor_.ranked_by_susceptibility(on_node)) {
     if (!active_.contains(id)) continue;
     if (orchestrator_.in_flight(id)) continue;  // already on its way
     const hv::Vm vm = source->hypervisor().vms().at(id);

@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/units.h"
 #include "openstack/failure_predictor.h"
 #include "openstack/migration.h"
@@ -131,8 +132,8 @@ class Cloud {
   /// Read-only fleet view for invariant oracles and monitoring.
   std::vector<const ComputeNode*> node_views() const;
   Seconds now() const { return now_; }
-  /// Fine-grained per-VM monitoring (paper SS4.B): usage windows and
-  /// susceptibility scores, fed every tick and used to order
+  /// Fine-grained per-VM monitoring (paper SS4.B): usage profiles,
+  /// windowed error hits and susceptibility scores, used to order
   /// evacuations most-susceptible-first.
   const VmMonitor& monitor() const { return monitor_; }
 
@@ -263,7 +264,7 @@ class Cloud {
   /// The cloud's own books; stats() adds the orchestrator's.
   CloudStats stats_;
   std::vector<PlacementDecision> placements_;
-  std::uint64_t placement_digest_{14695981039346656037ULL};
+  std::uint64_t placement_digest_{fnv::kOffset};
   Seconds now_{Seconds{0.0}};
 };
 

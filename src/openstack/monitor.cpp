@@ -4,52 +4,46 @@
 
 namespace uniserver::osk {
 
-void VmMonitor::record(std::uint64_t vm_id, const VmSample& sample) {
-  const std::size_t window = config_.window;
-  auto [it, inserted] = slot_of_.try_emplace(vm_id, recorded_.size());
-  if (inserted) {
-    if (free_slots_.empty()) {
-      recorded_.push_back(0);
-      samples_.resize(samples_.size() + window);
-    } else {
-      it->second = free_slots_.back();
-      free_slots_.pop_back();
-      recorded_[it->second] = 0;
-    }
-  }
-  if (window == 0) return;
-  std::uint64_t& recorded = recorded_[it->second];
-  samples_[it->second * window + recorded % window] = sample;
-  ++recorded;
+void VmMonitor::admit(std::uint64_t vm_id, double cpu_utilization,
+                      double memory_mb) {
+  tracked_[vm_id] = Tracked{cpu_utilization, memory_mb, tick_, {}};
 }
 
-void VmMonitor::forget(std::uint64_t vm_id) {
-  const auto it = slot_of_.find(vm_id);
-  if (it == slot_of_.end()) return;
-  free_slots_.push_back(it->second);
-  slot_of_.erase(it);
+void VmMonitor::record_hit(std::uint64_t vm_id) {
+  const auto it = tracked_.find(vm_id);
+  if (it == tracked_.end() || config_.window == 0) return;
+  // Hits that have left the window never count again.
+  std::vector<std::uint64_t>& hits = it->second.hits;
+  const auto live = std::find_if(hits.begin(), hits.end(), [&](auto at) {
+    return at + config_.window > tick_;
+  });
+  hits.erase(hits.begin(), live);
+  hits.push_back(tick_);
 }
+
+void VmMonitor::forget(std::uint64_t vm_id) { tracked_.erase(vm_id); }
 
 VmUsage VmMonitor::usage(std::uint64_t vm_id) const {
   VmUsage usage;
-  const auto it = slot_of_.find(vm_id);
-  if (it == slot_of_.end()) return usage;
-  const std::size_t window = config_.window;
-  const std::uint64_t recorded = recorded_[it->second];
+  const auto it = tracked_.find(vm_id);
+  if (it == tracked_.end()) return usage;
+  const Tracked& vm = it->second;
   usage.samples = static_cast<std::size_t>(
-      std::min<std::uint64_t>(recorded, window));
+      std::min<std::uint64_t>(tick_ - vm.admitted_at, config_.window));
   if (usage.samples == 0) return usage;
-  // Oldest to newest, the order the samples arrived in, so the sums
-  // round the same way on every query.
-  const VmSample* ring = samples_.data() + it->second * window;
-  for (std::uint64_t k = recorded - usage.samples; k < recorded; ++k) {
-    const VmSample& sample = ring[k % window];
-    usage.mean_cpu += sample.cpu_utilization;
-    usage.peak_cpu = std::max(usage.peak_cpu, sample.cpu_utilization);
-    usage.mean_memory_mb += sample.memory_mb;
-    usage.peak_memory_mb = std::max(usage.peak_memory_mb, sample.memory_mb);
-    usage.total_errors += sample.error_events;
+  // One sample per tick, all equal to the profile. Summed one by one
+  // from 0.0, as a per-sample window would sum them, so the means (and
+  // the susceptibility built on them) round the same way.
+  for (std::size_t k = 0; k < usage.samples; ++k) {
+    usage.mean_cpu += vm.cpu_utilization;
+    usage.mean_memory_mb += vm.memory_mb;
   }
+  usage.peak_cpu = std::max(0.0, vm.cpu_utilization);
+  usage.peak_memory_mb = std::max(0.0, vm.memory_mb);
+  // The window is the ticks (tick_ - samples, tick_].
+  const std::uint64_t before = tick_ - usage.samples;
+  usage.total_errors = static_cast<std::uint64_t>(std::count_if(
+      vm.hits.begin(), vm.hits.end(), [&](auto at) { return at > before; }));
   const auto n = static_cast<double>(usage.samples);
   usage.mean_cpu /= n;
   usage.mean_memory_mb /= n;
@@ -73,8 +67,8 @@ double VmMonitor::susceptibility(std::uint64_t vm_id) const {
 
 std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility() const {
   std::vector<std::uint64_t> ids;
-  ids.reserve(slot_of_.size());
-  for (const auto& [id, slot] : slot_of_) ids.push_back(id);
+  ids.reserve(tracked_.size());
+  for (const auto& [id, vm] : tracked_) ids.push_back(id);
   std::sort(ids.begin(), ids.end(), [this](std::uint64_t a, std::uint64_t b) {
     const double sa = susceptibility(a);
     const double sb = susceptibility(b);
@@ -89,7 +83,7 @@ std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility(
   std::vector<std::pair<double, std::uint64_t>> keyed;
   keyed.reserve(candidates.size());
   for (std::uint64_t id : candidates) {
-    if (slot_of_.contains(id)) keyed.emplace_back(susceptibility(id), id);
+    if (tracked_.contains(id)) keyed.emplace_back(susceptibility(id), id);
   }
   // (susceptibility desc, id asc) is a total order over distinct ids, so
   // ranking a subset yields the full ranking filtered to that subset.

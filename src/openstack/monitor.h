@@ -4,10 +4,25 @@
 // than the existing state-of-the-art" and uses it "to assess the
 // susceptibility of VMs to experience catastrophic errors due to
 // hardware faults". The monitor keeps per-VM sliding-window resource
-// histories plus an error-exposure tally and condenses them into a
+// usage plus an error-exposure tally and condenses them into a
 // susceptibility score the scheduler and migration policy can rank by:
 // a big, busy, long-lived VM on relaxed memory attached to a risky node
 // is the first thing to move.
+//
+// A resident VM's usage profile is fixed: hv::Vm's activity and memory
+// have no mutator while the VM lives on a node. So the monitor records
+// what changes and nothing else: each VM's profile once, at admission,
+// and the control tick of each error hit. Its window of one sample per
+// control tick is implied by the tick count.
+//
+// Invariant (the Cloud keeps it): an admitted VM gains exactly one
+// sample per control tick until it is forgotten. Three facts ensure it:
+// VMs are placed before the tick's node ticks; the migration
+// orchestrator moves VMs only between node ticks; and every exit from
+// the cloud's active set calls forget(). Queries run only after a
+// tick's node ticks. Only runs the fuzz oracles reject break the
+// invariant (a VM killed behind the control plane's back, a duplicate
+// id), and those runs stop at the violation.
 #pragma once
 
 #include <cstddef>
@@ -16,14 +31,6 @@
 #include <vector>
 
 namespace uniserver::osk {
-
-/// One monitoring sample for a VM.
-struct VmSample {
-  double cpu_utilization{0.0};  ///< [0, 1]
-  double memory_mb{0.0};
-  /// Uncorrectable-error events that hit this VM in the window.
-  std::uint64_t error_events{0};
-};
 
 /// Condensed per-VM view.
 struct VmUsage {
@@ -38,7 +45,7 @@ struct VmUsage {
 class VmMonitor {
  public:
   struct Config {
-    /// Samples retained per VM (sliding window).
+    /// Control ticks of history per VM (sliding window).
     std::size_t window{128};
     /// Susceptibility weights (memory exposure, activity, history).
     double weight_memory{0.5};
@@ -53,13 +60,22 @@ class VmMonitor {
   VmMonitor() : VmMonitor(Config{}) {}
   explicit VmMonitor(Config config) : config_(config) {}
 
-  /// Ingests one sample for a VM.
-  void record(std::uint64_t vm_id, const VmSample& sample);
+  /// Starts tracking a VM with its fixed usage profile. Its first
+  /// sample is the next advance(). Re-admitting a tracked id starts its
+  /// record afresh.
+  void admit(std::uint64_t vm_id, double cpu_utilization, double memory_mb);
 
-  /// Drops a VM's history (deleted/migrated-away VM).
+  /// One control tick: every tracked VM gains a sample.
+  void advance() { ++tick_; }
+
+  /// One uncorrectable-error hit on a VM this tick. Unknown ids are
+  /// ignored.
+  void record_hit(std::uint64_t vm_id);
+
+  /// Drops a VM's record (deleted/migrated-away VM).
   void forget(std::uint64_t vm_id);
 
-  /// Condensed usage over the retained window.
+  /// Condensed usage over the window.
   VmUsage usage(std::uint64_t vm_id) const;
 
   /// Susceptibility in [0, 1]: how likely this VM is to be the victim
@@ -78,21 +94,23 @@ class VmMonitor {
   std::vector<std::uint64_t> ranked_by_susceptibility(
       const std::vector<std::uint64_t>& candidates) const;
 
-  std::size_t tracked_vms() const { return slot_of_.size(); }
+  std::size_t tracked_vms() const { return tracked_.size(); }
 
  private:
+  struct Tracked {
+    double cpu_utilization{0.0};
+    double memory_mb{0.0};
+    /// tick_ at admission; samples are the ticks after it.
+    std::uint64_t admitted_at{0};
+    /// The tick of each hit still inside the window, oldest first.
+    std::vector<std::uint64_t> hits;
+  };
+
   Config config_;
-  // Each tracked VM owns a slot: a ring of `window` samples at
-  // samples_[slot * window], allocated once and reused through
-  // free_slots_ after forget(). recorded_[slot] counts the samples ever
-  // recorded into the slot, so sample k sits at k % window and the ring
-  // holds the last min(recorded, window) of them. Nothing iterates
-  // slot_of_ in an order that reaches an output: the full ranking sorts
-  // by a total order.
-  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
-  std::vector<std::uint64_t> recorded_;
-  std::vector<VmSample> samples_;
-  std::vector<std::size_t> free_slots_;
+  std::uint64_t tick_{0};
+  // Nothing iterates tracked_ in an order that reaches an output: the
+  // full ranking sorts by a total order.
+  std::unordered_map<std::uint64_t, Tracked> tracked_;
 };
 
 }  // namespace uniserver::osk

@@ -35,7 +35,7 @@ const char* to_string(MetricType type);
 
 /// Identity and documentation of a registered metric.
 struct MetricMeta {
-  std::string name;  ///< dotted namespace, e.g. "cloud.migrations"
+  std::string name;  ///< dotted namespace, e.g. "cloud.mig.completed"
   MetricType type{MetricType::kCounter};
   std::string unit;  ///< "events", "us", "kwh", ... ("" = dimensionless)
   std::string help;  ///< one-line description for the catalog

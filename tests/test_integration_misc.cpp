@@ -2,6 +2,10 @@
 // wiring, governor-on-node loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "core/governor.h"
 #include "core/uniserver_node.h"
 #include "hwmodel/chip_spec.h"
@@ -85,6 +89,80 @@ TEST(CloudMonitorIntegration, DepartedVmsAreForgotten) {
   cloud->run({request}, Seconds{1200.0});
   EXPECT_EQ(cloud->stats().completed, 1u);
   EXPECT_EQ(cloud->monitor().tracked_vms(), 0u);
+}
+
+TEST(CloudMonitorIntegration, OneSamplePerControlTickThroughSdcHits) {
+  osk::CloudConfig config;
+  config.policy = osk::SchedulerPolicy::kFirstFit;
+  config.tick = 60_s;
+  hv::HvConfig hv_config;
+  hv_config.guest_sdc_survival = 1.0;  // every guest hit is survivable
+  // Keep the relaxed channels relaxed, so hits keep coming.
+  hv_config.channel_isolation_threshold_per_hour = 1e12;
+  hw::NodeSpec spec;
+  spec.chip = hw::arm_soc_spec();
+  auto cloud = osk::Cloud::make_uniform(config, spec, hv_config, 3, 5);
+  for (osk::ComputeNode* node : cloud->node_ptrs()) {
+    hw::Eop eop = node->server().eop();
+    eop.refresh = Seconds{5.0};
+    node->hypervisor().apply_eop(eop);
+  }
+
+  // Arrivals over the first hours; lifetimes long enough that some VMs
+  // outlive the 128-tick window and short enough that some depart.
+  std::vector<trace::VmRequest> requests;
+  for (std::uint64_t id = 1; id <= 24; ++id) {
+    trace::VmRequest request;
+    request.id = id;
+    request.arrival = Seconds{450.0 * static_cast<double>(id)};
+    request.lifetime = Seconds{id % 3 == 0 ? 2400.0 : 20000.0};
+    request.vcpus = 1 + static_cast<int>(id % 2);
+    request.memory_mb = 2048.0 * static_cast<double>(1 + id % 4);
+    request.sla = trace::SlaClass::kStandard;
+    request.workload = id % 2 == 0 ? stress::analytics_profile()
+                                   : stress::web_service_profile();
+    requests.push_back(request);
+  }
+
+  const std::size_t window = osk::VmMonitor::Config{}.window;
+  std::map<std::uint64_t, int> arrived_at_tick;
+  std::uint64_t max_hits = 0;
+  int full_windows = 0;
+  std::size_t next = 0;
+  const int ticks = 300;
+  for (int tick = 1; tick <= ticks; ++tick) {
+    // One control tick, fed that tick's arrivals.
+    const Seconds now = Seconds{60.0 * tick};
+    std::vector<trace::VmRequest> batch;
+    for (; next < requests.size() && requests[next].arrival.value <= now.value;
+         ++next) {
+      batch.push_back(requests[next]);
+      arrived_at_tick[requests[next].id] = tick;
+    }
+    cloud->run(batch, now);
+    ASSERT_EQ(cloud->now().value, now.value);
+
+    const auto active = cloud->active_placements();
+    ASSERT_EQ(cloud->monitor().tracked_vms(), active.size())
+        << "tick " << tick;
+    std::uint64_t hits = 0;
+    for (const auto& placement : active) {
+      const osk::VmUsage usage = cloud->monitor().usage(placement.id);
+      const auto since = static_cast<std::size_t>(
+          tick - arrived_at_tick.at(placement.id) + 1);
+      ASSERT_EQ(usage.samples, std::min(since, window))
+          << "vm " << placement.id << " tick " << tick;
+      hits += usage.total_errors;
+      if (usage.samples == window) ++full_windows;
+    }
+    max_hits = std::max(max_hits, hits);
+  }
+  // The run saw survivable hits, evacuations that moved VMs between
+  // node ticks, and VMs that filled the window.
+  EXPECT_GT(max_hits, 10u);
+  EXPECT_GT(cloud->stats().migrations, 0u);
+  EXPECT_GT(cloud->stats().completed, 0u);
+  EXPECT_GT(full_windows, 0);
 }
 
 TEST(GovernorOnNode, ClosedLoopDayStaysSafeAndSavesPower) {

@@ -135,25 +135,28 @@ TEST(Logfile, LoadFiresSubscribers) {
   EXPECT_EQ(events, 1);
 }
 
-osk::VmSample sample(double cpu, double mb, std::uint64_t errors = 0) {
-  return osk::VmSample{cpu, mb, errors};
-}
-
 TEST(VmMonitorTest, UsageAggregates) {
+  // A fixed profile over two ticks, with two hits in the second.
   osk::VmMonitor monitor;
-  monitor.record(1, sample(0.5, 2000.0));
-  monitor.record(1, sample(0.7, 4000.0, 2));
+  monitor.admit(1, 0.5, 2000.0);
+  monitor.advance();
+  monitor.advance();
+  monitor.record_hit(1);
+  monitor.record_hit(1);
   const osk::VmUsage usage = monitor.usage(1);
   EXPECT_EQ(usage.samples, 2u);
-  EXPECT_NEAR(usage.mean_cpu, 0.6, 1e-12);
-  EXPECT_NEAR(usage.peak_cpu, 0.7, 1e-12);
-  EXPECT_NEAR(usage.mean_memory_mb, 3000.0, 1e-9);
-  EXPECT_NEAR(usage.peak_memory_mb, 4000.0, 1e-9);
+  EXPECT_DOUBLE_EQ(usage.mean_cpu, 0.5);
+  EXPECT_DOUBLE_EQ(usage.peak_cpu, 0.5);
+  EXPECT_DOUBLE_EQ(usage.mean_memory_mb, 2000.0);
+  EXPECT_DOUBLE_EQ(usage.peak_memory_mb, 2000.0);
   EXPECT_EQ(usage.total_errors, 2u);
 }
 
 TEST(VmMonitorTest, UnknownVmIsZero) {
   osk::VmMonitor monitor;
+  monitor.advance();
+  monitor.record_hit(9);  // ignored: never admitted
+  EXPECT_EQ(monitor.tracked_vms(), 0u);
   EXPECT_EQ(monitor.usage(9).samples, 0u);
   EXPECT_DOUBLE_EQ(monitor.susceptibility(9), 0.0);
 }
@@ -162,20 +165,25 @@ TEST(VmMonitorTest, WindowBoundsHistory) {
   osk::VmMonitor::Config config;
   config.window = 4;
   osk::VmMonitor monitor(config);
+  monitor.admit(1, 1.0, 1000.0);
   for (int i = 0; i < 20; ++i) {
-    monitor.record(1, sample(1.0, 1000.0));
+    monitor.advance();
+    monitor.record_hit(1);
   }
   EXPECT_EQ(monitor.usage(1).samples, 4u);
+  EXPECT_EQ(monitor.usage(1).total_errors, 4u);
 }
 
 TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
   osk::VmMonitor monitor;
   // VM 1: small, idle. VM 2: big and busy. VM 3: big, busy AND has
   // already absorbed errors.
+  monitor.admit(1, 0.05, 512.0);
+  monitor.admit(2, 0.9, 16384.0);
+  monitor.admit(3, 0.9, 16384.0);
   for (int i = 0; i < 10; ++i) {
-    monitor.record(1, sample(0.05, 512.0));
-    monitor.record(2, sample(0.9, 16384.0));
-    monitor.record(3, sample(0.9, 16384.0, i == 0 ? 5u : 0u));
+    monitor.advance();
+    for (int hit = 0; i == 0 && hit < 5; ++hit) monitor.record_hit(3);
   }
   const auto ranked = monitor.ranked_by_susceptibility();
   ASSERT_EQ(ranked.size(), 3u);
@@ -191,14 +199,17 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
   osk::VmMonitor::Config config;
   config.window = 8;
   osk::VmMonitor monitor(config);
-  // Coarse samples so many VMs tie on susceptibility (ties go to the
+  // Coarse profiles so many VMs tie on susceptibility (ties go to the
   // lower id in both rankings).
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t id = 1 + rng.uniform_u64(150);
-    monitor.record(
-        id, sample(0.25 * static_cast<double>(rng.uniform_int(0, 4)),
-                   4096.0 * static_cast<double>(rng.uniform_int(0, 4)),
-                   rng.bernoulli(0.05) ? 1u : 0u));
+    if (rng.bernoulli(0.05)) monitor.advance();
+    if (rng.bernoulli(0.3)) {
+      monitor.admit(id, 0.25 * static_cast<double>(rng.uniform_int(0, 4)),
+                    4096.0 * static_cast<double>(rng.uniform_int(0, 4)));
+    } else if (rng.bernoulli(0.05)) {
+      monitor.record_hit(id);
+    }
   }
   const std::vector<std::uint64_t> full = monitor.ranked_by_susceptibility();
   for (int trial = 0; trial < 50; ++trial) {
@@ -221,33 +232,56 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
 
 TEST(VmMonitorTest, ForgetDropsHistory) {
   osk::VmMonitor monitor;
-  monitor.record(1, sample(0.5, 2048.0));
+  monitor.admit(1, 0.5, 2048.0);
+  monitor.advance();
   EXPECT_EQ(monitor.tracked_vms(), 1u);
   monitor.forget(1);
+  monitor.record_hit(1);  // ignored: forgotten
   EXPECT_EQ(monitor.tracked_vms(), 0u);
   EXPECT_EQ(monitor.usage(1).samples, 0u);
 }
 
+// One monitoring sample, as the monitor was first written to take them.
+struct Sample {
+  double cpu_utilization{0.0};
+  double memory_mb{0.0};
+  std::uint64_t error_events{0};
+};
+
 // The monitor as it was first written: a deque of samples per VM in an
-// ordered map. Kept as the reference the ring-buffer monitor must match
-// bit for bit.
+// ordered map, one sample per tracked VM per control tick. Kept as the
+// reference the profile-and-hits monitor must match bit for bit.
 class DequeMonitor {
  public:
   explicit DequeMonitor(osk::VmMonitor::Config config) : config_(config) {}
 
-  void record(std::uint64_t vm_id, const osk::VmSample& sample) {
-    auto& history = histories_[vm_id];
-    history.push_back(sample);
-    while (history.size() > config_.window) history.pop_front();
+  void admit(std::uint64_t vm_id, double cpu, double memory_mb) {
+    profiles_[vm_id] = Sample{cpu, memory_mb, 0};
+    histories_[vm_id].clear();
   }
 
-  void forget(std::uint64_t vm_id) { histories_.erase(vm_id); }
+  /// One control tick: every tracked VM records a sample carrying the
+  /// tick's hit count.
+  void tick(const std::map<std::uint64_t, std::uint64_t>& hits) {
+    for (auto& [id, history] : histories_) {
+      Sample sample = profiles_.at(id);
+      const auto hit = hits.find(id);
+      if (hit != hits.end()) sample.error_events = hit->second;
+      history.push_back(sample);
+      while (history.size() > config_.window) history.pop_front();
+    }
+  }
+
+  void forget(std::uint64_t vm_id) {
+    histories_.erase(vm_id);
+    profiles_.erase(vm_id);
+  }
 
   osk::VmUsage usage(std::uint64_t vm_id) const {
     osk::VmUsage usage;
     const auto it = histories_.find(vm_id);
     if (it == histories_.end() || it->second.empty()) return usage;
-    for (const osk::VmSample& sample : it->second) {
+    for (const Sample& sample : it->second) {
       usage.mean_cpu += sample.cpu_utilization;
       usage.peak_cpu = std::max(usage.peak_cpu, sample.cpu_utilization);
       usage.mean_memory_mb += sample.memory_mb;
@@ -302,14 +336,16 @@ class DequeMonitor {
 
  private:
   osk::VmMonitor::Config config_;
-  std::map<std::uint64_t, std::deque<osk::VmSample>> histories_;
+  std::map<std::uint64_t, Sample> profiles_;
+  std::map<std::uint64_t, std::deque<Sample>> histories_;
 };
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-TEST(VmMonitorDifferential, RingMonitorMatchesDequeReference) {
+TEST(VmMonitorDifferential, ProfileMonitorMatchesDequeReference) {
   int forgets = 0;
   int reused = 0;
+  std::uint64_t hits_counted = 0;
   std::map<std::size_t, int> full_windows;
   for (const std::size_t window : {0u, 1u, 2u, 7u, 128u}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -320,35 +356,49 @@ TEST(VmMonitorDifferential, RingMonitorMatchesDequeReference) {
       osk::VmMonitor monitor(config);
       DequeMonitor reference(config);
       Rng rng(seed * 131 + window);
-      // Frequent forgets churn slots; rare ones let 128-entry rings wrap.
+      // Frequent forgets churn ids; rare ones let VMs outlive 128 ticks.
       const double forget_share = seed <= 2 ? 0.06 : 0.005;
+      std::set<std::uint64_t> tracked;
       std::set<std::uint64_t> forgotten;
-      for (int step = 0; step < 4000; ++step) {
-        // A small id pool, so forgotten ids come back and reuse a slot.
-        const std::uint64_t id = 1 + rng.uniform_u64(24);
-        if (rng.bernoulli(forget_share)) {
-          monitor.forget(id);
-          reference.forget(id);
-          forgotten.insert(id);
-          ++forgets;
-          continue;
+      for (int tick = 0; tick < 3000; ++tick) {
+        // Between control ticks: admissions and exits. A small id pool,
+        // so forgotten ids come back.
+        for (std::int64_t op = rng.uniform_int(0, 3); op > 0; --op) {
+          const std::uint64_t id = 1 + rng.uniform_u64(24);
+          if (rng.bernoulli(forget_share)) {
+            monitor.forget(id);
+            reference.forget(id);
+            tracked.erase(id);
+            forgotten.insert(id);
+            ++forgets;
+          } else if (tracked.insert(id).second) {
+            if (forgotten.erase(id) > 0) ++reused;
+            // Fine values exercise summation order; coarse ones make
+            // ties for the rankings.
+            const bool coarse = rng.bernoulli(0.5);
+            const double cpu =
+                coarse ? 0.25 * static_cast<double>(rng.uniform_int(0, 4))
+                       : rng.uniform();
+            const double memory_mb =
+                coarse ? 4096.0 * static_cast<double>(rng.uniform_int(0, 4))
+                       : rng.uniform(0.0, 32768.0);
+            monitor.admit(id, cpu, memory_mb);
+            reference.admit(id, cpu, memory_mb);
+          }
         }
-        if (forgotten.erase(id) > 0) ++reused;
-        // Fine values exercise summation order; coarse ones make ties
-        // for the rankings.
-        const bool coarse = rng.bernoulli(0.5);
-        const osk::VmSample s =
-            coarse ? sample(0.25 * static_cast<double>(rng.uniform_int(0, 4)),
-                            4096.0 * static_cast<double>(rng.uniform_int(0, 4)),
-                            rng.bernoulli(0.05) ? 1u : 0u)
-                   : sample(rng.uniform(), rng.uniform(0.0, 32768.0),
-                            rng.uniform_u64(3));
-        monitor.record(id, s);
-        reference.record(id, s);
-        if (step % 37 != 0) continue;
+        // One control tick, then its hits (some on untracked ids).
+        monitor.advance();
+        std::map<std::uint64_t, std::uint64_t> hits;
+        for (std::int64_t hit = rng.uniform_int(0, 3); hit > 0; --hit) {
+          const std::uint64_t id = 1 + rng.uniform_u64(26);
+          monitor.record_hit(id);
+          if (tracked.contains(id)) ++hits[id];
+        }
+        reference.tick(hits);
+        if (tick % 7 != 0) continue;
 
         ASSERT_EQ(monitor.tracked_vms(), reference.tracked_vms());
-        for (std::uint64_t q = 0; q <= 25; ++q) {
+        for (std::uint64_t q = 0; q <= 27; ++q) {
           const osk::VmUsage got = monitor.usage(q);
           const osk::VmUsage want = reference.usage(q);
           ASSERT_EQ(got.samples, want.samples) << "vm " << q;
@@ -362,12 +412,13 @@ TEST(VmMonitorDifferential, RingMonitorMatchesDequeReference) {
           ASSERT_EQ(bits(monitor.susceptibility(q)),
                     bits(reference.susceptibility(q)))
               << "vm " << q;
+          hits_counted += got.total_errors;
           if (window > 0 && got.samples == window) ++full_windows[window];
         }
         ASSERT_EQ(monitor.ranked_by_susceptibility(),
                   reference.ranked_by_susceptibility());
         std::vector<std::uint64_t> candidates;
-        for (std::uint64_t q = 0; q <= 25; ++q) {
+        for (std::uint64_t q = 0; q <= 27; ++q) {
           if (rng.bernoulli(0.4)) candidates.push_back(q);
         }
         std::shuffle(candidates.begin(), candidates.end(), rng);
@@ -376,10 +427,11 @@ TEST(VmMonitorDifferential, RingMonitorMatchesDequeReference) {
       }
     }
   }
-  // The sequences forget VMs, bring their ids back and fill every
-  // window size.
+  // The sequences forget VMs, bring their ids back, attribute hits and
+  // fill every window size.
   EXPECT_GT(forgets, 500);
   EXPECT_GT(reused, 500);
+  EXPECT_GT(hits_counted, 1000u);
   for (const std::size_t window : {1u, 2u, 7u, 128u}) {
     EXPECT_GT(full_windows[window], 50) << "window " << window;
   }
