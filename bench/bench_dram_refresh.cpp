@@ -6,7 +6,6 @@
 //   - refresh power: ~9% of DIMM power at 2 Gb density, >34% at 32 Gb
 //     (RAIDR projection), and what relaxation saves.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -23,8 +22,13 @@ using namespace uniserver::literals;
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      par::set_default_jobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      const auto jobs = par::parse_jobs(argv[++i]);
+      if (!jobs) {
+        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
+                     par::kMaxJobs);
+        return 2;
+      }
+      par::set_default_jobs(*jobs);
     }
   }
   hw::DimmSpec spec;  // 8 GB DDR3

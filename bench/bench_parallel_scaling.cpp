@@ -5,7 +5,6 @@
 // multi-core hosts. Run with `--jobs N` to add a custom point.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -85,8 +84,13 @@ int main(int argc, char** argv) {
   std::vector<unsigned> jobs{1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs.push_back(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      const auto extra = par::parse_jobs(argv[++i]);
+      if (!extra) {
+        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
+                     par::kMaxJobs);
+        return 2;
+      }
+      jobs.push_back(*extra);
     }
   }
 

@@ -166,8 +166,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--hours") == 0 && i + 1 < argc) {
       options.hours = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs =
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto jobs = par::parse_jobs(argv[++i]);
+      if (!jobs) {
+        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
+                     par::kMaxJobs);
+        return 2;
+      }
+      options.jobs = *jobs;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       options.out = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {

@@ -2,7 +2,6 @@
 // sweep plus the Cloud-vs-Edge per-request economics — the "capital and
 // operational expenses" view of where UniServer deployments pay off.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/parallel.h"
@@ -14,8 +13,13 @@ using namespace uniserver;
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      par::set_default_jobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      const auto jobs = par::parse_jobs(argv[++i]);
+      if (!jobs) {
+        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
+                     par::kMaxJobs);
+        return 2;
+      }
+      par::set_default_jobs(*jobs);
     }
   }
   tco::TcoExplorer explorer;

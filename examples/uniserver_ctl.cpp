@@ -298,8 +298,6 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 
   // Both engines for every policy must make bit-identical decisions;
   // runs are sequential so the telemetry-counter diff is meaningful.
-  fuzz::DifferentialOptions diff_options;
-  diff_options.compare_telemetry = true;
   auto report_differential = [](int index,
                                 const fuzz::DifferentialOutcome& outcome) {
     std::printf("case %2d: %zu policies x 2 engines: %s\n", index,
@@ -324,8 +322,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       return 2;
     }
     if (differential) {
-      const auto outcome = fuzz::run_differential(scenario, events,
-                                                  diff_options);
+      const auto outcome = fuzz::run_differential(scenario, events);
       report_differential(0, outcome);
       return outcome.identical ? 0 : 1;
     }
@@ -349,8 +346,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       scenario.stack_seed = streams[static_cast<std::size_t>(i)].next();
       const auto events = fuzz::generate_scenario(
           scenario, streams[static_cast<std::size_t>(i)]);
-      const auto outcome =
-          fuzz::run_differential(scenario, events, diff_options);
+      const auto outcome = fuzz::run_differential(scenario, events);
       report_differential(i, outcome);
       if (!outcome.identical) ++mismatched;
     }
@@ -433,8 +429,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--jobs requires a worker count\n");
         return 2;
       }
-      par::set_default_jobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      const auto jobs = par::parse_jobs(argv[++i]);
+      if (!jobs) {
+        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
+                     par::kMaxJobs);
+        return 2;
+      }
+      par::set_default_jobs(*jobs);
       continue;
     }
     args.emplace_back(argv[i]);

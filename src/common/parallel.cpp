@@ -180,7 +180,22 @@ unsigned default_jobs() {
   return jobs == 0 ? hardware_jobs() : jobs;
 }
 
+std::optional<unsigned> parse_jobs(const char* text) {
+  if (text == nullptr || *text == '\0') return std::nullopt;
+  unsigned jobs = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return std::nullopt;
+    jobs = jobs * 10 + static_cast<unsigned>(*c - '0');
+    if (jobs > kMaxJobs) return std::nullopt;
+  }
+  return jobs;
+}
+
 void set_default_jobs(unsigned jobs) {
+  if (jobs > kMaxJobs) {
+    throw std::invalid_argument(
+        "par::set_default_jobs: more than par::kMaxJobs workers");
+  }
   if (g_active_regions.load(std::memory_order_acquire) != 0) {
     throw std::logic_error(
         "par::set_default_jobs: a parallel region is active; resize the "

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,9 +35,20 @@ unsigned hardware_jobs();
 /// campaign loops. Starts at `hardware_jobs()`; `--jobs N` sets it.
 unsigned default_jobs();
 
+/// Largest worker count `--jobs` and `set_default_jobs` accept. The
+/// pool spawns `jobs - 1` threads, so the bound keeps a stray value
+/// from asking the OS for thousands of them.
+inline constexpr unsigned kMaxJobs = 256;
+
+/// Parses a `--jobs` value: decimal digits only, at most kMaxJobs (0
+/// means `hardware_jobs()`). Signs, spaces, other text and larger
+/// values give nullopt.
+std::optional<unsigned> parse_jobs(const char* text);
+
 /// Sets the default worker count; 0 means `hardware_jobs()`. The
-/// shared pool is resized on the next parallel call. Calling it while
-/// any parallel region is active throws std::logic_error — set it at
+/// shared pool is resized on the next parallel call. A count above
+/// kMaxJobs throws std::invalid_argument. Calling it while any
+/// parallel region is active throws std::logic_error — set it at
 /// startup or between campaigns, as the CLI and benches do. (The
 /// static analyzer additionally flags shared-state hazards in region
 /// bodies; see docs/STATIC_ANALYSIS.md stage 2.)

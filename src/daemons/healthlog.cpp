@@ -67,8 +67,6 @@ const char* to_string(VectorSource source) {
   return "unknown";
 }
 
-HealthLog::HealthLog(Config config) : config_(config) {}
-
 void HealthLog::record(const InfoVector& vector) {
   metrics().vectors.add();
   if (vectors_.size() < kVectorCapacity) {
@@ -108,7 +106,7 @@ void HealthLog::record_error(const ErrorEvent& event) {
     }
     suffix_minima_.emplace_back(sequence, event.timestamp.value);
   }
-  while (errors_.size() > config_.capacity) {
+  while (errors_.size() > kErrorCapacity) {
     const std::uint64_t evicted = sequence + 1 - errors_.size();
     if (!suffix_minima_.empty() && suffix_minima_.front().first == evicted) {
       suffix_minima_.pop_front();
@@ -120,7 +118,7 @@ void HealthLog::record_error(const ErrorEvent& event) {
 
   if (threshold_exceeded(event.timestamp)) {
     if (event.timestamp.value - last_trigger_.value >=
-        config_.recharacterize_cooldown.value) {
+        kRecharacterizeCooldown.value) {
       last_trigger_ = event.timestamp;
       metrics().triggers.add();
       char rate[32];
@@ -187,10 +185,8 @@ HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
 }
 
 double HealthLog::error_rate_per_s(Seconds now) const {
-  const Seconds window = config_.rate_window;
-  if (window.value <= 0.0) return 0.0;
   if (errors_.empty()) return 0.0;
-  const double cutoff = now.value - window.value;
+  const double cutoff = now.value - kRateWindow.value;
   // The window opens after the newest event stamped before the cutoff.
   // Nothing after that event is earlier, so it is a suffix minimum: the
   // last index entry below the cutoff.
@@ -206,11 +202,11 @@ double HealthLog::error_rate_per_s(Seconds now) const {
              (errors_.front().severity == Severity::kCorrectable ? 1 : 0);
   }
   const std::uint64_t count = correctable_through_.back() - before;
-  return static_cast<double>(count) / window.value;
+  return static_cast<double>(count) / kRateWindow.value;
 }
 
 bool HealthLog::threshold_exceeded(Seconds now) const {
-  return error_rate_per_s(now) > config_.error_rate_threshold_per_s;
+  return error_rate_per_s(now) > kErrorRateThresholdPerS;
 }
 
 }  // namespace uniserver::daemons

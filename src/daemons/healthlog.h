@@ -30,17 +30,15 @@ class HealthLog {
   /// logfile dump do.
   static constexpr std::size_t kVectorCapacity = 64;
 
-  struct Config {
-    /// Error events retained. They feed the rate window, and through
-    /// it the re-characterization trigger and the failure predictor.
-    std::size_t capacity{4096};
-    double error_rate_threshold_per_s{0.05};
-    Seconds rate_window{Seconds{120.0}};
-    /// Minimum spacing between re-characterization triggers. A
-    /// StressLog cycle takes the machine offline (paper SS3.D), so the
-    /// trigger must not fire on every window that stays hot.
-    Seconds recharacterize_cooldown{Seconds{6.0 * 3600.0}};
-  };
+  /// Error events retained. They feed the rate window, and through it
+  /// the re-characterization trigger and the failure predictor.
+  static constexpr std::size_t kErrorCapacity = 4096;
+  static constexpr double kErrorRateThresholdPerS = 0.05;
+  static constexpr Seconds kRateWindow{120.0};
+  /// Minimum spacing between re-characterization triggers. A StressLog
+  /// cycle takes the machine offline (paper §3.D), so the trigger must
+  /// not fire on every window that stays hot.
+  static constexpr Seconds kRecharacterizeCooldown{6.0 * 3600.0};
 
   /// Windowed aggregate returned by the on-demand service.
   struct Aggregate {
@@ -55,9 +53,6 @@ class HealthLog {
 
   using ErrorListener = std::function<void(const ErrorEvent&)>;
   using RecharacterizeListener = std::function<void(Seconds)>;
-
-  HealthLog() : HealthLog(Config{}) {}
-  explicit HealthLog(Config config);
 
   /// Records a periodic monitoring vector.
   void record(const InfoVector& vector);
@@ -87,7 +82,7 @@ class HealthLog {
 
   /// Correctable-error rate over the trailing window ending at `now`:
   /// the correctable events after the newest logged event stamped
-  /// before `now - rate_window` (events need not be time-ordered).
+  /// before `now - kRateWindow` (events need not be time-ordered).
   /// O(log n) in the logfile length.
   double error_rate_per_s(Seconds now) const;
 
@@ -105,7 +100,6 @@ class HealthLog {
     return vectors_[(oldest_vector_ + i) % vectors_.size()];
   }
 
-  Config config_;
   // Ring of at most kVectorCapacity vectors: it grows until full, then
   // each record overwrites the oldest, at oldest_vector_.
   std::vector<InfoVector> vectors_;

@@ -377,8 +377,7 @@ std::string compare_runs(const RunOutcome& indexed,
 }  // namespace
 
 DifferentialOutcome run_differential(const ScenarioConfig& config,
-                                     const std::vector<FuzzEvent>& events,
-                                     const DifferentialOptions& options) {
+                                     const std::vector<FuzzEvent>& events) {
   DifferentialOutcome outcome;
   for (osk::SchedulerPolicy policy : osk::all_scheduler_policies()) {
     DifferentialResult result;
@@ -388,28 +387,18 @@ DifferentialOutcome run_differential(const ScenarioConfig& config,
     run.record_placements = true;
 
     run.engine = osk::SchedulerEngine::kIndexed;
-    auto before = options.compare_telemetry
-                      ? cloud_counter_snapshot()
-                      : std::map<std::string, std::uint64_t>{};
+    auto before = cloud_counter_snapshot();
     result.indexed = run_scenario(config, events, run);
-    const auto indexed_delta =
-        options.compare_telemetry
-            ? counter_delta(before, cloud_counter_snapshot())
-            : std::map<std::string, std::uint64_t>{};
+    const auto indexed_delta = counter_delta(before, cloud_counter_snapshot());
 
     run.engine = osk::SchedulerEngine::kReference;
-    before = options.compare_telemetry
-                 ? cloud_counter_snapshot()
-                 : std::map<std::string, std::uint64_t>{};
+    before = cloud_counter_snapshot();
     result.reference = run_scenario(config, events, run);
     const auto reference_delta =
-        options.compare_telemetry
-            ? counter_delta(before, cloud_counter_snapshot())
-            : std::map<std::string, std::uint64_t>{};
+        counter_delta(before, cloud_counter_snapshot());
 
     result.mismatch = compare_runs(result.indexed, result.reference);
-    if (result.mismatch.empty() && options.compare_telemetry &&
-        indexed_delta != reference_delta) {
+    if (result.mismatch.empty() && indexed_delta != reference_delta) {
       for (const auto& [name, value] : indexed_delta) {
         const auto it = reference_delta.find(name);
         if (it == reference_delta.end() || it->second != value) {

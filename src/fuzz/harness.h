@@ -77,22 +77,16 @@ struct DifferentialOutcome {
   bool identical{true};
 };
 
-struct DifferentialOptions {
-  /// Additionally diff the global `cloud.*` telemetry counter deltas of
-  /// the two runs (excluding the engine-dependent `cloud.sched.*`
-  /// namespace). Counter deltas are only meaningful when nothing else
-  /// in the process touches cloud metrics concurrently, so callers must
-  /// not run differential cases in parallel with this set.
-  bool compare_telemetry{false};
-};
-
 /// Replays one scenario through the indexed and reference engines for
 /// every SchedulerPolicy and compares: placement-decision sequences,
-/// placement digests, end-of-run CloudStats and outcome digests must
-/// all be bit-identical.
+/// placement digests, end-of-run CloudStats, outcome digests and the
+/// global `cloud.*` telemetry counter deltas of the two runs (excluding
+/// the engine-dependent `cloud.sched.*` namespace) must all be
+/// bit-identical. Counter deltas are only meaningful when nothing else
+/// in the process touches cloud metrics concurrently, so never run it
+/// concurrently with other cloud runs.
 DifferentialOutcome run_differential(const ScenarioConfig& config,
-                                     const std::vector<FuzzEvent>& events,
-                                     const DifferentialOptions& options = {});
+                                     const std::vector<FuzzEvent>& events);
 
 /// Greedy ddmin shrink: returns the smallest event subset found that
 /// still violates an invariant, spending at most `max_runs`

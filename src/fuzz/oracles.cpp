@@ -294,7 +294,7 @@ void MigrationEnergyOracle::check(const StackView& view,
   // The cloud's migration energy, accrued per round, must equal the
   // orchestrator's bytes moved at the model's rate — including rounds
   // of still-in-flight or later-cancelled tickets.
-  const double joule_per_mb = view.cloud->config().migration.joule_per_mb;
+  const double joule_per_mb = osk::MigrationModel::kJoulePerMb;
   const double expected_kwh =
       Joule{books.transferred_mb * joule_per_mb}.kwh();
   const double drift = std::fabs(stats.migration_energy_kwh - expected_kwh);

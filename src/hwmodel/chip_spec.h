@@ -52,7 +52,7 @@ struct VariationSpec {
   /// Aging (BTI/HCI-style): undervolt margin lost after one year of
   /// operation; loss grows sublinearly, ~ (age/1y)^aging_exponent.
   /// This is what forces the StressLog's periodic re-characterization
-  /// ("adapt ... to the aging of the system", paper SS3).
+  /// ("adapt ... to the aging of the system", paper §3).
   double aging_loss_at_year{0.015};
   double aging_exponent{0.3};
   /// Environmental term: undervolt margin lost per degree of junction
@@ -62,7 +62,7 @@ struct VariationSpec {
   /// an air-conditioned room gets into trouble in a hot edge closet.
   double temp_margin_per_c{0.0005};
   Celsius characterization_temp{Celsius{55.0}};
-  /// Near-threshold CPU logic SDCs (paper SS4.A: "the Hypervisor can be
+  /// Near-threshold CPU logic SDCs (paper §4.A: "the Hypervisor can be
   /// affected by CPU errors as well"): per-core silent-corruption rate
   /// right at the crash voltage, decaying exponentially per mV of
   /// headroom above it. Unlike cache ECC events these are uncorrected.

@@ -28,7 +28,7 @@ struct NodeSpec {
   /// Core-allocation policy when fewer vCPUs run than cores exist:
   /// activate the strongest cores (deepest margins) first, so the
   /// system crash point at partial load is set by a strong core — the
-  /// per-core heterogeneity exploit of paper SS3.A.
+  /// per-core heterogeneity exploit of paper §3.A.
   bool strong_cores_first{false};
   /// Gaussian noise of the on-board sensors.
   double sensor_power_noise_w{0.2};

@@ -70,7 +70,6 @@ Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
     : node_(node),
       config_(config),
       rng_(seed),
-      healthlog_(config.healthlog),
       domains_(node) {
   reconfigure_domains();
   if (config_.selective_protection) {
@@ -347,7 +346,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
     channel_error_tally_[c] += static_cast<double>(split.uncorrectable);
     // Memory-side isolation: a channel pouring uncorrectable events is
     // pinned back to nominal refresh (the HealthLog-driven "isolating
-    // problematic ... memory resources" of SS4.A).
+    // problematic ... memory resources" of §4.A).
     const double per_hour = channel_error_tally_[c] /
                             std::max(1e-9, stats_.uptime.value) * 3600.0;
     if (per_hour > config_.channel_isolation_threshold_per_hour &&

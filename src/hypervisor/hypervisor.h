@@ -61,12 +61,9 @@ struct HvConfig {
   /// Fraction of CPU time spent in hypervisor context (a CPU SDC lands
   /// in hypervisor state with this probability, in a guest otherwise).
   double hv_cpu_time_share{0.05};
-  /// HealthLog configuration (error-rate threshold, re-characterization
-  /// cooldown, logfile capacity).
-  daemons::HealthLog::Config healthlog{};
   /// Periodic VM checkpointing: a guest killed by an SDC is restored
   /// from its last checkpoint instead of being lost (the "transparently
-  /// mask errors from upper software layers" mechanism of SS4.A).
+  /// mask errors from upper software layers" mechanism of §4.A).
   bool vm_checkpointing{false};
   Seconds checkpoint_interval{Seconds{300.0}};
   /// Runtime overhead of taking checkpoints (fraction of node power).

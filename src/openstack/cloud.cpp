@@ -143,7 +143,7 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
     // Copy traffic is energy on the wire whether or not the ticket
     // eventually commits — both ledgers accrue per round so the
     // energy-balance oracle closes with migrations still in flight.
-    const double kwh = Joule{mb * config_.migration.joule_per_mb}.kwh();
+    const double kwh = Joule{mb * MigrationModel::kJoulePerMb}.kwh();
     stats_.total_energy_kwh += kwh;
     stats_.migration_energy_kwh += kwh;
   };
@@ -408,10 +408,10 @@ void Cloud::tick_nodes(Seconds window) {
       // VM's next dispatches — this is where EOP aggressiveness
       // (more hits, more restores) fattens the latency tail.
       for (std::uint64_t id : report.vms_restored) {
-        serve_->add_stall(id, now_, config_.serve.restore_stall);
+        serve_->add_stall(id, now_, serve::ServeLayer::kRestoreStall);
       }
       for (std::uint64_t id : report.vms_hit) {
-        serve_->add_stall(id, now_, config_.serve.hit_stall);
+        serve_->add_stall(id, now_, serve::ServeLayer::kHitStall);
       }
     }
   }

@@ -132,7 +132,7 @@ class Cloud {
   /// Read-only fleet view for invariant oracles and monitoring.
   std::vector<const ComputeNode*> node_views() const;
   Seconds now() const { return now_; }
-  /// Fine-grained per-VM monitoring (paper SS4.B): usage profiles,
+  /// Fine-grained per-VM monitoring (paper §4.B): usage profiles,
   /// windowed error hits and susceptibility scores, used to order
   /// evacuations most-susceptible-first.
   const VmMonitor& monitor() const { return monitor_; }

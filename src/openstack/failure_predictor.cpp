@@ -7,8 +7,8 @@ namespace uniserver::osk {
 double LogFailurePredictor::decayed(const NodeState& state,
                                     Seconds now) const {
   const double dt = now.value - state.last_update.value;
-  if (dt <= 0.0 || config_.half_life.value <= 0.0) return state.score;
-  return state.score * std::exp2(-dt / config_.half_life.value);
+  if (dt <= 0.0) return state.score;
+  return state.score * std::exp2(-dt / kHalfLife.value);
 }
 
 void LogFailurePredictor::observe(std::size_t slot,
@@ -18,13 +18,13 @@ void LogFailurePredictor::observe(std::size_t slot,
   state.last_update = event.timestamp;
   switch (event.severity) {
     case daemons::Severity::kCorrectable:
-      state.score += config_.weight_correctable;
+      state.score += kWeightCorrectable;
       break;
     case daemons::Severity::kUncorrectable:
-      state.score += config_.weight_uncorrectable;
+      state.score += kWeightUncorrectable;
       break;
     case daemons::Severity::kCrash:
-      state.score += config_.weight_crash;
+      state.score += kWeightCrash;
       break;
   }
 }

@@ -21,13 +21,14 @@ namespace uniserver::osk {
 
 class LogFailurePredictor {
  public:
+  /// Decay time-constant of the pattern score.
+  static constexpr Seconds kHalfLife{1800.0};
+  /// Pattern weights: how alarming each event class is.
+  static constexpr double kWeightCorrectable = 1.0;
+  static constexpr double kWeightUncorrectable = 25.0;
+  static constexpr double kWeightCrash = 200.0;
+
   struct Config {
-    /// Decay time-constant of the pattern score.
-    Seconds half_life{Seconds{1800.0}};
-    /// Pattern weights: how alarming each event class is.
-    double weight_correctable{1.0};
-    double weight_uncorrectable{25.0};
-    double weight_crash{200.0};
     /// Score above which a node is considered failing soon.
     double evacuation_score{30.0};
     /// Score-to-risk conversion scale (risk = 1 - exp(-score/scale)).

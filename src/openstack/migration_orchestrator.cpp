@@ -76,21 +76,14 @@ MigrationOrchestrator::MigrationOrchestrator(const MigrationModel& model,
                                              Callbacks callbacks)
     : model_(model), callbacks_(std::move(callbacks)) {}
 
-int MigrationOrchestrator::slots_per_link() const {
-  const double stream = std::max(1e-6, model_.bandwidth_mb_per_s);
-  return std::max(
-      1, static_cast<int>(model_.link_bandwidth_mb_per_s / stream));
-}
-
 bool MigrationOrchestrator::links_have_capacity(
     const MigrationTicket& t) const {
-  const int slots = slots_per_link();
   const auto busy = [this](int rack) {
     const auto it = busy_slots_.find(rack);
     return it == busy_slots_.end() ? 0 : it->second;
   };
-  if (busy(t.source_rack) >= slots) return false;
-  if (t.source_rack != t.dest_rack && busy(t.dest_rack) >= slots) {
+  if (busy(t.source_rack) >= kSlotsPerLink) return false;
+  if (t.source_rack != t.dest_rack && busy(t.dest_rack) >= kSlotsPerLink) {
     return false;
   }
   return true;
@@ -111,8 +104,8 @@ double MigrationOrchestrator::link_utilization() const {
   int busy = 0;
   for (const auto& [rack, count] : busy_slots_) busy += count;
   const double total = static_cast<double>(busy_slots_.size()) *
-                       static_cast<double>(slots_per_link());
-  return total <= 0.0 ? 0.0 : static_cast<double>(busy) / total;
+                       static_cast<double>(kSlotsPerLink);
+  return static_cast<double>(busy) / total;
 }
 
 bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
@@ -177,8 +170,8 @@ void MigrationOrchestrator::start(MigrationTicket& t, Seconds now) {
   ++stats_.started;
   mig_metrics().started.add();
   mig_metrics().queue_wait_s.record(now.value - t.submitted_at.value);
-  const double bw = std::max(1e-6, model_.bandwidth_mb_per_s);
-  schedule(t, Seconds{now.value + t.copying_mb / bw});
+  schedule(t, Seconds{now.value +
+                      t.copying_mb / MigrationModel::kBandwidthMbPerS});
 }
 
 void MigrationOrchestrator::schedule(MigrationTicket& t, Seconds at) {
@@ -201,7 +194,7 @@ void MigrationOrchestrator::advance(Seconds now) {
 }
 
 void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
-  const double bw = std::max(1e-6, model_.bandwidth_mb_per_s);
+  const double bw = MigrationModel::kBandwidthMbPerS;
   switch (t.phase) {
     case MigrationPhase::kPreCopy: {
       // A pre-copy round finished: the copied bytes hit the wire and
@@ -213,18 +206,18 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
       const double dirty =
           t.copying_mb * std::max(0.0, model_.dirty_rate);
       const double pause = dirty / bw;
-      if (pause <= model_.downtime_target.value) {
+      if (pause <= MigrationModel::kDowntimeTarget.value) {
         // Converged: stop the VM and move the remainder.
         t.phase = MigrationPhase::kStopCopy;
         t.copying_mb = dirty;
         t.downtime = Seconds{pause};
         schedule(t, Seconds{now.value + pause});
-      } else if (t.round >= model_.precopy_rounds) {
+      } else if (t.round >= MigrationModel::kPrecopyRounds) {
         // Rounds exhausted without converging: post-copy fallback.
         // Ownership switches immediately; the dirty remainder drains
         // over the link while the VM already runs on the destination.
         t.post_copy = true;
-        t.downtime = model_.postcopy_switch;
+        t.downtime = MigrationModel::kPostcopySwitch;
         ++stats_.postcopy_fallbacks;
         mig_metrics().postcopy_fallbacks.add();
         drop_reservation(t);
@@ -234,7 +227,7 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
         }
         t.phase = MigrationPhase::kPostCopy;
         t.copying_mb = dirty;
-        schedule(t, Seconds{now.value + model_.postcopy_switch.value +
+        schedule(t, Seconds{now.value + MigrationModel::kPostcopySwitch.value +
                             pause});
       } else {
         t.copying_mb = dirty;

@@ -15,8 +15,8 @@
 // Pre-copy rounds are driven by the dirty-page-rate model in
 // MigrationModel: each round copies the pages the previous round
 // dirtied. Once the projected stop-and-copy pause drops under
-// `downtime_target` the migration cuts over (downtime accounted);
-// when `precopy_rounds` rounds fail to converge it falls back to
+// `kDowntimeTarget` the migration cuts over (downtime accounted);
+// when `kPrecopyRounds` rounds fail to converge it falls back to
 // post-copy (immediate ownership switch, pages pulled over the link
 // while the VM already runs on the destination).
 //
@@ -37,6 +37,7 @@
 // crash resolves identically for any `--jobs`. See docs/MIGRATION.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -133,6 +134,11 @@ class MigrationOrchestrator {
     std::function<void(ComputeNode*)> node_changed;
   };
 
+  /// Concurrent streams one rack link carries.
+  static constexpr int kSlotsPerLink =
+      std::max(1, static_cast<int>(MigrationModel::kLinkBandwidthMbPerS /
+                                   MigrationModel::kBandwidthMbPerS));
+
   MigrationOrchestrator(const MigrationModel& model, Callbacks callbacks);
 
   /// Enqueues a migration and reserves destination capacity. False if
@@ -182,7 +188,6 @@ class MigrationOrchestrator {
     }
   };
 
-  int slots_per_link() const;
   bool links_have_capacity(const MigrationTicket& t) const;
   void occupy_links(const MigrationTicket& t);
   void release_links(const MigrationTicket& t);

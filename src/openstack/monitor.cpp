@@ -11,11 +11,11 @@ void VmMonitor::admit(std::uint64_t vm_id, double cpu_utilization,
 
 void VmMonitor::record_hit(std::uint64_t vm_id) {
   const auto it = tracked_.find(vm_id);
-  if (it == tracked_.end() || config_.window == 0) return;
+  if (it == tracked_.end()) return;
   // Hits that have left the window never count again.
   std::vector<std::uint64_t>& hits = it->second.hits;
   const auto live = std::find_if(hits.begin(), hits.end(), [&](auto at) {
-    return at + config_.window > tick_;
+    return at + kWindow > tick_;
   });
   hits.erase(hits.begin(), live);
   hits.push_back(tick_);
@@ -29,7 +29,7 @@ VmUsage VmMonitor::usage(std::uint64_t vm_id) const {
   if (it == tracked_.end()) return usage;
   const Tracked& vm = it->second;
   usage.samples = static_cast<std::size_t>(
-      std::min<std::uint64_t>(tick_ - vm.admitted_at, config_.window));
+      std::min<std::uint64_t>(tick_ - vm.admitted_at, kWindow));
   if (usage.samples == 0) return usage;
   // One sample per tick, all equal to the profile. Summed one by one
   // from 0.0, as a per-sample window would sum them, so the means (and
@@ -56,13 +56,12 @@ double VmMonitor::susceptibility(std::uint64_t vm_id) const {
   // A fault lands in a VM roughly in proportion to its resident memory;
   // activity raises the odds the corruption is consumed; a history of
   // absorbed errors marks placement on fragile resources.
-  const double memory_term =
-      std::min(1.0, u.mean_memory_mb / config_.memory_scale_mb);
+  const double memory_term = std::min(1.0, u.mean_memory_mb / kMemoryScaleMb);
   const double cpu_term = std::min(1.0, u.mean_cpu);
   const double error_term =
-      std::min(1.0, static_cast<double>(u.total_errors) / config_.error_scale);
-  return config_.weight_memory * memory_term + config_.weight_cpu * cpu_term +
-         config_.weight_errors * error_term;
+      std::min(1.0, static_cast<double>(u.total_errors) / kErrorScale);
+  return kWeightMemory * memory_term + kWeightCpu * cpu_term +
+         kWeightErrors * error_term;
 }
 
 std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility() const {

@@ -44,21 +44,16 @@ struct VmUsage {
 
 class VmMonitor {
  public:
-  struct Config {
-    /// Control ticks of history per VM (sliding window).
-    std::size_t window{128};
-    /// Susceptibility weights (memory exposure, activity, history).
-    double weight_memory{0.5};
-    double weight_cpu{0.2};
-    double weight_errors{0.3};
-    /// Memory that saturates the memory-exposure term.
-    double memory_scale_mb{16384.0};
-    /// Error count that saturates the history term.
-    double error_scale{5.0};
-  };
-
-  VmMonitor() : VmMonitor(Config{}) {}
-  explicit VmMonitor(Config config) : config_(config) {}
+  /// Control ticks of history per VM (sliding window).
+  static constexpr std::size_t kWindow = 128;
+  /// Susceptibility weights (memory exposure, activity, history).
+  static constexpr double kWeightMemory = 0.5;
+  static constexpr double kWeightCpu = 0.2;
+  static constexpr double kWeightErrors = 0.3;
+  /// Memory that saturates the memory-exposure term.
+  static constexpr double kMemoryScaleMb = 16384.0;
+  /// Error count that saturates the history term.
+  static constexpr double kErrorScale = 5.0;
 
   /// Starts tracking a VM with its fixed usage profile. Its first
   /// sample is the next advance(). Re-admitting a tracked id starts its
@@ -106,7 +101,6 @@ class VmMonitor {
     std::vector<std::uint64_t> hits;
   };
 
-  Config config_;
   std::uint64_t tick_{0};
   // Nothing iterates tracked_ in an order that reaches an output: the
   // full ranking sorts by a total order.

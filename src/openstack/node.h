@@ -81,7 +81,7 @@ class ComputeNode {
   bool has_margins() const { return has_margins_; }
   const daemons::SafeMargins& margins() const { return margins_; }
 
-  /// SLA-aware EOP control (paper SS2: EOP optimization "is guided by
+  /// SLA-aware EOP control (paper §2: EOP optimization "is guided by
   /// the system requirements of the end-user for each VM"): while a
   /// critical VM is resident the node backs its undervolt off by
   /// `backoff_percent`; otherwise it runs the full characterized depth.

@@ -139,16 +139,15 @@ std::uint64_t ServeLayer::service_of(std::uint64_t vm_id) const {
 
 void ServeLayer::on_vm_placed(const trace::VmRequest& request,
                               const hw::ServerNode* node) {
-  Replica replica{request, node,
-                  VcpuQueue(request.vcpus, config_.queue_cap)};
+  on_vm_removed(request.id);
+  Replica replica{request, node, VcpuQueue(request.vcpus, kQueueCap)};
   Replica* placed =
-      &replicas_.insert_or_assign(request.id, std::move(replica))
-           .first->second;
+      &replicas_.emplace(request.id, std::move(replica)).first->second;
   auto& members = services_[service_of(request.id)];
   const auto pos = std::lower_bound(
       members.begin(), members.end(), request.id,
       [](const Replica* r, std::uint64_t id) { return r->request.id < id; });
-  if (pos == members.end() || *pos != placed) members.insert(pos, placed);
+  members.insert(pos, placed);
 }
 
 void ServeLayer::on_vm_moved(std::uint64_t vm_id,
@@ -204,7 +203,7 @@ double ServeLayer::speed_factor(const Replica& replica) const {
           ? spec.dimm.nominal_refresh.value / eop.refresh.value
           : 1.0;
   const double mem_term =
-      1.0 + config_.refresh_overhead_nominal * (refresh_ratio - 1.0);
+      1.0 + kRefreshOverheadNominal * (refresh_ratio - 1.0);
   const double denom =
       (1.0 - mem) / std::max(0.05, f) + mem * std::max(0.1, mem_term);
   return 1.0 / std::max(1e-9, denom);
@@ -246,8 +245,7 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
     return;
   }
   Replica& replica = *chosen;
-  const double demand =
-      rng_.exponential(1.0 / std::max(1e-9, config_.mean_service.value));
+  const double demand = rng_.exponential(1.0 / kMeanService.value);
   const Seconds service_time{demand / speed_factor(replica)};
   const VcpuQueue::Offer offer = replica.queue.offer(arrival, service_time);
   if (!offer.admitted) {
@@ -266,10 +264,10 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
     case trace::SlaClass::kBestEffort:
       return;  // no latency SLO
     case trace::SlaClass::kStandard:
-      slo = config_.slo_standard;
+      slo = kSloStandard;
       break;
     case trace::SlaClass::kCritical:
-      slo = config_.slo_critical;
+      slo = kSloCritical;
       break;
   }
   if (latency_s > slo.value) {
@@ -320,7 +318,7 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
   // Open-loop Poisson per service, thinned against the diurnal shape.
   // Services iterate in ascending id so the Rng consumption order is a
   // pure function of state (the determinism contract).
-  const double peak = std::max(config_.diurnal.peak_factor, 1e-9);
+  const double peak = kDiurnal.peak_factor;
   for (const auto& [service, members] : services_) {
     double vcpus = 0.0;
     for (const Replica* replica : members) {
@@ -333,7 +331,7 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       t += rng_.exponential(rate * peak);
       if (t >= window_end.value) break;
       const double factor =
-          trace::diurnal_factor(config_.diurnal, Seconds{t});
+          trace::diurnal_factor(kDiurnal, Seconds{t});
       if (rng_.uniform() * peak <= factor) dispatch(members, Seconds{t});
     }
   }

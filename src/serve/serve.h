@@ -41,26 +41,9 @@ struct ServeConfig {
   std::uint64_t seed{0x5E12F00DULL};
   /// Open-loop request rate per vCPU at diurnal factor 1.0.
   double requests_per_vcpu_hz{0.4};
-  /// Mean service demand at the nominal operating point (exponential).
-  Seconds mean_service{Seconds{0.05}};
   /// VMs hash into this many replicated services (`vm_id % groups`);
   /// <= 1 gives every VM its own single-replica service.
   int replica_groups{8};
-  /// Per-VM outstanding-request cap; arrivals beyond it are shed.
-  std::size_t queue_cap{512};
-  /// Latency SLO per SLA class (best-effort carries no SLO).
-  Seconds slo_standard{Seconds{0.5}};
-  Seconds slo_critical{Seconds{0.25}};
-  /// Dispatch pause while a VM is restored from its checkpoint.
-  Seconds restore_stall{Seconds{8.0}};
-  /// Dispatch glitch when a VM absorbs a survivable SDC.
-  Seconds hit_stall{Seconds{1.0}};
-  /// Memory-stall share of service time at nominal refresh for a fully
-  /// memory-bound workload; scales with the VM's mem_intensity and
-  /// with the refresh interval (shorter refresh steals bandwidth).
-  double refresh_overhead_nominal{0.08};
-  /// Day shape of the request rate (only the factor fields are read).
-  trace::DiurnalConfig diurnal{};
 };
 
 /// Cumulative serving books. Conservation (checked by the fuzz oracle):
@@ -152,9 +135,30 @@ class ReplicaBalancer {
 /// are still published for observability).
 class ServeLayer {
  public:
+  /// Mean service demand at the nominal operating point (exponential).
+  static constexpr Seconds kMeanService{0.05};
+  /// Per-VM outstanding-request cap; arrivals beyond it are shed.
+  static constexpr std::size_t kQueueCap = 512;
+  /// Latency SLO per SLA class (best-effort carries no SLO).
+  static constexpr Seconds kSloStandard{0.5};
+  static constexpr Seconds kSloCritical{0.25};
+  /// Dispatch pause while a VM is restored from its checkpoint.
+  static constexpr Seconds kRestoreStall{8.0};
+  /// Dispatch glitch when a VM absorbs a survivable SDC.
+  static constexpr Seconds kHitStall{1.0};
+  /// Memory-stall share of service time at nominal refresh for a fully
+  /// memory-bound workload; scales with the VM's mem_intensity and
+  /// with the refresh interval (shorter refresh steals bandwidth).
+  static constexpr double kRefreshOverheadNominal = 0.08;
+  /// Day shape of the request rate (only the factor fields are read).
+  static constexpr trace::DiurnalConfig kDiurnal{};
+
   explicit ServeLayer(const ServeConfig& config);
 
   // -- placement lifecycle (wired from openstack/cloud.cpp) -----------
+  /// Adds a replica with an empty queue. Placing an id that is already
+  /// live replaces it: the old queue's outstanding requests are
+  /// orphaned and counted in dropped_lost, as on removal.
   void on_vm_placed(const trace::VmRequest& request,
                     const hw::ServerNode* node);
   void on_vm_moved(std::uint64_t vm_id, const hw::ServerNode* node);

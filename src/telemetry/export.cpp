@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/csv.h"
+
 namespace uniserver::telemetry {
 
 namespace {
@@ -52,12 +54,6 @@ std::string json_number(double v) {
   }
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
-std::string format_double(double v, int precision) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.*g", precision, v);
   return buf;
 }
 
@@ -118,49 +114,6 @@ std::string to_json(const MetricsRegistry& registry,
 
   out << "\n}\n";
   return out.str();
-}
-
-CsvWriter metrics_csv(const MetricsRegistry& registry) {
-  // New histogram columns are appended after the original nine so
-  // column-index consumers of older snapshots keep working.
-  CsvWriter csv({"metric", "type", "unit", "value", "count", "sum", "p50",
-                 "p95", "p99", "p999", "underflow", "overflow", "min",
-                 "max"});
-  for (const MetricSample& sample : registry.snapshot()) {
-    if (sample.meta.type == MetricType::kHistogram) {
-      csv.add_row({sample.meta.name, to_string(sample.meta.type),
-                   sample.meta.unit, format_double(sample.value, 10),
-                   std::to_string(sample.count),
-                   format_double(sample.sum, 10),
-                   format_double(sample.p50, 10),
-                   format_double(sample.p95, 10),
-                   format_double(sample.p99, 10),
-                   format_double(sample.p999, 10),
-                   std::to_string(sample.underflow),
-                   std::to_string(sample.overflow),
-                   format_double(sample.min, 10),
-                   format_double(sample.max, 10)});
-    } else {
-      csv.add_row({sample.meta.name, to_string(sample.meta.type),
-                   sample.meta.unit, format_double(sample.value, 10), "", "",
-                   "", "", "", "", "", "", "", ""});
-    }
-  }
-  return csv;
-}
-
-CsvWriter trace_csv(const TraceBuffer& tracer) {
-  CsvWriter csv({"sim_time_s", "component", "name", "tags"});
-  for (const TraceEvent& event : tracer.snapshot()) {
-    std::string tags;
-    for (std::size_t i = 0; i < event.tags.size(); ++i) {
-      if (i > 0) tags += ";";
-      tags += event.tags[i].first + "=" + event.tags[i].second;
-    }
-    csv.add_row({format_double(event.sim_time.value, 10), event.component,
-                 event.name, tags});
-  }
-  return csv;
 }
 
 bool write_json_snapshot(const std::string& path,

@@ -1,14 +1,14 @@
 // Exporters: one telemetry snapshot, machine-readable.
 //
 // JSON for dashboards/jq (`uniserver_ctl --telemetry-out snap.json`),
-// CSV (via common/csv) for the plot pipelines the bench harnesses
-// already feed. The JSON shape is documented in docs/OBSERVABILITY.md.
+// and a CSV series writer (via common/csv) for the plot pipelines the
+// bench harnesses feed. The JSON shape is documented in
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/csv.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -19,15 +19,6 @@ namespace uniserver::telemetry {
 /// ring's events oldest-first.
 std::string to_json(const MetricsRegistry& registry,
                     const TraceBuffer* tracer = nullptr);
-
-/// Metric snapshot as CSV rows:
-/// metric,type,unit,value,count,sum,p50,p95,p99 (histogram-only cells
-/// empty for counters/gauges).
-CsvWriter metrics_csv(const MetricsRegistry& registry);
-
-/// Trace ring as CSV rows: sim_time_s,component,name,tags
-/// (tags joined as "k=v;k=v").
-CsvWriter trace_csv(const TraceBuffer& tracer);
 
 /// Writes to_json() to `path`; returns false on I/O failure.
 bool write_json_snapshot(const std::string& path,

@@ -26,40 +26,40 @@ TEST(LogFailurePredictor, UnknownNodeHasZeroRisk) {
 }
 
 TEST(LogFailurePredictor, SeverityWeighting) {
-  LogFailurePredictor::Config config;
-  LogFailurePredictor predictor(config);
+  LogFailurePredictor predictor;
   predictor.resize(3);
   predictor.observe(0, event_at(0.0, daemons::Severity::kCorrectable));
   predictor.observe(1, event_at(0.0, daemons::Severity::kUncorrectable));
   predictor.observe(2, event_at(0.0, daemons::Severity::kCrash));
-  EXPECT_NEAR(predictor.score(0, Seconds{0.0}), config.weight_correctable,
-              1e-9);
-  EXPECT_NEAR(predictor.score(1, Seconds{0.0}), config.weight_uncorrectable,
-              1e-9);
-  EXPECT_NEAR(predictor.score(2, Seconds{0.0}), config.weight_crash, 1e-9);
+  EXPECT_NEAR(predictor.score(0, Seconds{0.0}),
+              LogFailurePredictor::kWeightCorrectable, 1e-9);
+  EXPECT_NEAR(predictor.score(1, Seconds{0.0}),
+              LogFailurePredictor::kWeightUncorrectable, 1e-9);
+  EXPECT_NEAR(predictor.score(2, Seconds{0.0}),
+              LogFailurePredictor::kWeightCrash, 1e-9);
 }
 
 TEST(LogFailurePredictor, ScoreDecaysWithHalfLife) {
-  LogFailurePredictor::Config config;
-  config.half_life = Seconds{100.0};
-  LogFailurePredictor predictor(config);
+  const double half_life = LogFailurePredictor::kHalfLife.value;
+  LogFailurePredictor predictor;
   predictor.resize(3);
   predictor.observe(0, event_at(0.0, daemons::Severity::kCrash));
   const double initial = predictor.score(0, Seconds{0.0});
-  EXPECT_NEAR(predictor.score(0, Seconds{100.0}), initial / 2.0, 1e-9);
-  EXPECT_NEAR(predictor.score(0, Seconds{300.0}), initial / 8.0, 1e-9);
+  EXPECT_NEAR(predictor.score(0, Seconds{half_life}), initial / 2.0, 1e-9);
+  EXPECT_NEAR(predictor.score(0, Seconds{3.0 * half_life}), initial / 8.0,
+              1e-9);
 }
 
 TEST(LogFailurePredictor, AccumulatesAcrossEvents) {
-  LogFailurePredictor::Config config;
-  config.half_life = Seconds{1e9};  // effectively no decay
-  LogFailurePredictor predictor(config);
+  // Every event shares one stamp and the query is at that stamp, so
+  // nothing decays.
+  LogFailurePredictor predictor;
   predictor.resize(3);
   for (int i = 0; i < 10; ++i) {
-    predictor.observe(0, event_at(i, daemons::Severity::kUncorrectable));
+    predictor.observe(0, event_at(10.0, daemons::Severity::kUncorrectable));
   }
-  EXPECT_NEAR(predictor.score(0, Seconds{10.0}),
-              10.0 * config.weight_uncorrectable, 1e-6);
+  EXPECT_DOUBLE_EQ(predictor.score(0, Seconds{10.0}),
+                   10.0 * LogFailurePredictor::kWeightUncorrectable);
 }
 
 TEST(LogFailurePredictor, EvacuationThreshold) {

@@ -40,10 +40,10 @@ TEST(HealthLog, LatestOnEmptyIsDefault) {
 
 TEST(HealthLog, EachLogIsBoundedByItsOwnCapacity) {
   constexpr std::size_t kRing = HealthLog::kVectorCapacity;
-  constexpr int kRecords = static_cast<int>(3 * kRing);
-  HealthLog::Config config;
-  config.capacity = 10;
-  HealthLog log(config);
+  constexpr std::size_t kCap = HealthLog::kErrorCapacity;
+  constexpr int kRecords = static_cast<int>(kCap + 10);
+  static_assert(kCap > 3 * kRing);
+  HealthLog log;
   for (int i = 0; i < kRecords; ++i) {
     InfoVector v;
     v.timestamp = Seconds{static_cast<double>(i)};
@@ -59,9 +59,9 @@ TEST(HealthLog, EachLogIsBoundedByItsOwnCapacity) {
     }
     ASSERT_EQ(log.latest().timestamp.value, static_cast<double>(i));
   }
-  EXPECT_EQ(log.errors().size(), 10u);
+  EXPECT_EQ(log.errors().size(), kCap);
   EXPECT_EQ(log.errors().front().timestamp.value,
-            static_cast<double>(kRecords - 10));
+            static_cast<double>(kRecords) - static_cast<double>(kCap));
   EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, kRing);
   // Totals keep counting past both bounds.
   EXPECT_EQ(log.total_correctable(), static_cast<std::uint64_t>(kRecords));
@@ -111,39 +111,50 @@ TEST(HealthLog, OnDemandAggregateFiltersByTime) {
 }
 
 TEST(HealthLog, ErrorRateUsesTrailingWindow) {
-  HealthLog::Config config;
-  config.rate_window = Seconds{10.0};
-  HealthLog log(config);
+  static_assert(HealthLog::kRateWindow.value == 120.0);
+  HealthLog log;
   for (int i = 0; i < 5; ++i) log.record_error(correctable_at(1.0 + i));
-  EXPECT_NEAR(log.error_rate_per_s(Seconds{6.0}), 0.5, 1e-9);
+  EXPECT_DOUBLE_EQ(log.error_rate_per_s(Seconds{6.0}), 5.0 / 120.0);
+  // At 125 s the window opens at 5 s: only the event stamped 5 s is
+  // still inside it.
+  EXPECT_DOUBLE_EQ(log.error_rate_per_s(Seconds{125.0}), 1.0 / 120.0);
   // Much later, the events left the window.
-  EXPECT_NEAR(log.error_rate_per_s(Seconds{100.0}), 0.0, 1e-9);
+  EXPECT_DOUBLE_EQ(log.error_rate_per_s(Seconds{1000.0}), 0.0);
 }
 
 TEST(HealthLog, ThresholdTriggersRecharacterizeOnce) {
-  HealthLog::Config config;
-  config.error_rate_threshold_per_s = 0.2;
-  config.rate_window = Seconds{10.0};
-  config.recharacterize_cooldown = Seconds{20.0};
-  HealthLog log(config);
-  int triggers = 0;
-  log.subscribe_recharacterize([&triggers](Seconds) { ++triggers; });
-  // 5 errors in 2 seconds: rate 0.5 > 0.2 -> one trigger (debounced).
-  for (int i = 0; i < 5; ++i) {
-    log.record_error(correctable_at(1.0 + 0.4 * i));
+  static_assert(HealthLog::kErrorRateThresholdPerS == 0.05);
+  static_assert(HealthLog::kRecharacterizeCooldown.value == 6.0 * 3600.0);
+  HealthLog log;
+  std::vector<double> triggers;
+  log.subscribe_recharacterize(
+      [&triggers](Seconds at) { triggers.push_back(at.value); });
+  // Six events in the 120 s window are 0.05/s, at the threshold; the
+  // seventh crosses it and triggers once (debounced).
+  for (int i = 0; i < 6; ++i) {
+    log.record_error(correctable_at(1.0 + 0.5 * i));
   }
-  EXPECT_EQ(triggers, 1);
-  // A burst a full window later re-triggers.
-  for (int i = 0; i < 5; ++i) {
-    log.record_error(correctable_at(30.0 + 0.4 * i));
+  EXPECT_FALSE(log.threshold_exceeded(Seconds{3.5}));
+  EXPECT_TRUE(triggers.empty());
+  for (int i = 6; i < 10; ++i) {
+    log.record_error(correctable_at(1.0 + 0.5 * i));
   }
-  EXPECT_EQ(triggers, 2);
+  ASSERT_EQ(triggers.size(), 1u);
+  EXPECT_EQ(triggers[0], 4.0);
+  // A hot window that ends just inside the cooldown stays quiet...
+  const double reopen =
+      triggers[0] + HealthLog::kRecharacterizeCooldown.value;
+  for (int i = 10; i > 0; --i) log.record_error(correctable_at(reopen - i));
+  EXPECT_TRUE(log.threshold_exceeded(Seconds{reopen - 1.0}));
+  EXPECT_EQ(triggers.size(), 1u);
+  // ...and the first hot event once the cooldown has passed re-triggers.
+  log.record_error(correctable_at(reopen));
+  ASSERT_EQ(triggers.size(), 2u);
+  EXPECT_EQ(triggers[1], reopen);
 }
 
 TEST(HealthLog, UncorrectableDoesNotCountTowardCorrectableRate) {
-  HealthLog::Config config;
-  config.rate_window = Seconds{10.0};
-  HealthLog log(config);
+  HealthLog log;
   for (int i = 0; i < 5; ++i) {
     log.record_error(ErrorEvent{Seconds{1.0 + i}, Component::kDram,
                                 Severity::kUncorrectable, 0});
@@ -151,40 +162,56 @@ TEST(HealthLog, UncorrectableDoesNotCountTowardCorrectableRate) {
   EXPECT_DOUBLE_EQ(log.error_rate_per_s(Seconds{6.0}), 0.0);
 }
 
+struct ScanResult {
+  double rate{0.0};
+  bool whole_log{true};  // no retained event is stamped before the cutoff
+};
+
 // The windowed count as a reverse scan over the logfile: walk back from
 // the newest event and stop at the first one stamped before the cutoff.
-double reverse_scan_rate(const HealthLog& log, double now, double window) {
-  if (window <= 0.0) return 0.0;
+ScanResult reverse_scan_rate(const HealthLog& log, double now) {
+  const double window = HealthLog::kRateWindow.value;
   const double cutoff = now - window;
+  ScanResult result;
   std::size_t count = 0;
   for (auto it = log.errors().rbegin(); it != log.errors().rend(); ++it) {
-    if (it->timestamp.value < cutoff) break;
+    if (it->timestamp.value < cutoff) {
+      result.whole_log = false;
+      break;
+    }
     if (it->severity == Severity::kCorrectable) ++count;
   }
-  return static_cast<double>(count) / window;
+  result.rate = static_cast<double>(count) / window;
+  return result;
 }
 
 TEST(HealthLog, WindowedRateMatchesReverseScan) {
-  // Out-of-order and repeated stamps, a logfile short enough to evict,
-  // daemon restarts, and the odd NaN stamp (never ends the window).
+  // Out-of-order and repeated stamps, a logfile that fills past its
+  // cap, a daemon restart, and the odd NaN stamp (never ends the
+  // window). Steps are scaled to the 120 s window.
+  constexpr std::size_t kCap = HealthLog::kErrorCapacity;
+  constexpr int kRestartAt = static_cast<int>(kCap) + 200;
+  constexpr int kSteps = kRestartAt + 1000;
+  const double window = HealthLog::kRateWindow.value;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     Rng rng(seed);
-    HealthLog::Config config;
-    config.capacity = 1 + rng.uniform_u64(48);
-    config.rate_window = Seconds{rng.uniform(1.0, 20.0)};
-    config.recharacterize_cooldown = Seconds{0.0};
-    HealthLog log(config);
+    HealthLog log;
     double clock = 0.0;
-    for (int step = 0; step < 3000; ++step) {
-      const double u = rng.uniform();
-      if (u < 0.002) {
+    std::size_t logged = 0;  // events since the last restart
+    bool evicted = false;
+    int whole_log = 0;  // queries whose window holds every event
+    int part_log = 0;   // queries whose window opens inside the log
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kRestartAt) {
         log.clear();
+        logged = 0;
         continue;
       }
+      const double u = rng.uniform();
       if (u < 0.6) {
-        clock += rng.uniform(0.0, 2.0);  // forward in time
+        clock += rng.uniform(0.0, 12.0);  // forward in time
       } else if (u < 0.8) {
-        clock -= rng.uniform(0.0, 15.0);  // a late, out-of-order event
+        clock -= rng.uniform(0.0, 30.0);  // a late, out-of-order event
       }  // otherwise: same stamp as the previous event
       double stamp = std::round(clock * 4.0) / 4.0;
       if (rng.bernoulli(0.01)) stamp = std::numeric_limits<double>::quiet_NaN();
@@ -194,13 +221,20 @@ TEST(HealthLog, WindowedRateMatchesReverseScan) {
                                              : Severity::kCrash;
       log.record_error(ErrorEvent{Seconds{stamp}, Component::kDram,
                                   severity, 0});
+      ++logged;
+      ASSERT_EQ(log.errors().size(), std::min(logged, kCap));
+      evicted = evicted || logged > kCap;
       for (int q = 0; q < 4; ++q) {
-        const double now = clock + rng.uniform(-25.0, 25.0);
-        ASSERT_EQ(log.error_rate_per_s(Seconds{now}),
-                  reverse_scan_rate(log, now, config.rate_window.value))
+        const double now = clock + rng.uniform(-1.5 * window, 1.5 * window);
+        const ScanResult scan = reverse_scan_rate(log, now);
+        ASSERT_EQ(log.error_rate_per_s(Seconds{now}), scan.rate)
             << "seed " << seed << " step " << step << " now " << now;
+        ++(scan.whole_log ? whole_log : part_log);
       }
     }
+    EXPECT_TRUE(evicted) << "seed " << seed;
+    EXPECT_GT(whole_log, 0) << "seed " << seed;
+    EXPECT_GT(part_log, 0) << "seed " << seed;
   }
 }
 

@@ -124,7 +124,7 @@ TEST(CloudMonitorIntegration, OneSamplePerControlTickThroughSdcHits) {
     requests.push_back(request);
   }
 
-  const std::size_t window = osk::VmMonitor::Config{}.window;
+  const std::size_t window = osk::VmMonitor::kWindow;
   std::map<std::uint64_t, int> arrived_at_tick;
   std::uint64_t max_hits = 0;
   int full_windows = 0;

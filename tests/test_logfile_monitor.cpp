@@ -162,16 +162,16 @@ TEST(VmMonitorTest, UnknownVmIsZero) {
 }
 
 TEST(VmMonitorTest, WindowBoundsHistory) {
-  osk::VmMonitor::Config config;
-  config.window = 4;
-  osk::VmMonitor monitor(config);
+  constexpr std::size_t kWindow = osk::VmMonitor::kWindow;
+  osk::VmMonitor monitor;
   monitor.admit(1, 1.0, 1000.0);
-  for (int i = 0; i < 20; ++i) {
+  for (std::size_t i = 0; i < kWindow + 20; ++i) {
     monitor.advance();
     monitor.record_hit(1);
+    EXPECT_EQ(monitor.usage(1).samples, std::min(i + 1, kWindow));
   }
-  EXPECT_EQ(monitor.usage(1).samples, 4u);
-  EXPECT_EQ(monitor.usage(1).total_errors, 4u);
+  EXPECT_EQ(monitor.usage(1).samples, kWindow);
+  EXPECT_EQ(monitor.usage(1).total_errors, kWindow);
 }
 
 TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
@@ -196,9 +196,7 @@ TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
 
 TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
   Rng rng(23);
-  osk::VmMonitor::Config config;
-  config.window = 8;
-  osk::VmMonitor monitor(config);
+  osk::VmMonitor monitor;
   // Coarse profiles so many VMs tie on susceptibility (ties go to the
   // lower id in both rankings).
   for (int i = 0; i < 2000; ++i) {
@@ -253,8 +251,6 @@ struct Sample {
 // reference the profile-and-hits monitor must match bit for bit.
 class DequeMonitor {
  public:
-  explicit DequeMonitor(osk::VmMonitor::Config config) : config_(config) {}
-
   void admit(std::uint64_t vm_id, double cpu, double memory_mb) {
     profiles_[vm_id] = Sample{cpu, memory_mb, 0};
     histories_[vm_id].clear();
@@ -268,7 +264,7 @@ class DequeMonitor {
       const auto hit = hits.find(id);
       if (hit != hits.end()) sample.error_events = hit->second;
       history.push_back(sample);
-      while (history.size() > config_.window) history.pop_front();
+      while (history.size() > osk::VmMonitor::kWindow) history.pop_front();
     }
   }
 
@@ -298,13 +294,14 @@ class DequeMonitor {
   double susceptibility(std::uint64_t vm_id) const {
     const osk::VmUsage u = usage(vm_id);
     if (u.samples == 0) return 0.0;
+    using M = osk::VmMonitor;
     const double memory_term =
-        std::min(1.0, u.mean_memory_mb / config_.memory_scale_mb);
+        std::min(1.0, u.mean_memory_mb / M::kMemoryScaleMb);
     const double cpu_term = std::min(1.0, u.mean_cpu);
-    const double error_term = std::min(
-        1.0, static_cast<double>(u.total_errors) / config_.error_scale);
-    return config_.weight_memory * memory_term +
-           config_.weight_cpu * cpu_term + config_.weight_errors * error_term;
+    const double error_term =
+        std::min(1.0, static_cast<double>(u.total_errors) / M::kErrorScale);
+    return M::kWeightMemory * memory_term + M::kWeightCpu * cpu_term +
+           M::kWeightErrors * error_term;
   }
 
   std::vector<std::uint64_t> ranked_by_susceptibility() const {
@@ -335,7 +332,6 @@ class DequeMonitor {
   std::size_t tracked_vms() const { return histories_.size(); }
 
  private:
-  osk::VmMonitor::Config config_;
   std::map<std::uint64_t, Sample> profiles_;
   std::map<std::uint64_t, std::deque<Sample>> histories_;
 };
@@ -343,98 +339,93 @@ class DequeMonitor {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(VmMonitorDifferential, ProfileMonitorMatchesDequeReference) {
+  constexpr std::size_t kWindow = osk::VmMonitor::kWindow;
   int forgets = 0;
   int reused = 0;
   std::uint64_t hits_counted = 0;
-  std::map<std::size_t, int> full_windows;
-  for (const std::size_t window : {0u, 1u, 2u, 7u, 128u}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
-                   std::to_string(seed));
-      osk::VmMonitor::Config config;
-      config.window = window;
-      osk::VmMonitor monitor(config);
-      DequeMonitor reference(config);
-      Rng rng(seed * 131 + window);
-      // Frequent forgets churn ids; rare ones let VMs outlive 128 ticks.
-      const double forget_share = seed <= 2 ? 0.06 : 0.005;
-      std::set<std::uint64_t> tracked;
-      std::set<std::uint64_t> forgotten;
-      for (int tick = 0; tick < 3000; ++tick) {
-        // Between control ticks: admissions and exits. A small id pool,
-        // so forgotten ids come back.
-        for (std::int64_t op = rng.uniform_int(0, 3); op > 0; --op) {
-          const std::uint64_t id = 1 + rng.uniform_u64(24);
-          if (rng.bernoulli(forget_share)) {
-            monitor.forget(id);
-            reference.forget(id);
-            tracked.erase(id);
-            forgotten.insert(id);
-            ++forgets;
-          } else if (tracked.insert(id).second) {
-            if (forgotten.erase(id) > 0) ++reused;
-            // Fine values exercise summation order; coarse ones make
-            // ties for the rankings.
-            const bool coarse = rng.bernoulli(0.5);
-            const double cpu =
-                coarse ? 0.25 * static_cast<double>(rng.uniform_int(0, 4))
-                       : rng.uniform();
-            const double memory_mb =
-                coarse ? 4096.0 * static_cast<double>(rng.uniform_int(0, 4))
-                       : rng.uniform(0.0, 32768.0);
-            monitor.admit(id, cpu, memory_mb);
-            reference.admit(id, cpu, memory_mb);
-          }
+  int full_windows = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    osk::VmMonitor monitor;
+    DequeMonitor reference;
+    Rng rng(seed * 131 + kWindow);
+    // Frequent forgets churn ids; rare ones let VMs outlive the
+    // 128-tick window.
+    const double forget_share = seed <= 4 ? 0.06 : 0.005;
+    std::set<std::uint64_t> tracked;
+    std::set<std::uint64_t> forgotten;
+    for (int tick = 0; tick < 3000; ++tick) {
+      // Between control ticks: admissions and exits. A small id pool,
+      // so forgotten ids come back.
+      for (std::int64_t op = rng.uniform_int(0, 3); op > 0; --op) {
+        const std::uint64_t id = 1 + rng.uniform_u64(24);
+        if (rng.bernoulli(forget_share)) {
+          monitor.forget(id);
+          reference.forget(id);
+          tracked.erase(id);
+          forgotten.insert(id);
+          ++forgets;
+        } else if (tracked.insert(id).second) {
+          if (forgotten.erase(id) > 0) ++reused;
+          // Fine values exercise summation order; coarse ones make
+          // ties for the rankings.
+          const bool coarse = rng.bernoulli(0.5);
+          const double cpu =
+              coarse ? 0.25 * static_cast<double>(rng.uniform_int(0, 4))
+                     : rng.uniform();
+          const double memory_mb =
+              coarse ? 4096.0 * static_cast<double>(rng.uniform_int(0, 4))
+                     : rng.uniform(0.0, 32768.0);
+          monitor.admit(id, cpu, memory_mb);
+          reference.admit(id, cpu, memory_mb);
         }
-        // One control tick, then its hits (some on untracked ids).
-        monitor.advance();
-        std::map<std::uint64_t, std::uint64_t> hits;
-        for (std::int64_t hit = rng.uniform_int(0, 3); hit > 0; --hit) {
-          const std::uint64_t id = 1 + rng.uniform_u64(26);
-          monitor.record_hit(id);
-          if (tracked.contains(id)) ++hits[id];
-        }
-        reference.tick(hits);
-        if (tick % 7 != 0) continue;
-
-        ASSERT_EQ(monitor.tracked_vms(), reference.tracked_vms());
-        for (std::uint64_t q = 0; q <= 27; ++q) {
-          const osk::VmUsage got = monitor.usage(q);
-          const osk::VmUsage want = reference.usage(q);
-          ASSERT_EQ(got.samples, want.samples) << "vm " << q;
-          ASSERT_EQ(bits(got.mean_cpu), bits(want.mean_cpu)) << "vm " << q;
-          ASSERT_EQ(bits(got.peak_cpu), bits(want.peak_cpu)) << "vm " << q;
-          ASSERT_EQ(bits(got.mean_memory_mb), bits(want.mean_memory_mb))
-              << "vm " << q;
-          ASSERT_EQ(bits(got.peak_memory_mb), bits(want.peak_memory_mb))
-              << "vm " << q;
-          ASSERT_EQ(got.total_errors, want.total_errors) << "vm " << q;
-          ASSERT_EQ(bits(monitor.susceptibility(q)),
-                    bits(reference.susceptibility(q)))
-              << "vm " << q;
-          hits_counted += got.total_errors;
-          if (window > 0 && got.samples == window) ++full_windows[window];
-        }
-        ASSERT_EQ(monitor.ranked_by_susceptibility(),
-                  reference.ranked_by_susceptibility());
-        std::vector<std::uint64_t> candidates;
-        for (std::uint64_t q = 0; q <= 27; ++q) {
-          if (rng.bernoulli(0.4)) candidates.push_back(q);
-        }
-        std::shuffle(candidates.begin(), candidates.end(), rng);
-        ASSERT_EQ(monitor.ranked_by_susceptibility(candidates),
-                  reference.ranked_by_susceptibility(candidates));
       }
+      // One control tick, then its hits (some on untracked ids).
+      monitor.advance();
+      std::map<std::uint64_t, std::uint64_t> hits;
+      for (std::int64_t hit = rng.uniform_int(0, 3); hit > 0; --hit) {
+        const std::uint64_t id = 1 + rng.uniform_u64(26);
+        monitor.record_hit(id);
+        if (tracked.contains(id)) ++hits[id];
+      }
+      reference.tick(hits);
+      if (tick % 7 != 0) continue;
+
+      ASSERT_EQ(monitor.tracked_vms(), reference.tracked_vms());
+      for (std::uint64_t q = 0; q <= 27; ++q) {
+        const osk::VmUsage got = monitor.usage(q);
+        const osk::VmUsage want = reference.usage(q);
+        ASSERT_EQ(got.samples, want.samples) << "vm " << q;
+        ASSERT_EQ(bits(got.mean_cpu), bits(want.mean_cpu)) << "vm " << q;
+        ASSERT_EQ(bits(got.peak_cpu), bits(want.peak_cpu)) << "vm " << q;
+        ASSERT_EQ(bits(got.mean_memory_mb), bits(want.mean_memory_mb))
+            << "vm " << q;
+        ASSERT_EQ(bits(got.peak_memory_mb), bits(want.peak_memory_mb))
+            << "vm " << q;
+        ASSERT_EQ(got.total_errors, want.total_errors) << "vm " << q;
+        ASSERT_EQ(bits(monitor.susceptibility(q)),
+                  bits(reference.susceptibility(q)))
+            << "vm " << q;
+        hits_counted += got.total_errors;
+        if (got.samples == kWindow) ++full_windows;
+      }
+      ASSERT_EQ(monitor.ranked_by_susceptibility(),
+                reference.ranked_by_susceptibility());
+      std::vector<std::uint64_t> candidates;
+      for (std::uint64_t q = 0; q <= 27; ++q) {
+        if (rng.bernoulli(0.4)) candidates.push_back(q);
+      }
+      std::shuffle(candidates.begin(), candidates.end(), rng);
+      ASSERT_EQ(monitor.ranked_by_susceptibility(candidates),
+                reference.ranked_by_susceptibility(candidates));
     }
   }
   // The sequences forget VMs, bring their ids back, attribute hits and
-  // fill every window size.
+  // fill the window.
   EXPECT_GT(forgets, 500);
   EXPECT_GT(reused, 500);
   EXPECT_GT(hits_counted, 1000u);
-  for (const std::size_t window : {1u, 2u, 7u, 128u}) {
-    EXPECT_GT(full_windows[window], 50) << "window " << window;
-  }
+  EXPECT_GT(full_windows, 50);
 }
 
 }  // namespace

@@ -144,43 +144,57 @@ TEST(MigrationOrchestrator, PreCopyConvergesAndCutsOver) {
 }
 
 TEST(MigrationOrchestrator, LinkBudgetSerializesAndPriorityJumpsQueue) {
-  // One stream slot per rack link: only one migration flies at a time
-  // on the 0 -> 1 rack pair; the rest wait in (priority, FIFO) order.
-  MigrationModel model;
-  model.link_bandwidth_mb_per_s = model.bandwidth_mb_per_s;
-  DirectHarness h(4, model);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(h.node(0)->place_vm(make_vm(id)));
+  // The 4000/1000 MB/s budget gives each rack link four stream slots.
+  // Six tickets on the 0 -> 1 rack pair: four fly, and two wait in
+  // (priority, FIFO) order. Each VM has its own source and destination
+  // node, so only the link budget holds them back.
+  constexpr int kSlots = MigrationOrchestrator::kSlotsPerLink;
+  static_assert(kSlots == 4);
+  constexpr int kTickets = kSlots + 2;
+  DirectHarness h(2 * kTickets, MigrationModel{});
+  const auto submit = [&h](std::uint64_t id, double memory_mb,
+                           MigrationPriority priority) {
+    const int k = static_cast<int>(id) - 1;
+    ASSERT_TRUE(h.node(k)->place_vm(make_vm(id)));
+    ASSERT_TRUE(h.orch->submit(id, h.node(k), h.node(kTickets + k), 2,
+                               memory_mb, priority, 0_s, 0, 1));
+  };
+  // VM 1 is half the size of VMs 2-4, so it frees the first slot, at
+  // 1.024 + 0.1536 = 1.1776 s; the others finish at 2.3552 s.
+  submit(1, 1024.0, MigrationPriority::kEopRetreat);
+  for (std::uint64_t id = 2; id <= kSlots; ++id) {
+    submit(id, 2048.0, MigrationPriority::kEopRetreat);
   }
-
-  ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
-  ASSERT_TRUE(h.orch->submit(2, h.node(0), h.node(2), 2, 2048.0,
-                             MigrationPriority::kEopRetreat, 0_s, 0, 1));
-  ASSERT_TRUE(h.orch->submit(3, h.node(0), h.node(3), 2, 2048.0,
-                             MigrationPriority::kCrashEvacuation, 0_s, 0,
-                             1));
-  EXPECT_EQ(h.orch->active_count(), 1u);
+  submit(5, 2048.0, MigrationPriority::kEopRetreat);
+  submit(6, 2048.0, MigrationPriority::kCrashEvacuation);
+  EXPECT_EQ(h.orch->active_count(), static_cast<std::size_t>(kSlots));
   EXPECT_EQ(h.orch->queued_count(), 2u);
-  EXPECT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPreCopy);
+  EXPECT_DOUBLE_EQ(h.orch->link_utilization(), 1.0);
+  EXPECT_EQ(h.orch->tickets().at(5).phase, MigrationPhase::kQueued);
 
-  // VM 1 completes at 2.3552; the freed slot goes to the
-  // crash-evacuation ticket (VM 3), not the earlier-submitted VM 2.
-  h.orch->advance(Seconds{3.0});
-  ASSERT_TRUE(h.orch->in_flight(3));
-  ASSERT_TRUE(h.orch->in_flight(2));
-  EXPECT_EQ(h.orch->tickets().at(3).phase, MigrationPhase::kPreCopy);
-  EXPECT_EQ(h.orch->tickets().at(2).phase, MigrationPhase::kQueued);
+  // The slot VM 1 frees goes to the crash-evacuation ticket (VM 6), not
+  // the earlier-submitted VM 5.
+  h.orch->advance(Seconds{1.5});
+  ASSERT_FALSE(h.orch->in_flight(1));
+  ASSERT_TRUE(h.orch->in_flight(6));
+  ASSERT_TRUE(h.orch->in_flight(5));
+  EXPECT_EQ(h.orch->tickets().at(6).phase, MigrationPhase::kPreCopy);
+  EXPECT_EQ(h.orch->tickets().at(5).phase, MigrationPhase::kQueued);
 
   // Everything drains in turn; admissions chain inside advance().
   h.orch->advance(Seconds{10.0});
-  EXPECT_EQ(h.orch->stats().completed, 3u);
+  EXPECT_EQ(h.orch->stats().completed, static_cast<std::uint64_t>(kTickets));
   EXPECT_TRUE(h.orch->tickets().empty());
-  ASSERT_EQ(h.finished.size(), 3u);
-  EXPECT_EQ(h.finished[0].first, 1u);
-  EXPECT_EQ(h.finished[1].first, 3u);  // priority jumped the queue
-  EXPECT_EQ(h.finished[2].first, 2u);
-  EXPECT_EQ(h.node(0)->hypervisor().vm_count(), 0u);
+  ASSERT_EQ(h.finished.size(), static_cast<std::size_t>(kTickets));
+  const std::vector<std::uint64_t> want{1, 2, 3, 4, 6, 5};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(h.finished[i].first, want[i]) << "finish " << i;
+  }
+  EXPECT_NEAR(h.last_finished.finished_at.value, 2.3552 + 2.3552, 1e-9);
+  for (int k = 0; k < kTickets; ++k) {
+    EXPECT_EQ(h.node(k)->hypervisor().vm_count(), 0u);
+    EXPECT_EQ(h.node(kTickets + k)->hypervisor().vm_count(), 1u);
+  }
 }
 
 TEST(MigrationOrchestrator, NegativeDirtyRateClampsToZero) {
@@ -207,39 +221,47 @@ TEST(MigrationOrchestrator, NegativeDirtyRateClampsToZero) {
   EXPECT_NEAR(h.traffic_mb, 2048.0, 1e-9);
   EXPECT_DOUBLE_EQ(h.last_finished.downtime.value, 0.0);
   EXPECT_NEAR(h.last_finished.finished_at.value,
-              2048.0 / model.bandwidth_mb_per_s, 1e-12);
+              2048.0 / MigrationModel::kBandwidthMbPerS, 1e-12);
   EXPECT_EQ(h.orch->stats().postcopy_fallbacks, 0u);
 }
 
 TEST(MigrationOrchestrator, PostCopyFallbackWhenPreCopyCannotConverge) {
   // dirty_rate 1.5: every round dirties more than it copied, so after
-  // `precopy_rounds` the orchestrator switches ownership immediately
-  // and drains the remainder post-copy.
+  // kPrecopyRounds (3) rounds the orchestrator switches ownership
+  // immediately and drains the remainder post-copy.
+  static_assert(MigrationModel::kPrecopyRounds == 3);
   MigrationModel model;
   model.dirty_rate = 1.5;
-  model.precopy_rounds = 2;
   DirectHarness h(2, model);
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
                              MigrationPriority::kEopRetreat, 0_s, 0, 1));
 
-  // Round 1 at 2.048 (dirty 3072), round 2 at 5.12 (dirty 4608): rounds
-  // exhausted -> commit now, drain until 5.12 + 0.05 + 4.608 = 9.778.
-  h.orch->advance(Seconds{6.0});
+  // Round 1 at 2.048 (dirty 3072), round 2 at 5.12 (dirty 4608), round
+  // 3 at 9.728 (dirty 6912): rounds exhausted -> commit now, drain
+  // until 9.728 + 0.05 + 6.912 = 16.69.
+  h.orch->advance(Seconds{9.0});
+  ASSERT_TRUE(h.orch->in_flight(1));
+  EXPECT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPreCopy);
+  EXPECT_EQ(h.orch->tickets().at(1).round, 2);
+  EXPECT_EQ(h.commits, 0);
+  h.orch->advance(Seconds{10.0});
   ASSERT_TRUE(h.orch->in_flight(1));
   EXPECT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPostCopy);
+  EXPECT_EQ(h.orch->tickets().at(1).round, MigrationModel::kPrecopyRounds);
   EXPECT_EQ(h.commits, 1);  // ownership already switched
   EXPECT_EQ(h.node(1)->hypervisor().vm_count(), 1u);
   EXPECT_EQ(h.orch->stats().postcopy_fallbacks, 1u);
 
-  h.orch->advance(Seconds{10.0});
+  h.orch->advance(Seconds{17.0});
   EXPECT_FALSE(h.orch->in_flight(1));
   EXPECT_EQ(h.orch->stats().completed, 1u);
   EXPECT_TRUE(h.last_finished.post_copy);
-  EXPECT_NEAR(h.last_finished.downtime.value, 0.05, 1e-12);
-  EXPECT_NEAR(h.last_finished.transferred_mb, 2048.0 + 3072.0 + 4608.0,
-              1e-9);
-  EXPECT_NEAR(h.last_finished.finished_at.value, 9.778, 1e-9);
+  EXPECT_NEAR(h.last_finished.downtime.value,
+              MigrationModel::kPostcopySwitch.value, 1e-12);
+  EXPECT_NEAR(h.last_finished.transferred_mb,
+              2048.0 + 3072.0 + 4608.0 + 6912.0, 1e-9);
+  EXPECT_NEAR(h.last_finished.finished_at.value, 16.69, 1e-9);
 }
 
 TEST(MigrationOrchestrator, SourceCrashMidRoundCancelsCleanly) {
@@ -306,18 +328,19 @@ TEST(MigrationOrchestrator, DestCrashBeforeCutoverKeepsVmOnSource) {
 TEST(MigrationOrchestrator, PostCopySourceCrashLosesTheVm) {
   MigrationModel model;
   model.dirty_rate = 1.5;
-  model.precopy_rounds = 2;
   DirectHarness h(2, model);
   ASSERT_TRUE(h.node(0)->place_vm(make_vm(1)));
   ASSERT_TRUE(h.orch->submit(1, h.node(0), h.node(1), 2, 2048.0,
                              MigrationPriority::kEopRetreat, 0_s, 0, 1));
-  h.orch->advance(Seconds{6.0});  // in post-copy drain, VM on dest
+  // Post-copy starts after round 3 at 9.728 s; the drain runs to
+  // 16.69 s.
+  h.orch->advance(Seconds{10.0});  // in post-copy drain, VM on dest
   ASSERT_EQ(h.orch->tickets().at(1).phase, MigrationPhase::kPostCopy);
 
   // The source still serves demand-pulled pages: losing it loses the VM
   // even though the VM already runs on the destination.
   h.node(0)->force_crash();
-  h.orch->on_node_down(h.node(0), Seconds{6.0});
+  h.orch->on_node_down(h.node(0), Seconds{10.0});
   EXPECT_EQ(h.postcopy_losses, 1);
   EXPECT_EQ(h.node(1)->hypervisor().vm_count(), 0u);
   EXPECT_EQ(h.orch->stats().cancelled, 1u);
@@ -479,10 +502,10 @@ TEST(CloudMigrationStorm, RackPowerLossDrainsRackThroughLinkQueue) {
         << "VM " << placement.id << " still in the lost rack";
   }
   // Copy-traffic energy accounting closes exactly: 6 x (2048 + 307.2)
-  // MB on the wire at joule_per_mb.
+  // MB on the wire at kJoulePerMb.
   EXPECT_NEAR(stats.migration_transferred_mb, 6.0 * 2355.2, 1e-6);
   EXPECT_NEAR(stats.migration_energy_kwh,
-              Joule{6.0 * 2355.2 * config.migration.joule_per_mb}.kwh(),
+              Joule{6.0 * 2355.2 * MigrationModel::kJoulePerMb}.kwh(),
               1e-12);
   EXPECT_GT(stats.migration_downtime_s, 0.0);
 }

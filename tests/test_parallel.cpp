@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +48,33 @@ TEST(Parallel, SetDefaultJobsZeroMeansHardware) {
   EXPECT_EQ(par::default_jobs(), 3u);
   par::set_default_jobs(0);
   EXPECT_EQ(par::default_jobs(), par::hardware_jobs());
+}
+
+TEST(Parallel, ParseJobsAcceptsOnlyDecimalCountsUpToTheBound) {
+  EXPECT_EQ(par::parse_jobs("0"), 0u);
+  EXPECT_EQ(par::parse_jobs("1"), 1u);
+  EXPECT_EQ(par::parse_jobs("4"), 4u);
+  EXPECT_EQ(par::parse_jobs("007"), 7u);
+  EXPECT_EQ(par::parse_jobs("256"), par::kMaxJobs);
+  // Past the bound, including values that wrap an unsigned.
+  EXPECT_EQ(par::parse_jobs("257"), std::nullopt);
+  EXPECT_EQ(par::parse_jobs("4294967295"), std::nullopt);
+  EXPECT_EQ(par::parse_jobs("18446744073709551617"), std::nullopt);
+  // Not a plain decimal count.
+  for (const char* text : {"", "-1", "+4", " 4", "4 ", "4x", "0x10", "1e3",
+                           "four", "2.5"}) {
+    EXPECT_EQ(par::parse_jobs(text), std::nullopt) << '"' << text << '"';
+  }
+  EXPECT_EQ(par::parse_jobs(nullptr), std::nullopt);
+}
+
+TEST(Parallel, SetDefaultJobsRejectsCountsAboveTheBound) {
+  // Both calls throw before any pool is built for the count.
+  JobsGuard guard(3);
+  EXPECT_THROW(par::set_default_jobs(par::kMaxJobs + 1),
+               std::invalid_argument);
+  EXPECT_THROW(par::set_default_jobs(4294967295u), std::invalid_argument);
+  EXPECT_EQ(par::default_jobs(), 3u);
 }
 
 TEST(Parallel, ForEachVisitsEveryIndexExactlyOnce) {

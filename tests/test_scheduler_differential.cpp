@@ -36,17 +36,14 @@ TEST(SchedulerDifferential, SixtyFourScenariosAllPoliciesIdentical) {
   Rng root(0xD1FF);
   auto streams = par::fork_streams(root, kCases);
 
-  fuzz::DifferentialOptions options;
   // Counter deltas are global state, so this loop must stay
   // sequential (it is: one case at a time, one policy at a time).
-  options.compare_telemetry = true;
-
   int compared = 0;
   for (int i = 0; i < kCases; ++i) {
     fuzz::ScenarioConfig config = case_config(i);
     config.stack_seed = streams[i].next();
     const auto events = fuzz::generate_scenario(config, streams[i]);
-    const auto outcome = fuzz::run_differential(config, events, options);
+    const auto outcome = fuzz::run_differential(config, events);
     ASSERT_EQ(outcome.policies.size(), osk::all_scheduler_policies().size());
     for (const auto& result : outcome.policies) {
       EXPECT_TRUE(result.identical())

@@ -298,17 +298,37 @@ TEST(ServeLayer, DownclockedNodeServesSlower) {
 
 TEST(ServeLayer, RemovingVmOrphansOutstandingRequests) {
   const hw::ServerNode node(hw::NodeSpec{}, 5);
-  serve::ServeConfig config = layer_config();
-  config.mean_service = Seconds{500.0};  // requests pile up unfinished
-  serve::ServeLayer layer(config);
+  serve::ServeLayer layer(layer_config());
   layer.on_vm_placed(make_vm(1, 1), &node);
+  // A burst half a second before the window end: about five seconds of
+  // work on one vCPU, so most of it is still queued when the VM goes.
+  layer.inject_burst(Seconds{59.5}, 100);
   layer.advance(Seconds{60.0}, Seconds{60.0});
   const std::size_t outstanding = layer.outstanding();
-  ASSERT_GT(outstanding, 0u);
+  ASSERT_GT(outstanding, 50u);
   layer.on_vm_removed(1);
   EXPECT_EQ(layer.outstanding(), 0u);
   EXPECT_EQ(layer.stats().dropped_lost, outstanding);
   EXPECT_EQ(layer.services(), 0u);
+  expect_books_balance(layer);
+}
+
+TEST(ServeLayer, ReplacingALiveVmOrphansItsQueue) {
+  // Placing an id that is already live starts a fresh queue; the old
+  // queue's outstanding requests are counted lost, so the books still
+  // balance.
+  const hw::ServerNode node(hw::NodeSpec{}, 5);
+  serve::ServeLayer layer(layer_config());
+  layer.on_vm_placed(make_vm(1, 1), &node);
+  layer.inject_burst(Seconds{59.5}, 100);
+  layer.advance(Seconds{60.0}, Seconds{60.0});
+  const std::size_t outstanding = layer.outstanding();
+  ASSERT_GT(outstanding, 50u);
+  layer.on_vm_placed(make_vm(1, 2), &node);
+  EXPECT_EQ(layer.outstanding(), 0u);
+  EXPECT_EQ(layer.stats().dropped_lost, outstanding);
+  EXPECT_EQ(layer.services(), 1u);
+  layer.advance(Seconds{120.0}, Seconds{60.0});
   expect_books_balance(layer);
 }
 
@@ -322,27 +342,32 @@ TEST(ServeLayer, BurstOnEmptyFleetIsUnroutable) {
 }
 
 TEST(ServeLayer, QueueCapShedsOverload) {
+  // Generator off: one burst 100 requests past the cap arrives at once,
+  // before anything can complete, so exactly the excess is shed.
+  constexpr std::size_t kCap = serve::ServeLayer::kQueueCap;
   const hw::ServerNode node(hw::NodeSpec{}, 5);
   serve::ServeConfig config = layer_config();
-  config.queue_cap = 8;
-  config.mean_service = Seconds{500.0};  // nothing completes in-window
+  config.requests_per_vcpu_hz = 0.0;
   serve::ServeLayer layer(config);
   layer.on_vm_placed(make_vm(1, 1), &node);
-  layer.inject_burst(Seconds{30.0}, 100);
+  layer.inject_burst(Seconds{30.0}, kCap + 100);
   layer.advance(Seconds{60.0}, Seconds{60.0});
-  EXPECT_GT(layer.stats().dropped_overload, 0u);
-  EXPECT_LE(layer.outstanding(), 8u);
+  EXPECT_EQ(layer.stats().admitted, kCap);
+  EXPECT_EQ(layer.stats().dropped_overload, 100u);
+  EXPECT_LE(layer.outstanding(), kCap);
   expect_books_balance(layer);
 }
 
 TEST(ServeLayer, CriticalSloViolationsAreCountedPerClass) {
+  // A 1-vCPU critical VM queues past its 0.25 s SLO now and then; a
+  // wide standard VM in its own service barely queues and stays under
+  // its 0.5 s SLO.
+  static_assert(serve::ServeLayer::kSloCritical.value == 0.25);
+  static_assert(serve::ServeLayer::kSloStandard.value == 0.5);
   const hw::ServerNode node(hw::NodeSpec{}, 5);
-  serve::ServeConfig config = layer_config();
-  config.slo_critical = Seconds{0.0};  // every sojourn > 0 violates
-  config.slo_standard = Seconds{1e9};  // standard never violates
-  serve::ServeLayer layer(config);
-  layer.on_vm_placed(make_vm(1, 2, trace::SlaClass::kCritical), &node);
-  layer.on_vm_placed(make_vm(2, 2, trace::SlaClass::kStandard), &node);
+  serve::ServeLayer layer(layer_config());
+  layer.on_vm_placed(make_vm(1, 1, trace::SlaClass::kCritical), &node);
+  layer.on_vm_placed(make_vm(2, 16, trace::SlaClass::kStandard), &node);
   for (int tick = 1; tick <= 5; ++tick) {
     layer.advance(Seconds{tick * 60.0}, Seconds{60.0});
   }
@@ -461,7 +486,6 @@ class RouterDifferential {
 serve::ServeConfig router_config() {
   serve::ServeConfig config = layer_config();
   config.replica_groups = 3;
-  config.queue_cap = 64;
   return config;
 }
 

@@ -370,37 +370,7 @@ TEST(Exporters, JsonEscapesSpecialCharacters) {
             std::string::npos);
 }
 
-TEST(Exporters, MetricsCsvRoundTrip) {
-  MetricsRegistry registry;
-  registry.counter("a.count", "events").add(5);
-  Histogram& hist = registry.histogram("b.lat", 0.0, 100.0, 10, "us");
-  hist.record(25.0);
-  hist.record(75.0);
-
-  std::vector<std::vector<std::string>> rows;
-  std::istringstream stream(telemetry::metrics_csv(registry).str());
-  std::string line;
-  while (std::getline(stream, line)) {
-    std::vector<std::string> cells;
-    std::istringstream cells_in(line);
-    std::string cell;
-    while (std::getline(cells_in, cell, ',')) cells.push_back(cell);
-    rows.push_back(cells);
-  }
-
-  ASSERT_EQ(rows.size(), 3u);  // header + 2 metrics
-  ASSERT_GE(rows[0].size(), 9u);
-  EXPECT_EQ(rows[0][0], "metric");
-  EXPECT_EQ(rows[1][0], "a.count");
-  EXPECT_EQ(rows[1][1], "counter");
-  EXPECT_DOUBLE_EQ(std::stod(rows[1][3]), 5.0);
-  EXPECT_EQ(rows[2][0], "b.lat");
-  EXPECT_EQ(rows[2][1], "histogram");
-  EXPECT_DOUBLE_EQ(std::stod(rows[2][4]), 2.0);    // count
-  EXPECT_DOUBLE_EQ(std::stod(rows[2][5]), 100.0);  // sum
-}
-
-TEST(Exporters, ClampFieldsSurfaceInJsonAndCsv) {
+TEST(Exporters, ClampFieldsSurfaceInJson) {
   MetricsRegistry registry;
   registry.counter("c.count", "events").add(1);
   Histogram& hist = registry.histogram("c.lat", 0.0, 100.0, 10, "us");
@@ -415,52 +385,6 @@ TEST(Exporters, ClampFieldsSurfaceInJsonAndCsv) {
   EXPECT_NE(json.find("\"min\": -2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"max\": 700"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p999\""), std::string::npos) << json;
-
-  std::vector<std::vector<std::string>> rows;
-  std::istringstream stream(telemetry::metrics_csv(registry).str());
-  std::string line;
-  while (std::getline(stream, line)) {
-    std::vector<std::string> cells;
-    std::istringstream cells_in(line);
-    std::string cell;
-    while (std::getline(cells_in, cell, ',')) cells.push_back(cell);
-    rows.push_back(cells);
-  }
-  ASSERT_EQ(rows.size(), 3u);  // header + counter + histogram
-  // The original nine columns keep their positions; the clamp columns
-  // are appended at the end so index-based consumers don't break.
-  ASSERT_EQ(rows[0].size(), 14u);
-  EXPECT_EQ(rows[0][9], "p999");
-  EXPECT_EQ(rows[0][10], "underflow");
-  EXPECT_EQ(rows[0][11], "overflow");
-  EXPECT_EQ(rows[0][12], "min");
-  EXPECT_EQ(rows[0][13], "max");
-  ASSERT_EQ(rows[2].size(), 14u);
-  EXPECT_EQ(rows[2][0], "c.lat");
-  EXPECT_EQ(rows[2][10], "1");                      // underflow
-  EXPECT_EQ(rows[2][11], "1");                      // overflow
-  EXPECT_DOUBLE_EQ(std::stod(rows[2][12]), -2.0);   // observed min
-  EXPECT_DOUBLE_EQ(std::stod(rows[2][13]), 700.0);  // observed max
-  // Non-histogram rows pad the appended columns too (the trailing
-  // empties collapse under this simple split, so just check the row
-  // still leads with its original columns).
-  ASSERT_GE(rows[1].size(), 4u);
-  EXPECT_EQ(rows[1][0], "c.count");
-}
-
-TEST(Exporters, TraceCsvHasOneRowPerEvent) {
-  TraceBuffer ring(8);
-  ring.record(Seconds{1.5}, "hv", "core_retired", {{"core", "0"}});
-  ring.record(Seconds{2.5}, "hv", "channel_isolated", {{"channel", "1"}});
-  const std::string csv = telemetry::trace_csv(ring).str();
-  std::istringstream stream(csv);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(stream, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);  // header + 2 events
-  EXPECT_NE(lines[1].find("core_retired"), std::string::npos);
-  EXPECT_NE(lines[1].find("core=0"), std::string::npos);
-  EXPECT_NE(lines[2].find("channel_isolated"), std::string::npos);
 }
 
 TEST(Exporters, WriteJsonSnapshotCreatesParseableFile) {
