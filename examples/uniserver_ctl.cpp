@@ -296,8 +296,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
     }
   }
 
-  // Both engines for every policy must make bit-identical decisions;
-  // runs are sequential so the telemetry-counter diff is meaningful.
+  // Both engines for every policy must make bit-identical decisions.
   auto report_differential = [](int index,
                                 const fuzz::DifferentialOutcome& outcome) {
     std::printf("case %2d: %zu policies x 2 engines: %s\n", index,

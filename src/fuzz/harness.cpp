@@ -1,7 +1,6 @@
 #include "fuzz/harness.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/fnv.h"
@@ -267,6 +266,8 @@ RunOutcome run_scenario(const ScenarioConfig& config,
     metrics().violations.add(outcome.violations.size());
   }
   outcome.cloud_stats = cloud.stats();
+  outcome.migrations_submitted = cloud.migrations().stats().submitted;
+  outcome.postcopy_fallbacks = cloud.migrations().stats().postcopy_fallbacks;
   outcome.placement_digest = cloud.placement_digest();
   outcome.placements = cloud.placements();
   outcome.digest = digest_outcome(outcome, cloud);
@@ -275,34 +276,9 @@ RunOutcome run_scenario(const ScenarioConfig& config,
 
 namespace {
 
-/// Counter values for the engine-independent `cloud.*` namespace
-/// (`cloud.sched.*` is excluded — see docs/OBSERVABILITY.md).
-std::map<std::string, std::uint64_t> cloud_counter_snapshot() {
-  std::map<std::string, std::uint64_t> values;
-  for (const telemetry::MetricSample& sample :
-       telemetry::MetricsRegistry::global().snapshot()) {
-    if (sample.meta.type != telemetry::MetricType::kCounter) continue;
-    const std::string& name = sample.meta.name;
-    if (name.rfind("cloud.", 0) != 0) continue;
-    if (name.rfind("cloud.sched.", 0) == 0) continue;
-    values[name] = static_cast<std::uint64_t>(sample.value);
-  }
-  return values;
-}
-
-std::map<std::string, std::uint64_t> counter_delta(
-    const std::map<std::string, std::uint64_t>& before,
-    const std::map<std::string, std::uint64_t>& after) {
-  std::map<std::string, std::uint64_t> delta;
-  for (const auto& [name, value] : after) {
-    const auto it = before.find(name);
-    delta[name] = value - (it == before.end() ? 0 : it->second);
-  }
-  return delta;
-}
-
-std::string compare_stats(const osk::CloudStats& a,
-                          const osk::CloudStats& b) {
+std::string compare_stats(const RunOutcome& one, const RunOutcome& two) {
+  const osk::CloudStats& a = one.cloud_stats;
+  const osk::CloudStats& b = two.cloud_stats;
   std::ostringstream out;
   const auto diff_u64 = [&](const char* field, std::uint64_t x,
                             std::uint64_t y) {
@@ -333,6 +309,10 @@ std::string compare_stats(const osk::CloudStats& a,
   diff_u64("migration_failures", a.migration_failures, b.migration_failures);
   diff_u64("node_crash_events", a.node_crash_events, b.node_crash_events);
   diff_u64("sla_violations", a.sla_violations, b.sla_violations);
+  diff_u64("migrations_submitted", one.migrations_submitted,
+           two.migrations_submitted);
+  diff_u64("postcopy_fallbacks", one.postcopy_fallbacks,
+           two.postcopy_fallbacks);
   diff_double("total_energy_kwh", a.total_energy_kwh, b.total_energy_kwh);
   diff_double("migration_energy_kwh", a.migration_energy_kwh,
               b.migration_energy_kwh);
@@ -367,8 +347,7 @@ std::string compare_runs(const RunOutcome& indexed,
     return "steps " + std::to_string(indexed.steps) + " vs " +
            std::to_string(reference.steps);
   }
-  const std::string stats = compare_stats(indexed.cloud_stats,
-                                          reference.cloud_stats);
+  const std::string stats = compare_stats(indexed, reference);
   if (!stats.empty()) return stats;
   if (indexed.digest != reference.digest) return "outcome digest mismatch";
   return {};
@@ -387,31 +366,10 @@ DifferentialOutcome run_differential(const ScenarioConfig& config,
     run.record_placements = true;
 
     run.engine = osk::SchedulerEngine::kIndexed;
-    auto before = cloud_counter_snapshot();
     result.indexed = run_scenario(config, events, run);
-    const auto indexed_delta = counter_delta(before, cloud_counter_snapshot());
-
     run.engine = osk::SchedulerEngine::kReference;
-    before = cloud_counter_snapshot();
     result.reference = run_scenario(config, events, run);
-    const auto reference_delta =
-        counter_delta(before, cloud_counter_snapshot());
-
     result.mismatch = compare_runs(result.indexed, result.reference);
-    if (result.mismatch.empty() && indexed_delta != reference_delta) {
-      for (const auto& [name, value] : indexed_delta) {
-        const auto it = reference_delta.find(name);
-        if (it == reference_delta.end() || it->second != value) {
-          result.mismatch =
-              "counter " + name + " delta " + std::to_string(value) +
-              " vs " +
-              (it == reference_delta.end() ? std::string("absent")
-                                           : std::to_string(it->second));
-          break;
-        }
-      }
-      if (result.mismatch.empty()) result.mismatch = "counter set mismatch";
-    }
     if (!result.identical()) outcome.identical = false;
     outcome.policies.push_back(std::move(result));
   }

@@ -40,6 +40,9 @@ struct RunOutcome {
   std::size_t steps{0};
   /// End-of-run cloud books (part of the digest).
   osk::CloudStats cloud_stats{};
+  /// The orchestrator's books that CloudStats does not carry.
+  std::uint64_t migrations_submitted{0};
+  std::uint64_t postcopy_fallbacks{0};
   /// Rolling digest over every placement decision the cloud made
   /// (see Cloud::placement_digest) and, when record_placements was
   /// set, the decision log itself.
@@ -66,7 +69,7 @@ struct DifferentialResult {
   RunOutcome indexed;
   RunOutcome reference;
   /// Empty when the engines agreed; else a description of the first
-  /// divergence (placement sequence, stats field, or counter).
+  /// divergence (placement sequence, stats field, or book).
   std::string mismatch;
 
   bool identical() const { return mismatch.empty(); }
@@ -79,12 +82,12 @@ struct DifferentialOutcome {
 
 /// Replays one scenario through the indexed and reference engines for
 /// every SchedulerPolicy and compares: placement-decision sequences,
-/// placement digests, end-of-run CloudStats, outcome digests and the
-/// global `cloud.*` telemetry counter deltas of the two runs (excluding
-/// the engine-dependent `cloud.sched.*` namespace) must all be
-/// bit-identical. Counter deltas are only meaningful when nothing else
-/// in the process touches cloud metrics concurrently, so never run it
-/// concurrently with other cloud runs.
+/// placement digests, end-of-run CloudStats, the orchestrator's
+/// submitted and post-copy-fallback books and outcome digests must all
+/// be bit-identical. Every `cloud.*` and `cloud.mig.*` counter outside
+/// the engine-dependent `cloud.sched.*` namespace is a sum of those
+/// books (Cloud::run publishes them), so the comparison reads no
+/// registry and may run next to other cloud runs.
 DifferentialOutcome run_differential(const ScenarioConfig& config,
                                      const std::vector<FuzzEvent>& events);
 

@@ -246,7 +246,6 @@ void Hypervisor::guest_corrupted(std::uint64_t victim, TickReport& report) {
 
 TickReport Hypervisor::tick(Seconds now, Seconds window) {
   TickReport report;
-  report.window = window;
   ++stats_.ticks;
   metrics().ticks.add();
   stats_.uptime += window;

@@ -65,14 +65,12 @@ struct HvConfig {
   /// from its last checkpoint instead of being lost (the "transparently
   /// mask errors from upper software layers" mechanism of §4.A).
   bool vm_checkpointing{false};
-  Seconds checkpoint_interval{Seconds{300.0}};
   /// Runtime overhead of taking checkpoints (fraction of node power).
   double checkpoint_overhead{0.01};
 };
 
 /// Outcome of one hypervisor control-loop tick.
 struct TickReport {
-  Seconds window{Seconds{0.0}};
   std::uint64_t cache_ecc_masked{0};
   /// Uncorrected near-threshold CPU SDCs this tick.
   std::uint64_t cpu_sdcs{0};

@@ -9,6 +9,8 @@
 namespace uniserver::osk {
 
 namespace {
+// The counters mirror the layers' books and are written only by
+// Cloud::publish_books().
 struct CloudMetrics {
   telemetry::Counter& submitted = telemetry::counter(
       "cloud.vms_submitted", "vms", "VM requests submitted");
@@ -34,6 +36,21 @@ struct CloudMetrics {
   telemetry::Counter& sla_violations = telemetry::counter(
       "cloud.sla_violations", "vms",
       "Non-best-effort VMs lost (SLA violations)");
+  telemetry::Counter& mig_submitted = telemetry::counter(
+      "cloud.mig.submitted", "migrations",
+      "Migration tickets submitted to the orchestrator");
+  telemetry::Counter& mig_started = telemetry::counter(
+      "cloud.mig.started", "migrations",
+      "Migrations admitted to a link (left the queue)");
+  telemetry::Counter& mig_completed = telemetry::counter(
+      "cloud.mig.completed", "migrations",
+      "Migrations whose cutover committed");
+  telemetry::Counter& mig_cancelled = telemetry::counter(
+      "cloud.mig.cancelled", "migrations",
+      "Migrations abandoned in flight (crash, departure, commit race)");
+  telemetry::Counter& mig_postcopy_fallbacks = telemetry::counter(
+      "cloud.mig.postcopy_fallbacks", "migrations",
+      "Pre-copy runs that exhausted their rounds and switched to post-copy");
   telemetry::Gauge& energy_kwh = telemetry::gauge(
       "cloud.energy_kwh", "kwh", "Cumulative fleet energy this run");
   telemetry::Histogram& placement_wall_us = telemetry::histogram(
@@ -43,6 +60,31 @@ struct CloudMetrics {
 
 CloudMetrics& metrics() {
   static CloudMetrics m;
+  return m;
+}
+
+// Registered on first use, so a run without serving adds no serve.*
+// names.
+struct ServeMetrics {
+  telemetry::Counter& generated = telemetry::counter(
+      "serve.requests_generated", "requests",
+      "User requests emitted by the open-loop generator (incl. bursts)");
+  telemetry::Counter& completed = telemetry::counter(
+      "serve.requests_completed", "requests",
+      "Requests whose virtual completion time has passed");
+  telemetry::Counter& dropped = telemetry::counter(
+      "serve.requests_dropped", "requests",
+      "Requests shed at the queue cap, unroutable, or orphaned by VM loss");
+  telemetry::Counter& slo_violations = telemetry::counter(
+      "serve.slo_violations", "requests",
+      "Admitted requests whose sojourn exceeded their SLA latency target");
+  telemetry::Counter& stalls = telemetry::counter(
+      "serve.stalls", "events",
+      "Dispatch stalls injected by fault paths (restore, SDC hit, cutover)");
+};
+
+ServeMetrics& serve_metrics() {
+  static ServeMetrics m;
   return m;
 }
 }  // namespace
@@ -109,6 +151,7 @@ CloudStats Cloud::stats() const {
   stats.migrations_cancelled = books.cancelled;
   stats.migration_transferred_mb = books.transferred_mb;
   stats.migration_downtime_s = books.downtime_s;
+  stats.postcopy_migrations = books.postcopy_completed;
   return stats;
 }
 
@@ -163,7 +206,6 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
       if (!t.source->place_vm(vm)) mark_lost(t.vm_id, false);
       engine_->node_changed(t.source);
       ++stats_.migration_failures;
-      metrics().migration_failures.add();
       return false;
     }
     engine_->node_changed(t.dest);
@@ -182,15 +224,6 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
     t.dest->remove_vm(t.vm_id);
     engine_->node_changed(t.dest);
     mark_lost(t.vm_id, true);
-  };
-  cb.finished = [this](const MigrationTicket& t,
-                       MigrationOrchestrator::Outcome outcome) {
-    if (outcome != MigrationOrchestrator::Outcome::kCompleted) return;
-    if (t.post_copy) ++stats_.postcopy_migrations;
-    telemetry::trace(now_, "cloud", "migration",
-                     {{"vm", std::to_string(t.vm_id)},
-                      {"from", t.source->name()},
-                      {"to", t.dest->name()}});
   };
   return cb;
 }
@@ -244,7 +277,6 @@ void Cloud::record_decision(std::uint64_t vm_id, const ComputeNode* target,
 
 void Cloud::handle_arrival(const trace::VmRequest& request) {
   ++stats_.submitted;
-  metrics().submitted.add();
   hv::Vm vm = vm_from_request(request);
   // Rack power admission: nodes whose rack has no headroom for this VM
   // are masked out of the pick. One O(n) pass computes every rack's
@@ -287,16 +319,11 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
       engine_->node_changed(target);
     }
     ++stats_.rejected;
-    metrics().rejected.add();
-    if (target == nullptr && power_limited) {
-      ++stats_.rejected_for_power;
-      metrics().rejected_for_power.add();
-    }
+    if (target == nullptr && power_limited) ++stats_.rejected_for_power;
     return;
   }
   engine_->node_changed(target);
   ++stats_.accepted;
-  metrics().accepted.add();
   ActiveVm active;
   active.request = request;
   active.node = target;
@@ -337,7 +364,6 @@ void Cloud::handle_departures() {
     monitor_.forget(id);
     if (serve_) serve_->on_vm_removed(id);
     ++stats_.completed;
-    metrics().completed.add();
   }
 }
 
@@ -351,10 +377,8 @@ void Cloud::mark_lost(std::uint64_t vm_id, bool node_crash) {
   } else {
     ++stats_.lost_to_errors;
   }
-  metrics().lost.add();
   if (it->second.request.sla != trace::SlaClass::kBestEffort) {
     ++stats_.sla_violations;
-    metrics().sla_violations.add();
   }
   active_.erase(it);
 }
@@ -363,7 +387,6 @@ void Cloud::account_node_crash(ComputeNode* node,
                                const std::vector<std::uint64_t>& lost,
                                bool injected) {
   ++stats_.node_crash_events;
-  metrics().node_crashes.add();
   std::vector<std::pair<std::string, std::string>> tags{
       {"node", node->name()}};
   if (injected) tags.emplace_back("injected", "1");
@@ -430,7 +453,6 @@ void Cloud::proactive_evacuation() {
     if (!source->up()) continue;
     if (!predictor_.should_evacuate(slot, now_)) continue;
     ++stats_.evacuations;
-    metrics().evacuations.add();
     telemetry::trace(
         now_, "cloud", "evacuation",
         {{"node", source->name()},
@@ -475,7 +497,6 @@ int Cloud::evacuate_node(ComputeNode* source, MigrationPriority priority,
                               priority, now_, rack_of(source),
                               rack_of(target))) {
       ++stats_.migration_failures;
-      metrics().migration_failures.add();
       continue;  // nowhere to go; VM rides out the risk in place
     }
     ++submitted;
@@ -584,7 +605,6 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
     // Requests are generated against the post-tick fleet state, so a
     // stall recorded at `now_` gates dispatches from this window on.
     if (serve_) serve_->advance(now_, window);
-    metrics().energy_kwh.set(stats_.total_energy_kwh);
   }
 
   double availability = 0.0;
@@ -593,6 +613,48 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
   }
   stats_.mean_node_availability =
       nodes_.empty() ? 1.0 : availability / static_cast<double>(nodes_.size());
+  publish_books();
+}
+
+void Cloud::publish_books() {
+  CloudMetrics& m = metrics();
+  const CloudStats& was = published_;
+  m.submitted.add(stats_.submitted - was.submitted);
+  m.accepted.add(stats_.accepted - was.accepted);
+  m.rejected.add(stats_.rejected - was.rejected);
+  m.rejected_for_power.add(stats_.rejected_for_power - was.rejected_for_power);
+  m.completed.add(stats_.completed - was.completed);
+  m.lost.add(stats_.lost_to_errors + stats_.lost_to_node_crash -
+             was.lost_to_errors - was.lost_to_node_crash);
+  m.evacuations.add(stats_.evacuations - was.evacuations);
+  m.migration_failures.add(stats_.migration_failures - was.migration_failures);
+  m.node_crashes.add(stats_.node_crash_events - was.node_crash_events);
+  m.sla_violations.add(stats_.sla_violations - was.sla_violations);
+  m.energy_kwh.set(stats_.total_energy_kwh);
+  published_ = stats_;
+
+  const MigrationStats& mig = orchestrator_.stats();
+  const MigrationStats& mig_was = published_migrations_;
+  m.mig_submitted.add(mig.submitted - mig_was.submitted);
+  m.mig_started.add(mig.started - mig_was.started);
+  m.mig_completed.add(mig.completed - mig_was.completed);
+  m.mig_cancelled.add(mig.cancelled - mig_was.cancelled);
+  m.mig_postcopy_fallbacks.add(mig.postcopy_fallbacks -
+                               mig_was.postcopy_fallbacks);
+  published_migrations_ = mig;
+
+  if (!serve_) return;
+  ServeMetrics& sm = serve_metrics();
+  const serve::ServeStats& sv = serve_->stats();
+  const serve::ServeStats& sv_was = published_serve_;
+  sm.generated.add(sv.generated - sv_was.generated);
+  sm.completed.add(sv.completed - sv_was.completed);
+  sm.dropped.add(sv.dropped_overload + sv.dropped_unroutable +
+                 sv.dropped_lost - sv_was.dropped_overload -
+                 sv_was.dropped_unroutable - sv_was.dropped_lost);
+  sm.slo_violations.add(sv.slo_violations - sv_was.slo_violations);
+  sm.stalls.add(sv.stalls - sv_was.stalls);
+  published_serve_ = sv;
 }
 
 }  // namespace uniserver::osk

@@ -70,7 +70,7 @@ struct CloudStats {
   std::uint64_t lost_to_errors{0};
   std::uint64_t lost_to_node_crash{0};
   std::uint64_t evacuations{0};
-  // Cloud::stats() fills the five migration books below from the
+  // Cloud::stats() fills the six migration books below from the
   // orchestrator's MigrationStats; each names its source field.
   /// Cutovers committed (`completed`): the VM now lives on the target.
   std::uint64_t migrations{0};
@@ -78,7 +78,8 @@ struct CloudStats {
   std::uint64_t migrations_started{0};
   /// Tickets abandoned in flight (`cancelled`).
   std::uint64_t migrations_cancelled{0};
-  /// Completions that went through the post-copy fallback.
+  /// Completions that went through the post-copy fallback
+  /// (`postcopy_completed`).
   std::uint64_t postcopy_migrations{0};
   std::uint64_t migration_failures{0};
   std::uint64_t node_crash_events{0};
@@ -123,6 +124,8 @@ class Cloud {
 
   /// Runs the workload: places arrivals, retires departures, ticks the
   /// fleet and applies the proactive-migration policy until `horizon`.
+  /// On return the process-wide `cloud.*`, `cloud.mig.*` and `serve.*`
+  /// counters include every event booked so far, injected ones too.
   void run(const std::vector<trace::VmRequest>& requests, Seconds horizon);
 
   /// The run's books. The migration fields are the orchestrator's
@@ -248,6 +251,10 @@ class Cloud {
   /// Folds one decision into the digest (and the log when recording).
   void record_decision(std::uint64_t vm_id, const ComputeNode* target,
                        bool evacuation);
+  /// Adds each book's growth since the last call to its process-wide
+  /// counter and sets `cloud.energy_kwh`. The layers count each event
+  /// once, in their books; this is the only writer of those counters.
+  void publish_books();
 
   CloudConfig config_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
@@ -266,6 +273,10 @@ class Cloud {
   std::vector<PlacementDecision> placements_;
   std::uint64_t placement_digest_{fnv::kOffset};
   Seconds now_{Seconds{0.0}};
+  /// The books as of the last publish_books().
+  CloudStats published_;
+  MigrationStats published_migrations_;
+  serve::ServeStats published_serve_;
 };
 
 }  // namespace uniserver::osk

@@ -10,21 +10,6 @@ namespace uniserver::osk {
 
 namespace {
 struct MigMetrics {
-  telemetry::Counter& submitted = telemetry::counter(
-      "cloud.mig.submitted", "migrations",
-      "Migration tickets submitted to the orchestrator");
-  telemetry::Counter& started = telemetry::counter(
-      "cloud.mig.started", "migrations",
-      "Migrations admitted to a link (left the queue)");
-  telemetry::Counter& completed = telemetry::counter(
-      "cloud.mig.completed", "migrations",
-      "Migrations whose cutover committed");
-  telemetry::Counter& cancelled = telemetry::counter(
-      "cloud.mig.cancelled", "migrations",
-      "Migrations abandoned in flight (crash, departure, commit race)");
-  telemetry::Counter& postcopy_fallbacks = telemetry::counter(
-      "cloud.mig.postcopy_fallbacks", "migrations",
-      "Pre-copy runs that exhausted their rounds and switched to post-copy");
   telemetry::Gauge& active = telemetry::gauge(
       "cloud.mig.active", "migrations",
       "Migrations currently copying on a link");
@@ -131,7 +116,6 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
   tickets_.emplace(vm_id, t);
   queue_.insert({static_cast<int>(priority), t.submit_seq, vm_id});
   ++stats_.submitted;
-  mig_metrics().submitted.add();
   telemetry::trace(now, "cloud", "migration_start",
                    {{"vm", std::to_string(vm_id)},
                     {"from", source->name()},
@@ -168,7 +152,6 @@ void MigrationOrchestrator::start(MigrationTicket& t, Seconds now) {
   t.round = 0;
   t.copying_mb = t.reserved_memory_mb;  // round 0 moves the full memory
   ++stats_.started;
-  mig_metrics().started.add();
   mig_metrics().queue_wait_s.record(now.value - t.submitted_at.value);
   schedule(t, Seconds{now.value +
                       t.copying_mb / MigrationModel::kBandwidthMbPerS});
@@ -219,7 +202,6 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
         t.post_copy = true;
         t.downtime = MigrationModel::kPostcopySwitch;
         ++stats_.postcopy_fallbacks;
-        mig_metrics().postcopy_fallbacks.add();
         drop_reservation(t);
         if (!callbacks_.commit || !callbacks_.commit(t, true)) {
           cancel(t, now, false);
@@ -268,10 +250,14 @@ void MigrationOrchestrator::complete(MigrationTicket& t, Seconds now) {
   t.finished_at = now;
   release_links(t);
   ++stats_.completed;
+  if (t.post_copy) ++stats_.postcopy_completed;
   stats_.downtime_s += t.downtime.value;
-  mig_metrics().completed.add();
   mig_metrics().downtime_ms.record(t.downtime.value * 1000.0);
   mig_metrics().duration_s.record(now.value - t.started_at.value);
+  telemetry::trace(now, "cloud", "migration",
+                   {{"vm", std::to_string(t.vm_id)},
+                    {"from", t.source->name()},
+                    {"to", t.dest->name()}});
   if (callbacks_.finished) callbacks_.finished(t, Outcome::kCompleted);
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
@@ -299,7 +285,6 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   t.phase = MigrationPhase::kCancelled;
   t.finished_at = now;
   ++stats_.cancelled;
-  mig_metrics().cancelled.add();
   telemetry::trace(now, "cloud", "migration_cancelled",
                    {{"vm", std::to_string(t.vm_id)},
                     {"from", t.source->name()},

@@ -107,6 +107,8 @@ struct MigrationStats {
   std::uint64_t completed{0};
   std::uint64_t cancelled{0};
   std::uint64_t postcopy_fallbacks{0};
+  /// Completions that went through the post-copy fallback.
+  std::uint64_t postcopy_completed{0};
   double transferred_mb{0.0};
   double downtime_s{0.0};
 };
@@ -127,7 +129,8 @@ class MigrationOrchestrator {
     std::function<void(const MigrationTicket&)> lose_postcopy;
     /// Copy traffic hit the wire (per round): energy accounting.
     std::function<void(double mb)> copy_traffic;
-    /// Ticket left the in-flight set (stats / telemetry hook).
+    /// Ticket left the in-flight set. The orchestrator keeps its own
+    /// books and traces; this only lets an observer see each outcome.
     std::function<void(const MigrationTicket&, Outcome)> finished;
     /// Destination capacity changed (reserve/unreserve): placement
     /// engines must resync their view of the node.

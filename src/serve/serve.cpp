@@ -6,33 +6,16 @@
 namespace uniserver::serve {
 
 namespace {
-// Latency histogram geometry (ms), shared by the global
-// serve.latency_ms and each layer's own histogram.
+// Latency histogram geometry (ms) of each layer's own histogram.
 constexpr double kLatencyHiMs = 20000.0;
 constexpr std::size_t kLatencyBuckets = 2000;
 
+// The serve.* counters mirror ServeStats and are published by the
+// cloud (Cloud::publish_books); these two have no book.
 struct ServeMetrics {
-  telemetry::Counter& generated = telemetry::counter(
-      "serve.requests_generated", "requests",
-      "User requests emitted by the open-loop generator (incl. bursts)");
-  telemetry::Counter& completed = telemetry::counter(
-      "serve.requests_completed", "requests",
-      "Requests whose virtual completion time has passed");
-  telemetry::Counter& dropped = telemetry::counter(
-      "serve.requests_dropped", "requests",
-      "Requests shed at the queue cap, unroutable, or orphaned by VM loss");
-  telemetry::Counter& slo_violations = telemetry::counter(
-      "serve.slo_violations", "requests",
-      "Admitted requests whose sojourn exceeded their SLA latency target");
-  telemetry::Counter& stalls = telemetry::counter(
-      "serve.stalls", "events",
-      "Dispatch stalls injected by fault paths (restore, SDC hit, cutover)");
   telemetry::Gauge& queue_depth = telemetry::gauge(
       "serve.queue_depth", "requests",
       "Outstanding requests across all VM queues after the last tick");
-  telemetry::Histogram& latency_ms = telemetry::histogram(
-      "serve.latency_ms", 0.0, kLatencyHiMs, kLatencyBuckets, "ms",
-      "Request sojourn time (queue wait + service)");
   telemetry::Histogram& stall_ms = telemetry::histogram(
       "serve.stall_ms", 0.0, 60000.0, 600, "ms",
       "Duration of fault-path dispatch stalls applied to VM queues");
@@ -159,10 +142,7 @@ void ServeLayer::on_vm_moved(std::uint64_t vm_id,
 void ServeLayer::on_vm_removed(std::uint64_t vm_id) {
   const auto it = replicas_.find(vm_id);
   if (it == replicas_.end()) return;
-  const auto orphaned =
-      static_cast<std::uint64_t>(it->second.queue.outstanding());
-  stats_.dropped_lost += orphaned;
-  metrics().dropped.add(orphaned);
+  stats_.dropped_lost += it->second.queue.outstanding();
   const auto sit = services_.find(service_of(vm_id));
   if (sit != services_.end()) {
     std::erase(sit->second, &it->second);
@@ -177,7 +157,6 @@ void ServeLayer::add_stall(std::uint64_t vm_id, Seconds at,
   if (it == replicas_.end()) return;
   it->second.queue.stall(at, duration);
   ++stats_.stalls;
-  metrics().stalls.add();
   metrics().stall_ms.record(duration.value * 1000.0);
 }
 
@@ -237,11 +216,9 @@ Seconds ServeLayer::backlog(std::uint64_t vm_id, Seconds at) const {
 
 void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   ++stats_.generated;
-  metrics().generated.add();
   Replica* const chosen = least_backlog(members, arrival);
   if (chosen == nullptr) {
     ++stats_.dropped_unroutable;
-    metrics().dropped.add();
     return;
   }
   Replica& replica = *chosen;
@@ -250,7 +227,6 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   const VcpuQueue::Offer offer = replica.queue.offer(arrival, service_time);
   if (!offer.admitted) {
     ++stats_.dropped_overload;
-    metrics().dropped.add();
     return;
   }
   ++stats_.admitted;
@@ -258,7 +234,6 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   stats_.latency_sum_s += latency_s;
   stats_.max_latency_s = std::max(stats_.max_latency_s, latency_s);
   latency_ms_.record(latency_s * 1000.0);
-  metrics().latency_ms.record(latency_s * 1000.0);
   Seconds slo{0.0};
   switch (replica.request.sla) {
     case trace::SlaClass::kBestEffort:
@@ -272,7 +247,6 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   }
   if (latency_s > slo.value) {
     ++stats_.slo_violations;
-    metrics().slo_violations.add();
     if (replica.request.sla == trace::SlaClass::kCritical) {
       ++stats_.slo_violations_critical;
     }
@@ -304,8 +278,6 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
       // Nothing placed yet: the burst lands on an empty fleet.
       stats_.generated += count;
       stats_.dropped_unroutable += count;
-      metrics().generated.add(count);
-      metrics().dropped.add(count);
       continue;
     }
     for (std::uint64_t k = 0; k < count; ++k) {
@@ -341,7 +313,6 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
     completed += replica.queue.drain(window_end);
   }
   stats_.completed += completed;
-  metrics().completed.add(completed);
   metrics().queue_depth.set(static_cast<double>(outstanding()));
 }
 

@@ -130,9 +130,10 @@ class ReplicaBalancer {
 };
 
 /// The serving layer the cloud control loop drives. One instance per
-/// Cloud; owns its latency histogram so concurrent campaigns never
-/// share tail state through the global registry (global serve.* metrics
-/// are still published for observability).
+/// Cloud. It counts each request once, in its own books (ServeStats)
+/// and latency histogram, and writes no serve.* counter: the owning
+/// Cloud publishes the books, so concurrent campaigns never share tail
+/// state through the global registry.
 class ServeLayer {
  public:
   /// Mean service demand at the nominal operating point (exponential).

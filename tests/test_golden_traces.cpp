@@ -235,9 +235,9 @@ TEST(GoldenTraces, TcoSweep) {
 TEST(GoldenTraces, ServeCounters) {
   // A fixed-seed serving-layer day: three VMs across two services, a
   // flash crowd, one restore stall and a mid-run VM loss. Pins every
-  // serve.* counter the layer publishes plus the latency tail, so a
-  // refactor that shifts the Rng consumption order or the queue
-  // arithmetic fails here with the exact counter named.
+  // ServeStats book (the serve.* counters' source) plus the latency
+  // tail, so a refactor that shifts the Rng consumption order or the
+  // queue arithmetic fails here with the exact counter named.
   const hw::ServerNode node(hw::NodeSpec{}, 77);
   serve::ServeConfig config;
   config.enabled = true;

@@ -1,9 +1,12 @@
 // Cross-cutting integration checks: EOP helpers, Cloud x VmMonitor
-// wiring, governor-on-node loop.
+// wiring, the cloud's counters against its books, governor-on-node
+// loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/governor.h"
@@ -12,6 +15,7 @@
 #include "hwmodel/eop.h"
 #include "openstack/cloud.h"
 #include "stress/profiles.h"
+#include "telemetry/metrics.h"
 
 namespace uniserver {
 namespace {
@@ -163,6 +167,106 @@ TEST(CloudMonitorIntegration, OneSamplePerControlTickThroughSdcHits) {
   EXPECT_GT(cloud->stats().migrations, 0u);
   EXPECT_GT(cloud->stats().completed, 0u);
   EXPECT_GT(full_windows, 0);
+}
+
+TEST(CloudTelemetry, CountersAreTheBooks) {
+  // A deep undervolt under a rack power cap with serving on: organic
+  // SDCs, crashes and evacuations, post-copy fallbacks, power
+  // rejections, plus a flash crowd, an injected node crash, rack power
+  // loss and EOP retreat. After every Cloud::run call each counter that mirrors a
+  // book has grown by exactly that book (or book sum), and by the end
+  // every book is non-zero, so dropping any one publish fails here.
+  osk::CloudConfig config;
+  config.nodes_per_rack = 4;
+  config.rack_power_cap = Watt{110.0};
+  config.migration.dirty_rate = 0.6;
+  config.serve.enabled = true;
+  config.serve.requests_per_vcpu_hz = 0.05;
+  hv::HvConfig hv_config;
+  hv_config.hv_cpu_time_share = 0.5;
+  hw::NodeSpec spec;
+  spec.chip = hw::arm_soc_spec();
+  auto cloud = osk::Cloud::make_uniform(config, spec, hv_config, 16, 2024);
+  for (osk::ComputeNode* node : cloud->node_ptrs()) {
+    hw::Eop eop = node->server().eop();
+    eop.vdd = hw::apply_undervolt_percent(spec.chip.vdd_nominal, 15.0);
+    node->hypervisor().apply_eop(eop);
+  }
+
+  const char* profiles[] = {"mcf", "milc", "namd", "h264ref"};
+  Rng rng(99);
+  std::vector<trace::VmRequest> requests;
+  for (std::uint64_t id = 1; id <= 150; ++id) {
+    trace::VmRequest request;
+    request.id = id;
+    request.arrival = Seconds{rng.uniform() * 10000.0};
+    request.lifetime = Seconds{600.0 + rng.uniform() * 8000.0};
+    request.vcpus = 1 + static_cast<int>(rng.uniform_u64(4));
+    request.memory_mb = 512.0 * static_cast<double>(1 + rng.uniform_u64(6));
+    request.sla = static_cast<trace::SlaClass>(rng.uniform_u64(3));
+    request.workload = *stress::spec_profile(profiles[id % 4]);
+    requests.push_back(request);
+  }
+  std::sort(requests.begin(), requests.end(),
+            [](const trace::VmRequest& a, const trace::VmRequest& b) {
+              return a.arrival.value < b.arrival.value;
+            });
+
+  const auto counter = [](const std::string& name) -> std::uint64_t {
+    const telemetry::Counter* c =
+        telemetry::MetricsRegistry::global().find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  const auto books = [&cloud] {
+    const osk::CloudStats c = cloud->stats();
+    const osk::MigrationStats& m = cloud->migrations().stats();
+    const serve::ServeStats& s = cloud->serving()->stats();
+    return std::vector<std::pair<std::string, std::uint64_t>>{
+        {"cloud.vms_submitted", c.submitted},
+        {"cloud.vms_accepted", c.accepted},
+        {"cloud.vms_rejected", c.rejected},
+        {"cloud.vms_rejected_for_power", c.rejected_for_power},
+        {"cloud.vms_completed", c.completed},
+        {"cloud.vms_lost", c.lost_to_errors + c.lost_to_node_crash},
+        {"cloud.evacuations", c.evacuations},
+        {"cloud.migration_failures", c.migration_failures},
+        {"cloud.node_crashes", c.node_crash_events},
+        {"cloud.sla_violations", c.sla_violations},
+        {"cloud.mig.submitted", m.submitted},
+        {"cloud.mig.started", m.started},
+        {"cloud.mig.completed", m.completed},
+        {"cloud.mig.cancelled", m.cancelled},
+        {"cloud.mig.postcopy_fallbacks", m.postcopy_fallbacks},
+        {"serve.requests_generated", s.generated},
+        {"serve.requests_completed", s.completed},
+        {"serve.requests_dropped",
+         s.dropped_overload + s.dropped_unroutable + s.dropped_lost},
+        {"serve.slo_violations", s.slo_violations},
+        {"serve.stalls", s.stalls},
+    };
+  };
+  std::map<std::string, std::uint64_t> before;
+  for (const auto& [name, book] : books()) before[name] = counter(name);
+
+  std::size_t next = 0;
+  for (int tick = 1; tick <= 200; ++tick) {
+    const Seconds now{60.0 * tick};
+    if (tick == 45) cloud->inject_request_burst(now, 20000);
+    if (tick == 50) cloud->inject_node_crash(3);
+    if (tick == 100) cloud->inject_rack_power_loss(5);
+    if (tick == 150) cloud->inject_eop_retreat(9);
+    std::vector<trace::VmRequest> batch;
+    for (; next < requests.size() && requests[next].arrival.value <= now.value;
+         ++next) {
+      batch.push_back(requests[next]);
+    }
+    cloud->run(batch, now);
+    for (const auto& [name, book] : books()) {
+      ASSERT_EQ(counter(name) - before.at(name), book)
+          << name << " after tick " << tick;
+    }
+  }
+  for (const auto& [name, book] : books()) EXPECT_GT(book, 0u) << name;
 }
 
 TEST(GovernorOnNode, ClosedLoopDayStaysSafeAndSavesPower) {

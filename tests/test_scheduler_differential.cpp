@@ -2,9 +2,10 @@
 // fuzz scenarios are each replayed through the indexed and reference
 // placement engines for every SchedulerPolicy; the engines must agree
 // on the full placement-decision sequence, the placement digest, the
-// end-of-run CloudStats, the outcome digest AND the `cloud.*`
-// telemetry counter deltas (minus the engine-dependent `cloud.sched.*`
-// namespace — see docs/OBSERVABILITY.md). The nightly fuzz job reruns
+// end-of-run CloudStats, the orchestrator's submitted and post-copy
+// fallback books and the outcome digest. Every `cloud.*` counter
+// outside the engine-dependent `cloud.sched.*` namespace is published
+// from those books (docs/OBSERVABILITY.md). The nightly fuzz job reruns
 // the same check at campaign scale (`uniserver_ctl fuzz
 // --differential`).
 #include <gtest/gtest.h>
