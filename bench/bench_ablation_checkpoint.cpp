@@ -63,8 +63,7 @@ Outcome run_day(bool domains, bool checkpoint, bool channel_isolation,
     outcome.energy_kwh += report.energy.kwh();
     if (!hypervisor.vms().contains(1)) hypervisor.create_vm(vm);
   }
-  outcome.isolated_channels =
-      static_cast<int>(hypervisor.isolated_channels().size());
+  outcome.isolated_channels = hypervisor.isolated_channels();
   return outcome;
 }
 

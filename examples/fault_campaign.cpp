@@ -59,7 +59,8 @@ int main() {
     covered += static_cast<double>(entry.fatal);
     mb += entry.size_mb;
     // Checkpoint/checksum cost model: ~0.4% of a core per protected MB,
-    // saturating — protecting everything costs ~2% (HvConfig default).
+    // saturating — protecting everything costs ~2% (the ceiling of
+    // ProtectionPolicy::Config).
     const double overhead = std::min(0.02, 0.004 * mb);
     table.add_row({to_string(entry.category),
                    TextTable::pct(covered / total_fatal * 100.0),

@@ -78,7 +78,6 @@ struct MegaHertz : Quantity<MegaHertz> {
   static constexpr MegaHertz from_ghz(double ghz) {
     return MegaHertz{ghz * 1000.0};
   }
-  constexpr double gigahertz() const { return value / 1000.0; }
 };
 
 /// Time span in seconds (used for refresh intervals, epochs, latencies).
@@ -93,14 +92,11 @@ struct Seconds : Quantity<Seconds> {
 /// Power in watts.
 struct Watt : Quantity<Watt> {
   using Quantity::Quantity;
-  static constexpr Watt from_mw(double mw) { return Watt{mw / 1000.0}; }
-  constexpr double milliwatts() const { return value * 1000.0; }
 };
 
 /// Energy in joules.
 struct Joule : Quantity<Joule> {
   using Quantity::Quantity;
-  static constexpr Joule from_mj(double mj) { return Joule{mj / 1000.0}; }
   constexpr double kwh() const { return value / 3.6e6; }
   static constexpr Joule from_kwh(double kwh) { return Joule{kwh * 3.6e6}; }
 };

@@ -2,10 +2,6 @@
 
 #include <cstdio>
 
-#include "telemetry/export.h"
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-
 namespace uniserver::daemons {
 
 NodeStatus collect_status(const hw::ServerNode& node,
@@ -73,11 +69,6 @@ std::string serialize(const NodeStatus& status) {
       status.predicted_crash_probability, status.age_years,
       status.retired_cores, status.isolated_channels);
   return buffer;
-}
-
-std::string telemetry_snapshot_json() {
-  return telemetry::to_json(telemetry::MetricsRegistry::global(),
-                            &telemetry::TraceBuffer::global());
 }
 
 }  // namespace uniserver::daemons

@@ -56,12 +56,4 @@ NodeStatus collect_status(const hw::ServerNode& node,
 /// One-line key=value serialization ("ST ..." records).
 std::string serialize(const NodeStatus& status);
 
-/// Machine-readable companion to serialize(): the process-wide
-/// telemetry snapshot (metric registry + trace ring) as a JSON
-/// document. This is the "extended monitoring interface" upper layers
-/// scrape when one ST line is not enough; `uniserver_ctl
-/// --telemetry-out <path>` writes exactly this. Schema:
-/// docs/OBSERVABILITY.md.
-std::string telemetry_snapshot_json();
-
 }  // namespace uniserver::daemons

@@ -1,7 +1,5 @@
 #include "hypervisor/domains.h"
 
-#include <algorithm>
-
 namespace uniserver::hv {
 
 MemoryDomainManager::MemoryDomainManager(hw::ServerNode& node) : node_(node) {}
@@ -29,7 +27,6 @@ void MemoryDomainManager::release_all() {
   for (int c = 0; c < node_.memory().channels(); ++c) {
     node_.pin_channel_reliable(c, false);
   }
-  reliable_used_mb_ = 0.0;
 }
 
 double MemoryDomainManager::reliable_capacity_mb() const {
@@ -54,19 +51,6 @@ int MemoryDomainManager::reliable_channels() const {
     if (node_.channel_reliable(c)) ++count;
   }
   return count;
-}
-
-double MemoryDomainManager::place(double mb, bool prefer_reliable) {
-  if (!prefer_reliable) return 0.0;
-  const double available =
-      std::max(0.0, reliable_capacity_mb() - reliable_used_mb_);
-  const double placed = std::min(mb, available);
-  reliable_used_mb_ += placed;
-  return placed;
-}
-
-void MemoryDomainManager::free_reliable(double mb) {
-  reliable_used_mb_ = std::max(0.0, reliable_used_mb_ - mb);
 }
 
 }  // namespace uniserver::hv

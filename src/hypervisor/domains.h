@@ -4,8 +4,8 @@
 // be set independently. The manager pins enough channels at the nominal
 // refresh rate to hold everything that must not see decay errors
 // (hypervisor structures, critical kernel code/stack, critical VMs) and
-// relaxes the rest. Placement accounting then tells the hypervisor what
-// fraction of relaxed-domain errors can land on which tenant.
+// relaxes the rest. The hypervisor attributes relaxed-domain errors to
+// tenants by their share of the relaxed capacity.
 #pragma once
 
 #include <cstdint>
@@ -32,19 +32,8 @@ class MemoryDomainManager {
   double relaxed_capacity_mb() const;
   int reliable_channels() const;
 
-  /// Places a tenant's pages: reliable-domain bytes first if requested.
-  /// Returns the MB that ended up in the reliable domain (the remainder
-  /// spills to relaxed channels).
-  double place(double mb, bool prefer_reliable);
-
-  /// Frees previously placed reliable-domain megabytes.
-  void free_reliable(double mb);
-
-  double reliable_used_mb() const { return reliable_used_mb_; }
-
  private:
   hw::ServerNode& node_;
-  double reliable_used_mb_{0.0};
 };
 
 }  // namespace uniserver::hv

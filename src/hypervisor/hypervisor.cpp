@@ -70,11 +70,56 @@ Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
     : node_(node),
       config_(config),
       rng_(seed),
-      domains_(node) {
+      domains_(node),
+      cores_(static_cast<std::size_t>(node.chip().num_cores())),
+      channels_(static_cast<std::size_t>(node.memory().channels())),
+      protection_plan_{.protected_categories = {},
+                       .coverage = kDefaultProtectionCoverage,
+                       .protected_mb = 0.0,
+                       .cpu_overhead = kDefaultProtectionCpuOverhead},
+      protection_enabled_(config.selective_protection) {
   reconfigure_domains();
-  if (config_.selective_protection) {
-    metrics().protection_overhead.set(config_.protection_cpu_overhead);
+  if (protection_enabled_) {
+    metrics().protection_overhead.set(protection_plan_.cpu_overhead);
   }
+}
+
+void Hypervisor::recount_vms() {
+  // One pass in ascending id; each sum keeps that order, so the totals
+  // are bit-identical to summing over vms_ at the point of use.
+  VmTotals totals;
+  double activity = 0.0, didt = 0.0, ipc = 0.0, mem = 0.0, cache = 0.0;
+  for (const auto& [id, vm] : vms_) {
+    totals.vcpus += vm.vcpus;
+    totals.memory_mb += vm.memory_mb;
+    if (vm.requirements.critical) {
+      ++totals.critical_vms;
+      totals.critical_mb += vm.memory_mb;
+    }
+    if (!(config_.use_reliable_domain && vm.requirements.critical)) {
+      totals.relaxed_mb += vm.memory_mb;
+    }
+    const double weight = static_cast<double>(vm.vcpus);
+    activity += weight * vm.workload.activity;
+    didt += weight * vm.workload.didt_stress;
+    ipc += weight * vm.workload.ipc;
+    mem += weight * vm.workload.mem_intensity;
+    cache += weight * vm.workload.cache_pressure;
+  }
+  if (!vms_.empty()) {
+    const double weight_total = static_cast<double>(totals.vcpus);
+    hw::WorkloadSignature& aggregate = totals.signature;
+    aggregate.name = "vm-aggregate";
+    aggregate.activity = activity / weight_total;
+    // Droop stress adds up superlinearly with co-running noisy guests,
+    // but saturates: use the weighted mean plus a small crowding term.
+    aggregate.didt_stress = std::min(
+        1.0, didt / weight_total * (1.0 + 0.05 * (weight_total - 1.0)));
+    aggregate.ipc = ipc / weight_total;
+    aggregate.mem_intensity = std::min(1.0, mem / weight_total);
+    aggregate.cache_pressure = std::min(1.0, cache / weight_total);
+  }
+  totals_ = totals;
 }
 
 void Hypervisor::reconfigure_domains() {
@@ -82,36 +127,36 @@ void Hypervisor::reconfigure_domains() {
     domains_.release_all();
   } else {
     // Reserve room for the hypervisor plus headroom for critical VMs.
-    double critical_mb = 0.0;
-    for (const auto& [id, vm] : vms_) {
-      if (vm.requirements.critical) critical_mb += vm.memory_mb;
-    }
     const double need =
         footprint_.hypervisor_mb(
             vms_.size(), total_utilized_mb() - footprint_.host_os_mb) +
-        critical_mb + 256.0;
+        totals_.critical_mb + 256.0;
     domains_.configure_reliable_capacity(need);
   }
   // Isolation decisions outlive any domain re-layout: a channel retired
   // for error pressure stays pinned at nominal refresh.
-  for (const int channel : isolated_channels_) {
-    node_.pin_channel_reliable(channel, true);
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (channels_[c].isolated) {
+      node_.pin_channel_reliable(static_cast<int>(c), true);
+    }
   }
 }
 
 bool Hypervisor::create_vm(const Vm& vm) {
   if (vms_.contains(vm.id)) return false;
-  int vcpus_in_use = 0;
-  for (const auto& [id, existing] : vms_) vcpus_in_use += existing.vcpus;
-  if (vcpus_in_use + vm.vcpus > usable_cores()) return false;
+  if (totals_.vcpus + vm.vcpus > usable_cores()) return false;
   vms_.emplace(vm.id, vm);
+  recount_vms();
   reconfigure_domains();
   return true;
 }
 
 bool Hypervisor::destroy_vm(std::uint64_t id) {
   const bool erased = vms_.erase(id) > 0;
-  if (erased) reconfigure_domains();
+  if (erased) {
+    recount_vms();
+    reconfigure_domains();
+  }
   return erased;
 }
 
@@ -126,14 +171,6 @@ void Hypervisor::apply_margins(const daemons::SafeMargins& margins,
   reconfigure_domains();
 }
 
-void Hypervisor::apply_advice(const daemons::Predictor& predictor,
-                              const std::vector<hw::Eop>& candidates) {
-  const auto advice = predictor.advise(node_.chip(), aggregate_signature(),
-                                       candidates, config_.risk_budget);
-  node_.set_eop(advice.eop);
-  reconfigure_domains();
-}
-
 void Hypervisor::apply_eop(const hw::Eop& eop) {
   node_.set_eop(eop);
   reconfigure_domains();
@@ -141,59 +178,27 @@ void Hypervisor::apply_eop(const hw::Eop& eop) {
 
 void Hypervisor::apply_protection_plan(const ProtectionPlan& plan) {
   protection_plan_ = plan;
-  config_.selective_protection = !plan.protected_categories.empty();
-  config_.protection_coverage = plan.coverage;
-  config_.protection_cpu_overhead = plan.cpu_overhead;
+  protection_enabled_ = !plan.protected_categories.empty();
   metrics().protection_overhead.set(
-      config_.selective_protection ? plan.cpu_overhead : 0.0);
+      protection_enabled_ ? plan.cpu_overhead : 0.0);
 }
 
-int Hypervisor::usable_cores() const {
-  return node_.chip().num_cores() - static_cast<int>(retired_cores_.size());
-}
-
-double Hypervisor::resident_vm_mb() const {
-  double vm_mb = 0.0;
-  for (const auto& [id, vm] : vms_) vm_mb += vm.memory_mb;
-  return vm_mb;
+int Hypervisor::isolated_channels() const {
+  return static_cast<int>(
+      std::count_if(channels_.begin(), channels_.end(),
+                    [](const ErrorHealth& h) { return h.isolated; }));
 }
 
 double Hypervisor::hypervisor_footprint_mb() const {
-  return footprint_.hypervisor_mb(vms_.size(), resident_vm_mb());
+  return footprint_.hypervisor_mb(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::total_utilized_mb() const {
-  return footprint_.total_utilized_mb(vms_.size(), resident_vm_mb());
+  return footprint_.total_utilized_mb(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::hypervisor_share() const {
-  return footprint_.hypervisor_share(vms_.size(), resident_vm_mb());
-}
-
-hw::WorkloadSignature Hypervisor::aggregate_signature() const {
-  if (vms_.empty()) return hw::idle_signature();
-  hw::WorkloadSignature aggregate;
-  aggregate.name = "vm-aggregate";
-  double weight_total = 0.0;
-  double activity = 0.0, didt = 0.0, ipc = 0.0, mem = 0.0, cache = 0.0;
-  for (const auto& [id, vm] : vms_) {
-    const double weight = static_cast<double>(vm.vcpus);
-    weight_total += weight;
-    activity += weight * vm.workload.activity;
-    didt += weight * vm.workload.didt_stress;
-    ipc += weight * vm.workload.ipc;
-    mem += weight * vm.workload.mem_intensity;
-    cache += weight * vm.workload.cache_pressure;
-  }
-  aggregate.activity = activity / weight_total;
-  // Droop stress adds up superlinearly with co-running noisy guests, but
-  // saturates: use the weighted mean plus a small crowding term.
-  aggregate.didt_stress =
-      std::min(1.0, didt / weight_total * (1.0 + 0.05 * (weight_total - 1.0)));
-  aggregate.ipc = ipc / weight_total;
-  aggregate.mem_intensity = std::min(1.0, mem / weight_total);
-  aggregate.cache_pressure = std::min(1.0, cache / weight_total);
-  return aggregate;
+  return footprint_.hypervisor_share(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::hv_fatality_probability() const {
@@ -212,9 +217,7 @@ double Hypervisor::hv_fatality_probability() const {
         category_bytes * profile.crucial_share * profile.consumption_loaded;
   }
   double p = total_bytes <= 0.0 ? 0.0 : weighted_consumption / total_bytes;
-  if (config_.selective_protection) {
-    p *= (1.0 - config_.protection_coverage);
-  }
+  if (protection_enabled_) p *= (1.0 - protection_plan_.coverage);
   return p;
 }
 
@@ -222,7 +225,7 @@ void Hypervisor::hypervisor_corrupted(TickReport& report) {
   if (rng_.bernoulli(hv_fatality_probability())) {
     report.hypervisor_fatal = true;
     ++stats_.hv_fatal_events;
-  } else if (config_.selective_protection) {
+  } else if (protection_enabled_) {
     ++stats_.protection_saves;
     metrics().protection_saves.add();
   }
@@ -250,18 +253,18 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   metrics().ticks.add();
   stats_.uptime += window;
 
-  const hw::WorkloadSignature w = aggregate_signature();
-  int active_cores = 0;
-  for (const auto& [id, vm] : vms_) active_cores += vm.vcpus;
-  active_cores = std::clamp(active_cores, 1, usable_cores());
+  // Copied: the SDC kills below recount the totals before the
+  // monitoring vector reads this tick's signature.
+  const hw::WorkloadSignature w = totals_.signature;
+  const int active_cores = std::clamp(totals_.vcpus, 1, usable_cores());
 
   // --- run the machine for one window -------------------------------
   const hw::RunResult run = node_.run(w, window, active_cores, rng_);
   report.energy = run.energy;
   report.avg_power = run.avg_power;
   double overhead = 0.0;
-  if (config_.selective_protection) overhead += config_.protection_cpu_overhead;
-  if (config_.vm_checkpointing) overhead += config_.checkpoint_overhead;
+  if (protection_enabled_) overhead += protection_plan_.cpu_overhead;
+  if (config_.vm_checkpointing) overhead += kCheckpointOverhead;
   if (overhead > 0.0) {
     // Checking/checkpointing burns a slice of the node; charge it so
     // the resilience-vs-efficiency trade is visible.
@@ -286,7 +289,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
     healthlog_.record_error(daemons::ErrorEvent{
         now, daemons::Component::kCache, daemons::Severity::kCorrectable,
         core});
-    core_error_tally_[core] +=
+    cores_[static_cast<std::size_t>(core)].tally +=
         static_cast<double>(run.cache_ecc_corrected) /
         static_cast<double>(logged);
   }
@@ -320,12 +323,16 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   }
 
   // --- core isolation on sustained error pressure --------------------
-  for (auto& [core, tally] : core_error_tally_) {
-    const double per_hour = tally / std::max(1e-9, stats_.uptime.value) * 3600.0;
+  // Only cores that logged an error are candidates, in ascending order.
+  for (std::size_t core = 0; core < cores_.size(); ++core) {
+    ErrorHealth& health = cores_[core];
+    if (health.tally <= 0.0) continue;
+    const double per_hour =
+        health.tally / std::max(1e-9, stats_.uptime.value) * 3600.0;
     if (per_hour > config_.core_isolation_threshold_per_hour &&
-        !retired_cores_.contains(core) &&
-        usable_cores() > 1) {
-      retired_cores_.insert(core);
+        !health.isolated && usable_cores() > 1) {
+      health.isolated = true;
+      ++retired_cores_;
       metrics().cores_retired.add();
       telemetry::trace(now, "hv", "core_retired",
                        {{"core", std::to_string(core)}});
@@ -342,15 +349,16 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         node_.memory().sample_error_split(c, window, mem_temp, rng_);
     relaxed_errors += split.uncorrectable;
     ecc_masked_dram += split.corrected;
-    channel_error_tally_[c] += static_cast<double>(split.uncorrectable);
+    ErrorHealth& health = channels_[static_cast<std::size_t>(c)];
+    health.tally += static_cast<double>(split.uncorrectable);
     // Memory-side isolation: a channel pouring uncorrectable events is
     // pinned back to nominal refresh (the HealthLog-driven "isolating
     // problematic ... memory resources" of §4.A).
-    const double per_hour = channel_error_tally_[c] /
-                            std::max(1e-9, stats_.uptime.value) * 3600.0;
+    const double per_hour =
+        health.tally / std::max(1e-9, stats_.uptime.value) * 3600.0;
     if (per_hour > config_.channel_isolation_threshold_per_hour &&
-        !isolated_channels_.contains(c)) {
-      isolated_channels_.insert(c);
+        !health.isolated) {
+      health.isolated = true;
       node_.pin_channel_reliable(c, true);
       metrics().channels_isolated.add();
       telemetry::trace(now, "hv", "channel_isolated",
@@ -377,11 +385,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         0.0, hv_relaxed_mb - domains_.reliable_capacity_mb());
     hv_relaxed_mb = spill;
   }
-  double vm_relaxed_mb = 0.0;
-  for (const auto& [id, vm] : vms_) {
-    if (config_.use_reliable_domain && vm.requirements.critical) continue;
-    vm_relaxed_mb += vm.memory_mb;
-  }
+  const double vm_relaxed_mb = totals_.relaxed_mb;
 
   const std::uint64_t attributed =
       std::min(relaxed_errors, 64 * kMaxLoggedPerTick);

@@ -18,14 +18,11 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "daemons/healthlog.h"
-#include "daemons/predictor.h"
 #include "daemons/stresslog.h"
 #include "hwmodel/platform.h"
 #include "hypervisor/domains.h"
@@ -36,21 +33,22 @@
 
 namespace uniserver::hv {
 
+/// The selective-protection plan in force until a characterization-
+/// derived one is installed: fraction of crucial objects covered, and
+/// CPU overhead (fraction of one core).
+inline constexpr double kDefaultProtectionCoverage = 0.9;
+inline constexpr double kDefaultProtectionCpuOverhead = 0.015;
+/// Runtime overhead of periodic VM checkpointing (fraction of node
+/// power).
+inline constexpr double kCheckpointOverhead = 0.01;
+
+/// Construction-time settings; the hypervisor never writes them.
 struct HvConfig {
-  /// Acceptable *predicted* crash probability when asking the Predictor
-  /// for an EOP. The logistic model is coarsely calibrated, so this is
-  /// a ranking threshold rather than a true probability; 0.02 keeps a
-  /// comfortable distance from the decision boundary (the guard band
-  /// provides the hard safety margin).
-  double risk_budget{0.02};
   /// Host the hypervisor (and critical VMs) at nominal refresh.
   bool use_reliable_domain{true};
-  /// Checkpoint/checksum the crucial objects found by fault injection.
+  /// Boot with the default protection plan on (checkpoint/checksum of
+  /// the crucial objects found by fault injection).
   bool selective_protection{true};
-  /// Fraction of crucial objects covered by the protection mechanism.
-  double protection_coverage{0.9};
-  /// CPU overhead of the protection mechanism (fraction of one core).
-  double protection_cpu_overhead{0.015};
   /// Retire a core after this many correctable errors per hour.
   double core_isolation_threshold_per_hour{50.0};
   /// Pin a relaxed channel back to nominal refresh after this many
@@ -65,8 +63,21 @@ struct HvConfig {
   /// from its last checkpoint instead of being lost (the "transparently
   /// mask errors from upper software layers" mechanism of §4.A).
   bool vm_checkpointing{false};
-  /// Runtime overhead of taking checkpoints (fraction of node power).
-  double checkpoint_overhead{0.01};
+};
+
+/// Sums over the resident VMs. The hypervisor recounts them in one pass,
+/// in ascending VM id, whenever the VM set changes; a resident VM is
+/// never mutated, so nothing else can make them stale.
+struct VmTotals {
+  int vcpus{0};
+  double memory_mb{0.0};
+  int critical_vms{0};
+  double critical_mb{0.0};
+  /// Memory of the VMs outside the reliable domain: every VM, or the
+  /// non-critical ones when the reliable domain is in use.
+  double relaxed_mb{0.0};
+  /// Electrical signature weighted by vCPU count; idle when no VM runs.
+  hw::WorkloadSignature signature{hw::idle_signature()};
 };
 
 /// Outcome of one hypervisor control-loop tick.
@@ -129,31 +140,36 @@ class Hypervisor {
   bool destroy_vm(std::uint64_t id);
   std::size_t vm_count() const { return vms_.size(); }
   const std::map<std::uint64_t, Vm>& vms() const { return vms_; }
+  const VmTotals& vm_totals() const { return totals_; }
 
   // -- EOP control ----------------------------------------------------
   /// Applies the safe margins from a StressLog cycle at a frequency,
   /// keeping the configured guard semantics (margins are already
   /// guard-banded by the StressLog).
   void apply_margins(const daemons::SafeMargins& margins, MegaHertz freq);
-  /// Lets the Predictor choose among candidate EOPs under the budget.
-  void apply_advice(const daemons::Predictor& predictor,
-                    const std::vector<hw::Eop>& candidates);
   /// Applies an already-decided EOP and re-pins the reliable domain.
   void apply_eop(const hw::Eop& eop);
 
-  /// Installs a characterization-derived selective-protection plan
-  /// (coverage and CPU overhead replace the config defaults).
+  /// Installs a characterization-derived selective-protection plan; it
+  /// replaces the default plan, and protection is on iff it protects
+  /// at least one category.
   void apply_protection_plan(const ProtectionPlan& plan);
+  /// The plan in force (the default one until a plan is installed).
   const ProtectionPlan& protection_plan() const { return protection_plan_; }
+  bool protection_enabled() const { return protection_enabled_; }
   const hw::Eop& eop() const { return node_.eop(); }
 
   // -- resilience -----------------------------------------------------
-  /// Cores currently excluded from scheduling.
-  const std::set<int>& retired_cores() const { return retired_cores_; }
-  int usable_cores() const;
-  /// Channels forced back to nominal refresh by error pressure.
-  const std::set<int>& isolated_channels() const {
-    return isolated_channels_;
+  /// Number of cores excluded from scheduling.
+  int retired_cores() const { return retired_cores_; }
+  int usable_cores() const {
+    return static_cast<int>(cores_.size()) - retired_cores_;
+  }
+  /// Number of channels forced back to nominal refresh by error
+  /// pressure.
+  int isolated_channels() const;
+  bool channel_isolated(int channel) const {
+    return channels_[static_cast<std::size_t>(channel)].isolated;
   }
 
   // -- accounting -----------------------------------------------------
@@ -165,14 +181,23 @@ class Hypervisor {
 
   /// Aggregate electrical signature of the resident VMs (weighted by
   /// vCPU count); idle when no VM runs.
-  hw::WorkloadSignature aggregate_signature() const;
+  const hw::WorkloadSignature& aggregate_signature() const {
+    return totals_.signature;
+  }
 
   /// One control-loop step of length `window` at simulated time `now`.
   TickReport tick(Seconds now, Seconds window);
 
  private:
-  /// Memory of the resident VMs, summed in ascending VM id.
-  double resident_vm_mb() const;
+  /// Error history of one core or channel: errors tallied since boot,
+  /// and whether they retired the core or isolated the channel.
+  struct ErrorHealth {
+    double tally{0.0};
+    bool isolated{false};
+  };
+
+  /// Refills totals_ from vms_; the only writer of totals_.
+  void recount_vms();
   void reconfigure_domains();
   /// Average probability that an SDC into hypervisor memory is fatal,
   /// given the default KVM object profiles and the protection
@@ -188,17 +213,19 @@ class Hypervisor {
   void guest_corrupted(std::uint64_t victim, TickReport& report);
 
   hw::ServerNode& node_;
-  HvConfig config_;
+  const HvConfig config_;
   Rng rng_;
   daemons::HealthLog healthlog_;
   MemoryDomainManager domains_;
   FootprintModel footprint_;
   std::map<std::uint64_t, Vm> vms_;
-  std::set<int> retired_cores_;
-  std::set<int> isolated_channels_;
-  std::map<int, double> core_error_tally_;
-  std::map<int, double> channel_error_tally_;
+  VmTotals totals_;
+  /// Indexed by core / channel.
+  std::vector<ErrorHealth> cores_;
+  std::vector<ErrorHealth> channels_;
+  int retired_cores_{0};
   ProtectionPlan protection_plan_;
+  bool protection_enabled_;
   HvStats stats_;
 };
 

@@ -16,15 +16,6 @@ ComputeNode::ComputeNode(std::string name, const hw::NodeSpec& spec,
 
 int ComputeNode::total_vcpus() const { return hypervisor_->usable_cores(); }
 
-void ComputeNode::resync_capacity_cache() {
-  used_vcpus_ = 0;
-  used_memory_mb_ = 0.0;
-  for (const auto& [id, vm] : hypervisor_->vms()) {
-    used_vcpus_ += vm.vcpus;
-    used_memory_mb_ += vm.memory_mb;
-  }
-}
-
 void ComputeNode::set_reliability(double reliability) {
   metrics_.reliability = std::clamp(reliability, 0.0, 1.0);
 }
@@ -33,10 +24,7 @@ bool ComputeNode::place_vm(const hv::Vm& vm) {
   if (!up_) return false;
   if (vm.vcpus > free_vcpus()) return false;
   if (vm.memory_mb > free_memory_mb()) return false;
-  if (!hypervisor_->create_vm(vm)) return false;
-  used_vcpus_ += vm.vcpus;
-  used_memory_mb_ += vm.memory_mb;
-  return true;
+  return hypervisor_->create_vm(vm);
 }
 
 bool ComputeNode::reserve(int vcpus, double memory_mb) {
@@ -51,17 +39,6 @@ bool ComputeNode::reserve(int vcpus, double memory_mb) {
 void ComputeNode::unreserve(int vcpus, double memory_mb) {
   reserved_vcpus_ = std::max(0, reserved_vcpus_ - vcpus);
   reserved_memory_mb_ = std::max(0.0, reserved_memory_mb_ - memory_mb);
-}
-
-bool ComputeNode::remove_vm(std::uint64_t id) {
-  const auto it = hypervisor_->vms().find(id);
-  if (it == hypervisor_->vms().end()) return false;
-  const int vcpus = it->second.vcpus;
-  const double memory_mb = it->second.memory_mb;
-  if (!hypervisor_->destroy_vm(id)) return false;
-  used_vcpus_ -= vcpus;
-  used_memory_mb_ -= memory_mb;
-  return true;
 }
 
 ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
@@ -81,10 +58,6 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
       const std::vector<std::uint64_t> resident = force_crash();
       result.vms_lost.insert(result.vms_lost.end(), resident.begin(),
                              resident.end());
-    } else if (!result.vms_lost.empty()) {
-      // SDC kills destroy VMs inside the hypervisor, bypassing
-      // remove_vm's incremental accounting.
-      resync_capacity_cache();
     }
     metrics_.energy_kwh += report.energy.kwh();
   }
@@ -101,10 +74,7 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
 
 bool ComputeNode::apply_sla_aware_eop(double backoff_percent) {
   if (!has_margins_ || margins_.points.empty()) return false;
-  bool critical_present = false;
-  for (const auto& [id, vm] : hypervisor_->vms()) {
-    if (vm.requirements.critical) critical_present = true;
-  }
+  const bool critical_present = hypervisor_->vm_totals().critical_vms > 0;
   const auto& spec = server_->spec().chip;
   const auto& point = margins_.point_for(server_->eop().freq);
   const double offset =
@@ -131,7 +101,6 @@ std::vector<std::uint64_t> ComputeNode::force_crash() {
   if (!up_) return lost;
   for (const auto& [id, vm] : hypervisor_->vms()) lost.push_back(id);
   for (std::uint64_t id : lost) hypervisor_->destroy_vm(id);
-  resync_capacity_cache();
   up_ = false;
   repair_remaining_ = repair_time_;
   // Inbound-migration reservations die with the node; the

@@ -39,16 +39,15 @@ class ComputeNode {
 
   bool up() const { return up_; }
   int total_vcpus() const;
-  /// Committed vCPUs / memory are cached and maintained incrementally
-  /// on place/remove (and resynced after hypervisor-internal VM churn),
-  /// so the scheduler's capacity filters are O(1) instead of walking
-  /// the resident-VM map on every query.
-  int used_vcpus() const { return used_vcpus_; }
+  /// Committed vCPUs / memory: the hypervisor's resident-VM totals.
+  int used_vcpus() const { return hypervisor_->vm_totals().vcpus; }
   int free_vcpus() const {
     return total_vcpus() - used_vcpus() - reserved_vcpus_;
   }
   double memory_capacity_mb() const { return memory_capacity_mb_; }
-  double used_memory_mb() const { return used_memory_mb_; }
+  double used_memory_mb() const {
+    return hypervisor_->vm_totals().memory_mb;
+  }
   double free_memory_mb() const {
     return memory_capacity_mb() - used_memory_mb() - reserved_memory_mb_;
   }
@@ -90,7 +89,7 @@ class ComputeNode {
 
   /// Places a VM (returns false when filtered out by capacity or state).
   bool place_vm(const hv::Vm& vm);
-  bool remove_vm(std::uint64_t id);
+  bool remove_vm(std::uint64_t id) { return hypervisor_->destroy_vm(id); }
 
   struct NodeTick {
     /// The node went down this tick (hardware crash or fatal
@@ -115,12 +114,6 @@ class ComputeNode {
   /// serves `repair_time`. Returns empty on a node that is already down.
   std::vector<std::uint64_t> force_crash();
 
-  /// Recomputes the cached committed-capacity totals from the resident
-  /// VM map. Called after any path that churns VMs inside the
-  /// hypervisor (SDC kills, crashes) rather than through
-  /// place_vm/remove_vm.
-  void resync_capacity_cache();
-
  private:
   std::string name_;
   std::unique_ptr<hw::ServerNode> server_;
@@ -133,8 +126,6 @@ class ComputeNode {
   NodeMetrics metrics_{};
   daemons::SafeMargins margins_{};
   bool has_margins_{false};
-  int used_vcpus_{0};
-  double used_memory_mb_{0.0};
   double memory_capacity_mb_{0.0};
   int reserved_vcpus_{0};
   double reserved_memory_mb_{0.0};

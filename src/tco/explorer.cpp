@@ -102,13 +102,6 @@ SweepDimension TcoExplorer::pue(std::vector<double> values) {
           [](DatacenterSpec& spec, double v) { spec.pue = v; }};
 }
 
-SweepDimension TcoExplorer::server_count(std::vector<double> values) {
-  return {"servers", std::move(values),
-          [](DatacenterSpec& spec, double v) {
-            spec.servers = static_cast<int>(v);
-          }};
-}
-
 SweepDimension TcoExplorer::server_power_w(std::vector<double> values) {
   return {"server power [W]", std::move(values),
           [](DatacenterSpec& spec, double v) {

@@ -71,7 +71,6 @@ class TcoExplorer {
   /// Common sweep dimensions for the bench/CLI.
   static SweepDimension electricity_price_usd(std::vector<double> values);
   static SweepDimension pue(std::vector<double> values);
-  static SweepDimension server_count(std::vector<double> values);
   static SweepDimension server_power_w(std::vector<double> values);
 
  private:

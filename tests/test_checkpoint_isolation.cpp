@@ -107,13 +107,14 @@ TEST(ChannelIsolation, ErrorStormPinsChannelToNominal) {
   eop.refresh = Seconds{5.0};  // error fountain on every channel
   hypervisor.apply_eop(eop);
 
-  for (int i = 0; i < 12 * 60 && hypervisor.isolated_channels().empty();
+  for (int i = 0; i < 12 * 60 && hypervisor.isolated_channels() == 0;
        ++i) {
     hypervisor.tick(Seconds{60.0 * i}, 60_s);
     if (!hypervisor.vms().contains(1)) hypervisor.create_vm(big_vm());
   }
-  ASSERT_FALSE(hypervisor.isolated_channels().empty());
-  for (int channel : hypervisor.isolated_channels()) {
+  ASSERT_GT(hypervisor.isolated_channels(), 0);
+  for (int channel = 0; channel < node.memory().channels(); ++channel) {
+    if (!hypervisor.channel_isolated(channel)) continue;
     EXPECT_TRUE(node.channel_reliable(channel));
     EXPECT_DOUBLE_EQ(node.memory().channel_refresh(channel).value, 0.064);
   }
@@ -132,7 +133,7 @@ TEST(ChannelIsolation, QuietChannelsStayRelaxed) {
   for (int i = 0; i < 6 * 60; ++i) {
     hypervisor.tick(Seconds{60.0 * i}, 60_s);
   }
-  EXPECT_TRUE(hypervisor.isolated_channels().empty());
+  EXPECT_EQ(hypervisor.isolated_channels(), 0);
 }
 
 }  // namespace

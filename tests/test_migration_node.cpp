@@ -40,6 +40,21 @@ TEST(ComputeNodeTest, CapacityViews) {
   EXPECT_EQ(node.used_vcpus(), 0);
 }
 
+TEST(ComputeNodeTest, EmptiedNodeCommitsNoMemory) {
+  // Adding and then subtracting these sizes in double arithmetic leaves
+  // a residue of about -4.5e-13 MB; an emptied node must read zero.
+  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  const double sizes_mb[] = {512.3, 1024.7, 3000.9};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    hv::Vm vm = make_vm(id, 1);
+    vm.memory_mb = sizes_mb[id - 1];
+    ASSERT_TRUE(node.place_vm(vm));
+  }
+  for (std::uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(node.remove_vm(id));
+  EXPECT_EQ(node.used_memory_mb(), 0.0);
+  EXPECT_EQ(node.free_memory_mb(), node.memory_capacity_mb());
+}
+
 TEST(ComputeNodeTest, PlacementFiltersCapacity) {
   ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
   EXPECT_FALSE(node.place_vm(make_vm(1, 9)));

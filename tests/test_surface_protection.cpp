@@ -199,17 +199,15 @@ TEST_F(ProtectionFixture, HypervisorAdoptsThePlan) {
   hw::ServerNode node(spec, 3);
   hv::HvConfig config;
   config.selective_protection = false;
-  config.protection_coverage = 0.0;
   hv::Hypervisor hypervisor(node, config, 3);
 
   hv::ProtectionPolicy policy({.residual_target = 0.10});
   const auto plan = policy.plan_from_campaign(inventory_, campaign_);
   hypervisor.apply_protection_plan(plan);
-  EXPECT_TRUE(hypervisor.config().selective_protection);
-  EXPECT_NEAR(hypervisor.config().protection_coverage, plan.coverage,
+  EXPECT_TRUE(hypervisor.protection_enabled());
+  EXPECT_NEAR(hypervisor.protection_plan().coverage, plan.coverage, 1e-12);
+  EXPECT_NEAR(hypervisor.protection_plan().cpu_overhead, plan.cpu_overhead,
               1e-12);
-  EXPECT_NEAR(hypervisor.config().protection_cpu_overhead,
-              plan.cpu_overhead, 1e-12);
   EXPECT_EQ(hypervisor.protection_plan().protected_categories.size(),
             plan.protected_categories.size());
 }
@@ -219,13 +217,15 @@ TEST(ProtectionOverheadTest, ProtectionCostsVisibleEnergy) {
   spec.chip = hw::arm_soc_spec();
   hw::ServerNode node_a(spec, 4);
   hw::ServerNode node_b(spec, 4);
-  hv::HvConfig with;
-  with.selective_protection = true;
-  with.protection_cpu_overhead = 0.02;
   hv::HvConfig without;
   without.selective_protection = false;
-  hv::Hypervisor protected_hv(node_a, with, 4);
+  hv::Hypervisor protected_hv(node_a, hv::HvConfig{}, 4);
   hv::Hypervisor bare_hv(node_b, without, 4);
+  hv::ProtectionPlan plan;
+  plan.protected_categories = {hv::ObjectCategory::kMm};
+  plan.coverage = hv::kDefaultProtectionCoverage;
+  plan.cpu_overhead = 0.02;
+  protected_hv.apply_protection_plan(plan);
 
   hv::Vm vm;
   vm.id = 1;
