@@ -5,8 +5,8 @@
 
 Runs two seeded uniserver_ctl commands with --telemetry-out (a 64-case
 storm- and request-heavy fuzz campaign on four jobs, and the `stack`
-run) and compares every `cloud.*`, `cloud.mig.*` and `serve.*` counter
-in each snapshot with the pinned value in
+run) and compares every `cloud.*`, `cloud.mig.*`, `serve.*` and `hv.*`
+counter in each snapshot with the pinned value in
 tests/baselines/telemetry_counters.json. A counter missing from either
 side reads as 0. The pins were taken before the change they guard and
 are never regenerated to make this pass.
@@ -28,7 +28,7 @@ RUNS = {
              "--storm-share", "0.2", "--request-share", "0.15"],
     "stack": ["stack", "i5", "3"],
 }
-NAMESPACES = ("cloud.", "serve.")
+NAMESPACES = ("cloud.", "serve.", "hv.")
 
 
 def counters(ctl, args, snapshot):
