@@ -53,15 +53,15 @@ int main() {
   TextTable table("protection plan: protect categories in fatality order");
   table.set_header({"protect up to", "covered fatality", "residual",
                     "protected MB", "est. CPU overhead"});
+  // Checkpoint/checksum cost model of the plans the hypervisor installs:
+  // a share of a core per protected MB, saturating at a ceiling.
+  const hv::ProtectionPolicy::Config cost;
   double covered = 0.0;
   double mb = 0.0;
   for (const auto& entry : ranked) {
     covered += static_cast<double>(entry.fatal);
     mb += entry.size_mb;
-    // Checkpoint/checksum cost model: ~0.4% of a core per protected MB,
-    // saturating — protecting everything costs ~2% (the ceiling of
-    // ProtectionPolicy::Config).
-    const double overhead = std::min(0.02, 0.004 * mb);
+    const double overhead = std::min(cost.cpu_ceiling, cost.cpu_per_mb * mb);
     table.add_row({to_string(entry.category),
                    TextTable::pct(covered / total_fatal * 100.0),
                    TextTable::pct((1.0 - covered / total_fatal) * 100.0),

@@ -39,6 +39,7 @@
 #include "common/table.h"
 #include "core/ecosystem.h"
 #include "core/security.h"
+#include "core/uniserver_node.h"
 #include "fuzz/harness.h"
 #include "fuzz/scenario.h"
 #include "daemons/predictor.h"
@@ -162,22 +163,27 @@ int cmd_tco(const std::string& site) {
 }
 
 int cmd_status(const std::string& chip_name, std::uint64_t seed) {
-  // Characterize, deploy, run an hour, then print the one-line status
-  // record upper layers would scrape (innovation iv).
-  hw::NodeSpec spec;
-  spec.chip = chip_by_name(chip_name);
-  hw::ServerNode node(spec, seed);
-  daemons::StressLog stresslog(stress::ShmooConfig{.runs = 1}, seed);
-  daemons::HealthLog healthlog;
-  const auto margins = stresslog.run_cycle(
-      node, daemons::default_stress_params(node), 0_s, nullptr);
-  const auto& point = margins.point_for(spec.chip.freq_nominal);
-  node.set_eop({point.safe_vdd, point.freq, margins.safe_refresh});
+  // Characterize, deploy, run an hour of an LDBC guest, then print the
+  // one-line status record upper layers would scrape (innovation iv).
+  core::UniServerConfig config;
+  config.node_spec.chip = chip_by_name(chip_name);
+  config.shmoo = stress::ShmooConfig{.runs = 1};
+  core::UniServerNode node(config, seed);
+  node.characterize();
+  node.deploy();
+  hv::Hypervisor& hypervisor = node.hypervisor();
+  hv::Vm vm;
+  vm.id = 1;
+  vm.vcpus = hypervisor.usable_cores();
+  vm.memory_mb = 4096.0;
+  vm.workload = stress::ldbc_profile();
+  hypervisor.create_vm(vm);
+  for (int i = 0; i < 60; ++i) node.step(60_s);
 
-  daemons::Predictor predictor;
   const auto status = daemons::collect_status(
-      node, healthlog, predictor, margins, stress::ldbc_profile(),
-      Seconds{3600.0}, 0, 0);
+      node.server(), hypervisor.healthlog(), node.predictor(),
+      node.margins().current(), vm.workload, node.now(),
+      hypervisor.retired_cores(), hypervisor.isolated_channels());
   std::printf("%s\n", daemons::serialize(status).c_str());
   std::printf("margin utilization %.0f%%, refresh utilization %.0f%%\n",
               status.margin_utilization * 100.0,

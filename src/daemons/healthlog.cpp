@@ -9,28 +9,6 @@
 
 namespace uniserver::daemons {
 
-namespace {
-struct HealthLogMetrics {
-  telemetry::Counter& vectors = telemetry::counter(
-      "daemon.healthlog.vectors", "records",
-      "Periodic monitoring vectors recorded");
-  telemetry::Counter& correctable = telemetry::counter(
-      "daemon.healthlog.errors_correctable", "events",
-      "Correctable error events logged");
-  telemetry::Counter& uncorrectable = telemetry::counter(
-      "daemon.healthlog.errors_uncorrectable", "events",
-      "Uncorrectable error events logged");
-  telemetry::Counter& triggers = telemetry::counter(
-      "daemon.healthlog.recharacterize_triggers", "events",
-      "Re-characterization triggers raised (rate over threshold)");
-};
-
-HealthLogMetrics& metrics() {
-  static HealthLogMetrics m;
-  return m;
-}
-}  // namespace
-
 const char* to_string(Component component) {
   switch (component) {
     case Component::kCore:
@@ -68,7 +46,6 @@ const char* to_string(VectorSource source) {
 }
 
 void HealthLog::record(const InfoVector& vector) {
-  metrics().vectors.add();
   if (vectors_.size() < kVectorCapacity) {
     vectors_.push_back(vector);
   } else {
@@ -89,10 +66,8 @@ void HealthLog::clear() {
 void HealthLog::record_error(const ErrorEvent& event) {
   if (event.severity == Severity::kCorrectable) {
     ++total_correctable_;
-    metrics().correctable.add();
   } else {
     ++total_uncorrectable_;
-    metrics().uncorrectable.add();
   }
   errors_.push_back(event);
   correctable_through_.push_back(total_correctable_);
@@ -120,7 +95,7 @@ void HealthLog::record_error(const ErrorEvent& event) {
     if (event.timestamp.value - last_trigger_.value >=
         kRecharacterizeCooldown.value) {
       last_trigger_ = event.timestamp;
-      metrics().triggers.add();
+      ++triggers_;
       char rate[32];
       std::snprintf(rate, sizeof rate, "%.5f",
                     error_rate_per_s(event.timestamp));

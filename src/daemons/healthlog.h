@@ -91,8 +91,10 @@ class HealthLog {
   /// The retained vectors, oldest first (a copy of the ring).
   std::vector<InfoVector> vectors() const;
   const std::deque<ErrorEvent>& errors() const { return errors_; }
+  /// Lifetime totals; crash events count as uncorrectable.
   std::uint64_t total_correctable() const { return total_correctable_; }
   std::uint64_t total_uncorrectable() const { return total_uncorrectable_; }
+  std::uint64_t recharacterize_triggers() const { return triggers_; }
 
  private:
   /// The i-th retained vector, oldest first.
@@ -118,6 +120,7 @@ class HealthLog {
   std::vector<RecharacterizeListener> recharacterize_listeners_;
   std::uint64_t total_correctable_{0};
   std::uint64_t total_uncorrectable_{0};
+  std::uint64_t triggers_{0};
   /// Debounce: do not re-raise the trigger until the window moves on.
   Seconds last_trigger_{Seconds{-1e18}};
 };

@@ -68,7 +68,7 @@ std::uint64_t digest_outcome(const RunOutcome& outcome,
   for (const osk::ComputeNode* node : cloud.node_views()) {
     const hv::HvStats& hv = node->hypervisor().stats();
     h = fnv::mix_u64(h, hv.ticks);
-    h = fnv::mix_u64(h, hv.masked_errors);
+    h = fnv::mix_u64(h, hv.masked_errors());
     h = fnv::mix_u64(h, hv.vm_kills);
     h = fnv::mix_u64(h, hv.vm_restores);
     h = fnv::mix_u64(h, hv.hv_fatal_events);

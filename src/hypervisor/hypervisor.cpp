@@ -1,7 +1,6 @@
 #include "hypervisor/hypervisor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <vector>
 
 #include "telemetry/telemetry.h"
@@ -9,47 +8,13 @@
 namespace uniserver::hv {
 
 namespace {
-struct HvMetrics {
-  telemetry::Counter& ticks = telemetry::counter(
-      "hv.ticks", "ticks", "Hypervisor control-loop ticks");
-  telemetry::Counter& cache_ecc_masked = telemetry::counter(
-      "hv.cache_ecc_masked", "events",
-      "Correctable cache errors masked from guests");
-  telemetry::Counter& dram_ecc_masked = telemetry::counter(
-      "hv.dram_ecc_masked", "events",
-      "DRAM events absorbed by DIMM ECC");
-  telemetry::Counter& cpu_sdcs = telemetry::counter(
-      "hv.cpu_sdcs", "events", "Uncorrected near-threshold CPU SDCs");
-  telemetry::Counter& dram_errors_relaxed = telemetry::counter(
-      "hv.dram_errors_relaxed", "events",
-      "Uncorrectable decay events on relaxed channels");
-  telemetry::Counter& vm_kills = telemetry::counter(
-      "hv.vm_kills", "events", "Guests killed by an SDC");
-  telemetry::Counter& vm_restores = telemetry::counter(
-      "hv.vm_restores", "events", "Guests restored from a checkpoint");
-  telemetry::Counter& hv_fatal = telemetry::counter(
-      "hv.fatal_events", "events",
-      "SDCs consumed by crucial hypervisor objects (fatal)");
-  telemetry::Counter& protection_saves = telemetry::counter(
-      "hv.protection_saves", "events",
-      "Crucial-object hits absorbed by selective protection");
-  telemetry::Counter& node_crashes = telemetry::counter(
-      "hv.node_crashes", "events",
-      "Node crashes from undervolting past the margin");
-  telemetry::Counter& cores_retired = telemetry::counter(
-      "hv.cores_retired", "cores",
-      "Cores isolated for sustained error pressure");
-  telemetry::Counter& channels_isolated = telemetry::counter(
-      "hv.channels_isolated", "channels",
-      "Memory channels pinned back to nominal refresh");
-  telemetry::Gauge& protection_overhead = telemetry::gauge(
+// The hypervisor's only metric, set with the protection plan. The tick
+// books its events in HvStats; Cloud::publish_books() publishes them.
+telemetry::Gauge& protection_overhead() {
+  static telemetry::Gauge& gauge = telemetry::gauge(
       "hv.protection_cpu_overhead", "fraction",
       "CPU overhead of the installed selective-protection plan");
-};
-
-HvMetrics& metrics() {
-  static HvMetrics m;
-  return m;
+  return gauge;
 }
 }  // namespace
 
@@ -80,7 +45,7 @@ Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
       protection_enabled_(config.selective_protection) {
   reconfigure_domains();
   if (protection_enabled_) {
-    metrics().protection_overhead.set(protection_plan_.cpu_overhead);
+    protection_overhead().set(protection_plan_.cpu_overhead);
   }
 }
 
@@ -179,8 +144,7 @@ void Hypervisor::apply_eop(const hw::Eop& eop) {
 void Hypervisor::apply_protection_plan(const ProtectionPlan& plan) {
   protection_plan_ = plan;
   protection_enabled_ = !plan.protected_categories.empty();
-  metrics().protection_overhead.set(
-      protection_enabled_ ? plan.cpu_overhead : 0.0);
+  protection_overhead().set(protection_enabled_ ? plan.cpu_overhead : 0.0);
 }
 
 int Hypervisor::isolated_channels() const {
@@ -227,7 +191,6 @@ void Hypervisor::hypervisor_corrupted(TickReport& report) {
     ++stats_.hv_fatal_events;
   } else if (protection_enabled_) {
     ++stats_.protection_saves;
-    metrics().protection_saves.add();
   }
   // Fatal, saved, or absorbed by a non-crucial object: disposed.
   ++stats_.uncorrected_resolved;
@@ -250,7 +213,6 @@ void Hypervisor::guest_corrupted(std::uint64_t victim, TickReport& report) {
 TickReport Hypervisor::tick(Seconds now, Seconds window) {
   TickReport report;
   ++stats_.ticks;
-  metrics().ticks.add();
   stats_.uptime += window;
 
   // Copied: the SDC kills below recount the totals before the
@@ -275,7 +237,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
 
   // --- correctable cache errors: masked, logged, tallied -------------
   report.cache_ecc_masked = run.cache_ecc_corrected;
-  stats_.masked_errors += run.cache_ecc_corrected;
+  stats_.cache_ecc_masked += run.cache_ecc_corrected;
   // Individual log records are capped per tick (a storm saturates the
   // counters; the HealthLog's rate threshold is long since blown and
   // per-event records carry no extra information).
@@ -299,6 +261,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   // probability hv_cpu_time_share (then the Figure-4 criticality model
   // decides fatality), a guest otherwise (survival / checkpoint / kill).
   report.cpu_sdcs = run.cpu_sdcs;
+  stats_.cpu_sdcs += run.cpu_sdcs;
   for (std::uint64_t e = 0; e < run.cpu_sdcs; ++e) {
     ++stats_.uncorrected_seen;
     healthlog_.record_error(daemons::ErrorEvent{
@@ -333,7 +296,6 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         !health.isolated && usable_cores() > 1) {
       health.isolated = true;
       ++retired_cores_;
-      metrics().cores_retired.add();
       telemetry::trace(now, "hv", "core_retired",
                        {{"core", std::to_string(core)}});
     }
@@ -341,14 +303,12 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
 
   // --- DRAM decay on relaxed channels ---------------------------------
   const Celsius mem_temp{node_.spec().ambient.value + 5.0};
-  std::uint64_t relaxed_errors = 0;
-  std::uint64_t ecc_masked_dram = 0;
   for (int c = 0; c < node_.memory().channels(); ++c) {
     if (node_.channel_reliable(c)) continue;
     const auto split =
         node_.memory().sample_error_split(c, window, mem_temp, rng_);
-    relaxed_errors += split.uncorrectable;
-    ecc_masked_dram += split.corrected;
+    report.dram_errors_relaxed += split.uncorrectable;
+    report.dram_ecc_masked += split.corrected;
     ErrorHealth& health = channels_[static_cast<std::size_t>(c)];
     health.tally += static_cast<double>(split.uncorrectable);
     // Memory-side isolation: a channel pouring uncorrectable events is
@@ -360,18 +320,16 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         !health.isolated) {
       health.isolated = true;
       node_.pin_channel_reliable(c, true);
-      metrics().channels_isolated.add();
       telemetry::trace(now, "hv", "channel_isolated",
                        {{"channel", std::to_string(c)}});
     }
   }
-  report.dram_errors_relaxed = relaxed_errors;
+  stats_.dram_errors_relaxed += report.dram_errors_relaxed;
   // ECC-corrected DRAM events are masked in hardware but still logged —
   // they are exactly the canary the HealthLog's threshold watches.
-  report.dram_ecc_masked = ecc_masked_dram;
-  stats_.masked_errors += ecc_masked_dram;
-  for (std::uint64_t e = 0; e < std::min(ecc_masked_dram, kMaxLoggedPerTick);
-       ++e) {
+  stats_.dram_ecc_masked += report.dram_ecc_masked;
+  for (std::uint64_t e = 0;
+       e < std::min(report.dram_ecc_masked, kMaxLoggedPerTick); ++e) {
     healthlog_.record_error(daemons::ErrorEvent{
         now, daemons::Component::kDram, daemons::Severity::kCorrectable, 0});
   }
@@ -388,7 +346,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   const double vm_relaxed_mb = totals_.relaxed_mb;
 
   const std::uint64_t attributed =
-      std::min(relaxed_errors, 64 * kMaxLoggedPerTick);
+      std::min(report.dram_errors_relaxed, 64 * kMaxLoggedPerTick);
   for (std::uint64_t e = 0; e < attributed; ++e) {
     ++stats_.uncorrected_seen;
     const double roll = rng_.uniform() * std::max(relaxed_capacity, 1.0);
@@ -439,6 +397,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         run.crashing_core});
   }
   if (report.hypervisor_fatal) {
+    ++stats_.fatal_ticks;
     healthlog_.record_error(daemons::ErrorEvent{
         now, daemons::Component::kDram, daemons::Severity::kCrash, 0});
   }
@@ -452,21 +411,13 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   vector.utilization =
       static_cast<double>(active_cores) / node_.chip().num_cores();
   vector.correctable_errors = report.cache_ecc_masked;
-  vector.uncorrectable_errors = relaxed_errors;
+  vector.uncorrectable_errors = report.dram_errors_relaxed;
   healthlog_.record(vector);
 
-  metrics().cache_ecc_masked.add(report.cache_ecc_masked);
-  metrics().dram_ecc_masked.add(report.dram_ecc_masked);
-  metrics().cpu_sdcs.add(report.cpu_sdcs);
-  metrics().dram_errors_relaxed.add(report.dram_errors_relaxed);
-  metrics().vm_kills.add(report.vms_killed.size());
-  metrics().vm_restores.add(report.vms_restored.size());
   if (report.hypervisor_fatal) {
-    metrics().hv_fatal.add();
     telemetry::trace(now, "hv", "hypervisor_fatal", {});
   }
   if (report.node_crash) {
-    metrics().node_crashes.add();
     telemetry::trace(now, "hv", "node_crash",
                      {{"crashing_core", std::to_string(run.crashing_core)}});
   }

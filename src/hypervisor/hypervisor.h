@@ -104,13 +104,20 @@ struct TickReport {
   Watt avg_power{Watt{0.0}};
 };
 
-/// Cumulative counters since boot.
+/// Cumulative counters since boot; a cloud publishes their fleet sums.
 struct HvStats {
   std::uint64_t ticks{0};
-  std::uint64_t masked_errors{0};
+  /// Correctable errors masked from the guests, by source.
+  std::uint64_t cache_ecc_masked{0};
+  std::uint64_t dram_ecc_masked{0};
+  std::uint64_t cpu_sdcs{0};
+  std::uint64_t dram_errors_relaxed{0};
   std::uint64_t vm_kills{0};
   std::uint64_t vm_restores{0};
+  /// SDCs consumed by crucial hypervisor objects, and the ticks with at
+  /// least one (each such tick takes the node down).
   std::uint64_t hv_fatal_events{0};
+  std::uint64_t fatal_ticks{0};
   std::uint64_t node_crashes{0};
   std::uint64_t protection_saves{0};
   /// EOP-safety accounting (checked by the fuzz oracles): every
@@ -123,6 +130,9 @@ struct HvStats {
   std::uint64_t uncorrected_resolved{0};
   Joule energy{Joule{0.0}};
   Seconds uptime{Seconds{0.0}};
+  std::uint64_t masked_errors() const {
+    return cache_ecc_masked + dram_ecc_masked;
+  }
 };
 
 class Hypervisor {
@@ -131,7 +141,6 @@ class Hypervisor {
              std::uint64_t seed);
 
   const HvConfig& config() const { return config_; }
-  hw::ServerNode& node() { return node_; }
   daemons::HealthLog& healthlog() { return healthlog_; }
   MemoryDomainManager& domains() { return domains_; }
 

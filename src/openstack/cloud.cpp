@@ -1,6 +1,7 @@
 #include "openstack/cloud.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -9,8 +10,8 @@
 namespace uniserver::osk {
 
 namespace {
-// The counters mirror the layers' books and are written only by
-// Cloud::publish_books().
+// The counters mirror the layers' books, and the gauges read the run's
+// state; Cloud::publish_books() is the only writer of both.
 struct CloudMetrics {
   telemetry::Counter& submitted = telemetry::counter(
       "cloud.vms_submitted", "vms", "VM requests submitted");
@@ -53,6 +54,54 @@ struct CloudMetrics {
       "Pre-copy runs that exhausted their rounds and switched to post-copy");
   telemetry::Gauge& energy_kwh = telemetry::gauge(
       "cloud.energy_kwh", "kwh", "Cumulative fleet energy this run");
+  telemetry::Gauge& mig_active = telemetry::gauge(
+      "cloud.mig.active", "migrations",
+      "Migrations currently copying on a link");
+  telemetry::Gauge& mig_queued = telemetry::gauge(
+      "cloud.mig.queued", "migrations",
+      "Migrations waiting for link bandwidth");
+  telemetry::Gauge& mig_link_utilization = telemetry::gauge(
+      "cloud.mig.link_utilization", "fraction",
+      "Busy fraction of management-link stream slots");
+  telemetry::Gauge& mig_transferred_mb = telemetry::gauge(
+      "cloud.mig.transferred_mb", "mb",
+      "Cumulative migration copy traffic this run");
+  // The node layers' counters, in the order publish_books() sums them.
+  std::array<telemetry::Counter*, Cloud::kNodeBooks> node_books{
+      &telemetry::counter("hv.ticks", "ticks", "Hypervisor control-loop ticks"),
+      &telemetry::counter("hv.cache_ecc_masked", "events",
+                          "Correctable cache errors masked from guests"),
+      &telemetry::counter("hv.dram_ecc_masked", "events",
+                          "DRAM events absorbed by DIMM ECC"),
+      &telemetry::counter("hv.cpu_sdcs", "events",
+                          "Uncorrected near-threshold CPU SDCs"),
+      &telemetry::counter("hv.dram_errors_relaxed", "events",
+                          "Uncorrectable decay events on relaxed channels"),
+      &telemetry::counter("hv.vm_kills", "events", "Guests killed by an SDC"),
+      &telemetry::counter("hv.vm_restores", "events",
+                          "Guests restored from a checkpoint"),
+      &telemetry::counter(
+          "hv.fatal_events", "events",
+          "Ticks in which an SDC hit a crucial hypervisor object (fatal)"),
+      &telemetry::counter(
+          "hv.protection_saves", "events",
+          "Crucial-object hits absorbed by selective protection"),
+      &telemetry::counter("hv.node_crashes", "events",
+                          "Node crashes from undervolting past the margin"),
+      &telemetry::counter("hv.cores_retired", "cores",
+                          "Cores isolated for sustained error pressure"),
+      &telemetry::counter("hv.channels_isolated", "channels",
+                          "Memory channels pinned back to nominal refresh"),
+      &telemetry::counter("daemon.healthlog.vectors", "records",
+                          "Periodic monitoring vectors recorded"),
+      &telemetry::counter("daemon.healthlog.errors_correctable", "events",
+                          "Correctable error events logged"),
+      &telemetry::counter("daemon.healthlog.errors_uncorrectable", "events",
+                          "Uncorrectable error events logged"),
+      &telemetry::counter(
+          "daemon.healthlog.recharacterize_triggers", "events",
+          "Re-characterization triggers raised (rate over threshold)"),
+  };
   telemetry::Histogram& placement_wall_us = telemetry::histogram(
       "cloud.placement_wall_us", 0.0, 1000.0, 100, "us",
       "Wall-clock latency of one scheduler placement decision");
@@ -81,6 +130,9 @@ struct ServeMetrics {
   telemetry::Counter& stalls = telemetry::counter(
       "serve.stalls", "events",
       "Dispatch stalls injected by fault paths (restore, SDC hit, cutover)");
+  telemetry::Gauge& queue_depth = telemetry::gauge(
+      "serve.queue_depth", "requests",
+      "Outstanding requests across all VM queues after the last tick");
 };
 
 ServeMetrics& serve_metrics() {
@@ -642,6 +694,35 @@ void Cloud::publish_books() {
   m.mig_postcopy_fallbacks.add(mig.postcopy_fallbacks -
                                mig_was.postcopy_fallbacks);
   published_migrations_ = mig;
+  m.mig_active.set(static_cast<double>(orchestrator_.active_count()));
+  m.mig_queued.set(static_cast<double>(orchestrator_.queued_count()));
+  m.mig_link_utilization.set(orchestrator_.link_utilization());
+  m.mig_transferred_mb.set(mig.transferred_mb);
+
+  // Node books only grow (HealthLog::clear keeps the totals; isolation
+  // is never undone): a fleet sum grows by what the nodes booked since.
+  std::array<std::uint64_t, kNodeBooks> sums{};
+  for (const auto& node : nodes_) {
+    hv::Hypervisor& hv = node->hypervisor();
+    const hv::HvStats& s = hv.stats();
+    const daemons::HealthLog& log = hv.healthlog();
+    std::size_t i = 0;
+    // One monitoring vector per tick: `ticks` is also the vector book.
+    for (const std::uint64_t book :
+         {s.ticks, s.cache_ecc_masked, s.dram_ecc_masked, s.cpu_sdcs,
+          s.dram_errors_relaxed, s.vm_kills, s.vm_restores, s.fatal_ticks,
+          s.protection_saves, s.node_crashes,
+          static_cast<std::uint64_t>(hv.retired_cores()),
+          static_cast<std::uint64_t>(hv.isolated_channels()), s.ticks,
+          log.total_correctable(), log.total_uncorrectable(),
+          log.recharacterize_triggers()}) {
+      sums[i++] += book;
+    }
+  }
+  for (std::size_t i = 0; i < kNodeBooks; ++i) {
+    m.node_books[i]->add(sums[i] - published_nodes_[i]);
+  }
+  published_nodes_ = sums;
 
   if (!serve_) return;
   ServeMetrics& sm = serve_metrics();
@@ -654,6 +735,7 @@ void Cloud::publish_books() {
                  sv_was.dropped_unroutable - sv_was.dropped_lost);
   sm.slo_violations.add(sv.slo_violations - sv_was.slo_violations);
   sm.stalls.add(sv.stalls - sv_was.stalls);
+  sm.queue_depth.set(static_cast<double>(serve_->outstanding()));
   published_serve_ = sv;
 }
 

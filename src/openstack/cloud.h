@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -108,6 +109,9 @@ struct CloudStats {
 
 class Cloud {
  public:
+  /// Node-layer books published as counters (see publish_books()).
+  static constexpr std::size_t kNodeBooks = 16;
+
   Cloud(const CloudConfig& config,
         std::vector<std::unique_ptr<ComputeNode>> nodes);
 
@@ -124,8 +128,9 @@ class Cloud {
 
   /// Runs the workload: places arrivals, retires departures, ticks the
   /// fleet and applies the proactive-migration policy until `horizon`.
-  /// On return the process-wide `cloud.*`, `cloud.mig.*` and `serve.*`
-  /// counters include every event booked so far, injected ones too.
+  /// On return the process-wide `cloud.*`, `cloud.mig.*`, `serve.*`,
+  /// `hv.*` and `daemon.healthlog.*` counters include every event the
+  /// layers and the fleet's nodes booked so far, injected ones too.
   void run(const std::vector<trace::VmRequest>& requests, Seconds horizon);
 
   /// The run's books. The migration fields are the orchestrator's
@@ -252,8 +257,10 @@ class Cloud {
   void record_decision(std::uint64_t vm_id, const ComputeNode* target,
                        bool evacuation);
   /// Adds each book's growth since the last call to its process-wide
-  /// counter and sets `cloud.energy_kwh`. The layers count each event
-  /// once, in their books; this is the only writer of those counters.
+  /// counter and sets the run-state gauges (`cloud.energy_kwh`, the
+  /// `cloud.mig.*` gauges, `serve.queue_depth`). The layers and the
+  /// nodes count each event once, in their books; this is the only
+  /// writer of those counters and gauges.
   void publish_books();
 
   CloudConfig config_;
@@ -273,10 +280,12 @@ class Cloud {
   std::vector<PlacementDecision> placements_;
   std::uint64_t placement_digest_{fnv::kOffset};
   Seconds now_{Seconds{0.0}};
-  /// The books as of the last publish_books().
+  /// The books as of the last publish_books(); the node books as fleet
+  /// sums, in publish_books() order.
   CloudStats published_;
   MigrationStats published_migrations_;
   serve::ServeStats published_serve_;
+  std::array<std::uint64_t, kNodeBooks> published_nodes_{};
 };
 
 }  // namespace uniserver::osk

@@ -10,18 +10,6 @@ namespace uniserver::osk {
 
 namespace {
 struct MigMetrics {
-  telemetry::Gauge& active = telemetry::gauge(
-      "cloud.mig.active", "migrations",
-      "Migrations currently copying on a link");
-  telemetry::Gauge& queued = telemetry::gauge(
-      "cloud.mig.queued", "migrations",
-      "Migrations waiting for link bandwidth");
-  telemetry::Gauge& link_utilization = telemetry::gauge(
-      "cloud.mig.link_utilization", "fraction",
-      "Busy fraction of management-link stream slots");
-  telemetry::Gauge& transferred_mb = telemetry::gauge(
-      "cloud.mig.transferred_mb", "mb",
-      "Cumulative migration copy traffic this run");
   telemetry::Histogram& downtime_ms = telemetry::histogram(
       "cloud.mig.downtime_ms", 0.0, 1000.0, 100, "ms",
       "Per-migration VM pause (stop-and-copy or post-copy switch)");
@@ -59,7 +47,9 @@ const char* to_string(MigrationPhase phase) {
 
 MigrationOrchestrator::MigrationOrchestrator(const MigrationModel& model,
                                              Callbacks callbacks)
-    : model_(model), callbacks_(std::move(callbacks)) {}
+    : model_(model), callbacks_(std::move(callbacks)) {
+  mig_metrics();  // registers the histograms: a run without tickets has them
+}
 
 bool MigrationOrchestrator::links_have_capacity(
     const MigrationTicket& t) const {
@@ -121,7 +111,6 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
                     {"from", source->name()},
                     {"to", dest->name()}});
   start_ready(now);
-  refresh_gauges();
   return true;
 }
 
@@ -173,7 +162,6 @@ void MigrationOrchestrator::advance(Seconds now) {
     on_timer(it->second, Seconds{msg.at});
   }
   start_ready(now);
-  refresh_gauges();
 }
 
 void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
@@ -294,7 +282,6 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   const std::uint64_t vm_id = t.vm_id;
   tickets_.erase(vm_id);
   start_ready(now);
-  refresh_gauges();
 }
 
 void MigrationOrchestrator::cancel_vm(std::uint64_t vm_id, Seconds now) {
@@ -324,13 +311,6 @@ void MigrationOrchestrator::on_node_down(ComputeNode* node, Seconds now) {
         t.phase == MigrationPhase::kPostCopy && t.source == node;
     cancel(t, now, vm_lost);
   }
-}
-
-void MigrationOrchestrator::refresh_gauges() const {
-  mig_metrics().active.set(static_cast<double>(active_count()));
-  mig_metrics().queued.set(static_cast<double>(queued_count()));
-  mig_metrics().link_utilization.set(link_utilization());
-  mig_metrics().transferred_mb.set(stats_.transferred_mb);
 }
 
 }  // namespace uniserver::osk

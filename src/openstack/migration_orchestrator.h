@@ -201,7 +201,6 @@ class MigrationOrchestrator {
   void complete(MigrationTicket& t, Seconds now);
   void cancel(MigrationTicket& t, Seconds now, bool vm_lost);
   void drop_reservation(MigrationTicket& t);
-  void refresh_gauges() const;
 
   MigrationModel model_;
   Callbacks callbacks_;

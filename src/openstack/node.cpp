@@ -48,7 +48,6 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
     repair_remaining_ -= window;
     if (repair_remaining_.value <= 0.0) reboot();
   } else {
-    up_time_ += window;
     result.report = hypervisor_->tick(now, window);
     const hv::TickReport& report = result.report;
     result.vms_lost = report.vms_killed;
@@ -62,9 +61,10 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
     metrics_.energy_kwh += report.energy.kwh();
   }
 
-  const double total_time = up_time_.value + down_time_.value;
-  metrics_.availability =
-      total_time <= 0.0 ? 1.0 : up_time_.value / total_time;
+  // The hypervisor ticks exactly the windows the node is up.
+  const double up_time = hypervisor_->stats().uptime.value;
+  const double total_time = up_time + down_time_.value;
+  metrics_.availability = total_time <= 0.0 ? 1.0 : up_time / total_time;
   metrics_.utilization =
       total_vcpus() <= 0
           ? 0.0

@@ -119,7 +119,6 @@ class ComputeNode {
   std::unique_ptr<hw::ServerNode> server_;
   std::unique_ptr<hv::Hypervisor> hypervisor_;
   bool up_{true};
-  Seconds up_time_{Seconds{0.0}};
   Seconds down_time_{Seconds{0.0}};
   Seconds repair_remaining_{Seconds{0.0}};
   Seconds repair_time_{Seconds{300.0}};

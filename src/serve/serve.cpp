@@ -10,20 +10,13 @@ namespace {
 constexpr double kLatencyHiMs = 20000.0;
 constexpr std::size_t kLatencyBuckets = 2000;
 
-// The serve.* counters mirror ServeStats and are published by the
-// cloud (Cloud::publish_books); these two have no book.
-struct ServeMetrics {
-  telemetry::Gauge& queue_depth = telemetry::gauge(
-      "serve.queue_depth", "requests",
-      "Outstanding requests across all VM queues after the last tick");
-  telemetry::Histogram& stall_ms = telemetry::histogram(
+// The serve.* counters and the queue-depth gauge are published by the
+// cloud (Cloud::publish_books); the stall histogram has no book.
+telemetry::Histogram& stall_ms() {
+  static telemetry::Histogram& histogram = telemetry::histogram(
       "serve.stall_ms", 0.0, 60000.0, 600, "ms",
       "Duration of fault-path dispatch stalls applied to VM queues");
-};
-
-ServeMetrics& metrics() {
-  static ServeMetrics m;
-  return m;
+  return histogram;
 }
 }  // namespace
 
@@ -157,7 +150,7 @@ void ServeLayer::add_stall(std::uint64_t vm_id, Seconds at,
   if (it == replicas_.end()) return;
   it->second.queue.stall(at, duration);
   ++stats_.stalls;
-  metrics().stall_ms.record(duration.value * 1000.0);
+  stall_ms().record(duration.value * 1000.0);
 }
 
 void ServeLayer::inject_burst(Seconds at, std::uint64_t count) {
@@ -313,7 +306,6 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
     completed += replica.queue.drain(window_end);
   }
   stats_.completed += completed;
-  metrics().queue_depth.set(static_cast<double>(outstanding()));
 }
 
 std::size_t ServeLayer::outstanding() const {

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "hwmodel/chip_spec.h"
 #include "hypervisor/domains.h"
 #include "hypervisor/footprint.h"
+#include "openstack/node.h"
 #include "stress/profiles.h"
+#include "telemetry/metrics.h"
 
 namespace uniserver::hv {
 namespace {
@@ -366,6 +371,71 @@ TEST_P(HypervisorTotals, MatchAFreshWalkAcrossCreateDestroyAndKills) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ReliableDomain, HypervisorTotals, ::testing::Bool());
+
+TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
+  // A node just above its crash voltage with 5 s DRAM refresh: cache
+  // ECC storms that retire cores and raise the re-characterization
+  // trigger, DRAM SDCs that hit and kill guests, and finally a crash.
+  // The tick books all of it in HvStats and the HealthLog totals; only
+  // a cloud publishes those books, so every metric in the process
+  // registry reads the same after the ticks as before. The trace ring
+  // is a separate sink and is not compared here.
+  HvConfig config;
+  config.guest_sdc_survival = 0.5;
+  config.core_isolation_threshold_per_hour = 10.0;
+  osk::ComputeNode node("node-0", node_spec(), config, 21);
+  hw::ServerNode& server = node.server();
+  std::uint64_t triggers = 0;
+  node.hypervisor().healthlog().subscribe_recharacterize(
+      [&triggers](Seconds) { ++triggers; });
+  const Vm guest = make_vm(1, 4, 16384.0);
+  node.place_vm(guest);
+  hw::Eop eop = server.eop();
+  eop.vdd = server.chip().system_crash_voltage(
+                node.hypervisor().aggregate_signature(),
+                server.spec().chip.freq_nominal) +
+            Volt::from_mv(1.0);
+  eop.refresh = Seconds{5.0};
+  node.hypervisor().apply_eop(eop);
+
+  // Each metric's reading: value (a histogram's mean), sample count and
+  // sum, the doubles compared bit for bit.
+  const auto readings = [] {
+    std::map<std::string, std::tuple<std::uint64_t, std::uint64_t,
+                                     std::uint64_t>> out;
+    for (const auto& m : telemetry::MetricsRegistry::global().snapshot()) {
+      out[m.meta.name] = {bits(m.value), m.count, bits(m.sum)};
+    }
+    return out;
+  };
+  const auto before = readings();
+  std::uint64_t masked = 0, hits = 0, kills = 0, crashes = 0;
+  for (int i = 0; i < 180; ++i) {
+    if (i == 179) {
+      // Past the margin: the last tick crashes the node.
+      eop.vdd = Volt{server.spec().chip.vdd_nominal.value * 0.55};
+      node.hypervisor().apply_eop(eop);
+    }
+    const osk::ComputeNode::NodeTick tick =
+        node.tick(Seconds{60.0 * i}, 60_s);
+    masked += tick.report.cache_ecc_masked;
+    hits += tick.report.vms_hit.size();
+    kills += tick.report.vms_killed.size();
+    if (tick.crashed) ++crashes;
+    if (node.up() && !node.hypervisor().vms().contains(guest.id)) {
+      node.place_vm(guest);
+    }
+  }
+  const auto after = readings();
+
+  EXPECT_GT(masked, 0u);
+  EXPECT_GT(triggers, 0u);
+  EXPECT_GT(node.hypervisor().retired_cores(), 0);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(kills, 0u);
+  EXPECT_GT(crashes, 0u);
+  EXPECT_EQ(after, before);
+}
 
 }  // namespace
 }  // namespace uniserver::hv

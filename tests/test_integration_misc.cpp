@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,9 +174,10 @@ TEST(CloudTelemetry, CountersAreTheBooks) {
   // A deep undervolt under a rack power cap with serving on: organic
   // SDCs, crashes and evacuations, post-copy fallbacks, power
   // rejections, plus a flash crowd, an injected node crash, rack power
-  // loss and EOP retreat. After every Cloud::run call each counter that mirrors a
-  // book has grown by exactly that book (or book sum), and by the end
-  // every book is non-zero, so dropping any one publish fails here.
+  // loss and EOP retreat. After every Cloud::run call each counter that
+  // mirrors a book has grown by exactly that book (or, for the node
+  // layers, its sum over the fleet), and by the end every book is
+  // non-zero, so dropping any one publish fails here.
   osk::CloudConfig config;
   config.nodes_per_rack = 4;
   config.rack_power_cap = Watt{110.0};
@@ -184,12 +186,35 @@ TEST(CloudTelemetry, CountersAreTheBooks) {
   config.serve.requests_per_vcpu_hz = 0.05;
   hv::HvConfig hv_config;
   hv_config.hv_cpu_time_share = 0.5;
+  hv_config.core_isolation_threshold_per_hour = 5.0;
   hw::NodeSpec spec;
   spec.chip = hw::arm_soc_spec();
-  auto cloud = osk::Cloud::make_uniform(config, spec, hv_config, 16, 2024);
+  // Four kinds of node, by slot mod 4: plain; ECC DIMMs (masked DRAM
+  // errors); guest checkpointing (restores) with frequent CPU SDCs; and
+  // frequent CPU SDCs without selective protection (hypervisor-fatal
+  // SDCs and guest kills). Odd slots also run DRAM refresh far past its
+  // margin (decay errors, channel isolation).
+  std::vector<std::unique_ptr<osk::ComputeNode>> nodes;
+  Rng seeds(2024);
+  for (int i = 0; i < 16; ++i) {
+    hw::NodeSpec node_spec = spec;
+    hv::HvConfig node_config = hv_config;
+    node_spec.dimm.ecc = i % 4 == 1;
+    if (i % 4 >= 2) {
+      node_spec.chip.variation.cpu_sdc_rate_at_crash_per_s = 0.002;
+      node_spec.chip.variation.cpu_sdc_mv_constant = 1000.0;
+    }
+    node_config.vm_checkpointing = i % 4 == 2;
+    node_config.selective_protection = i % 4 != 3;
+    nodes.push_back(std::make_unique<osk::ComputeNode>(
+        "node-" + std::to_string(i), node_spec, node_config, seeds.next()));
+  }
+  auto cloud = std::make_unique<osk::Cloud>(config, std::move(nodes));
+  int slot = 0;
   for (osk::ComputeNode* node : cloud->node_ptrs()) {
     hw::Eop eop = node->server().eop();
     eop.vdd = hw::apply_undervolt_percent(spec.chip.vdd_nominal, 15.0);
+    if (slot++ % 2 == 1) eop.refresh = Seconds{5.0};
     node->hypervisor().apply_eop(eop);
   }
 
@@ -221,6 +246,30 @@ TEST(CloudTelemetry, CountersAreTheBooks) {
     const osk::CloudStats c = cloud->stats();
     const osk::MigrationStats& m = cloud->migrations().stats();
     const serve::ServeStats& s = cloud->serving()->stats();
+    // The node books, summed over the fleet.
+    hv::HvStats h;
+    std::uint64_t retired = 0, isolated = 0;
+    std::uint64_t correctable = 0, uncorrectable = 0, triggers = 0;
+    for (osk::ComputeNode* node : cloud->node_ptrs()) {
+      hv::Hypervisor& hypervisor = node->hypervisor();
+      const hv::HvStats& n = hypervisor.stats();
+      h.ticks += n.ticks;
+      h.cache_ecc_masked += n.cache_ecc_masked;
+      h.dram_ecc_masked += n.dram_ecc_masked;
+      h.cpu_sdcs += n.cpu_sdcs;
+      h.dram_errors_relaxed += n.dram_errors_relaxed;
+      h.vm_kills += n.vm_kills;
+      h.vm_restores += n.vm_restores;
+      h.fatal_ticks += n.fatal_ticks;
+      h.protection_saves += n.protection_saves;
+      h.node_crashes += n.node_crashes;
+      retired += static_cast<std::uint64_t>(hypervisor.retired_cores());
+      isolated += static_cast<std::uint64_t>(hypervisor.isolated_channels());
+      const daemons::HealthLog& log = hypervisor.healthlog();
+      correctable += log.total_correctable();
+      uncorrectable += log.total_uncorrectable();
+      triggers += log.recharacterize_triggers();
+    }
     return std::vector<std::pair<std::string, std::uint64_t>>{
         {"cloud.vms_submitted", c.submitted},
         {"cloud.vms_accepted", c.accepted},
@@ -243,6 +292,22 @@ TEST(CloudTelemetry, CountersAreTheBooks) {
          s.dropped_overload + s.dropped_unroutable + s.dropped_lost},
         {"serve.slo_violations", s.slo_violations},
         {"serve.stalls", s.stalls},
+        {"hv.ticks", h.ticks},
+        {"hv.cache_ecc_masked", h.cache_ecc_masked},
+        {"hv.dram_ecc_masked", h.dram_ecc_masked},
+        {"hv.cpu_sdcs", h.cpu_sdcs},
+        {"hv.dram_errors_relaxed", h.dram_errors_relaxed},
+        {"hv.vm_kills", h.vm_kills},
+        {"hv.vm_restores", h.vm_restores},
+        {"hv.fatal_events", h.fatal_ticks},
+        {"hv.protection_saves", h.protection_saves},
+        {"hv.node_crashes", h.node_crashes},
+        {"hv.cores_retired", retired},
+        {"hv.channels_isolated", isolated},
+        {"daemon.healthlog.vectors", h.ticks},
+        {"daemon.healthlog.errors_correctable", correctable},
+        {"daemon.healthlog.errors_uncorrectable", uncorrectable},
+        {"daemon.healthlog.recharacterize_triggers", triggers},
     };
   };
   std::map<std::string, std::uint64_t> before;
