@@ -82,6 +82,6 @@ int main() {
               "footprint)\n",
               hypervisor.domains().reliable_channels(),
               server.memory().channels(),
-              hypervisor.domains().reliable_capacity_mb(), footprint_mb);
+              server.reliable_capacity_mb(), footprint_mb);
   return 0;
 }

@@ -91,8 +91,8 @@ MemorySystem::MemorySystem(const DimmSpec& spec, int channels,
       channel.emplace_back(spec, rng.next());
     }
   }
-  channel_refresh_.assign(static_cast<std::size_t>(channels),
-                          spec.nominal_refresh);
+  channels_.resize(static_cast<std::size_t>(channels));
+  for (Channel& channel : channels_) channel.refresh = spec.nominal_refresh;
   power_ = dimm_power_sum();
 }
 
@@ -113,17 +113,18 @@ std::uint64_t MemorySystem::channel_bits(int channel) const {
 }
 
 void MemorySystem::set_channel_refresh(int channel, Seconds interval) {
-  Seconds& refresh = channel_refresh_.at(static_cast<std::size_t>(channel));
-  if (std::bit_cast<std::uint64_t>(refresh.value) ==
+  Channel& state = channels_.at(static_cast<std::size_t>(channel));
+  if (std::bit_cast<std::uint64_t>(state.refresh.value) ==
       std::bit_cast<std::uint64_t>(interval.value)) {
-    return;  // same interval: same sum
+    return;  // same interval: same sum, same rates
   }
-  refresh = interval;
+  state.refresh = interval;
+  state.memo_temp_bits.reset();
   power_ = dimm_power_sum();
 }
 
 Seconds MemorySystem::channel_refresh(int channel) const {
-  return channel_refresh_.at(static_cast<std::size_t>(channel));
+  return channels_.at(static_cast<std::size_t>(channel)).refresh;
 }
 
 double MemorySystem::expected_weak_cells(int channel, Celsius temp) const {
@@ -157,19 +158,25 @@ std::uint64_t MemorySystem::sample_errors(int channel, Seconds window,
 MemorySystem::ErrorSplit MemorySystem::sample_error_split(int channel,
                                                           Seconds window,
                                                           Celsius temp,
-                                                          Rng& rng) const {
-  ErrorSplit split;
-  const std::uint64_t events = sample_errors(channel, window, temp, rng);
-  if (events == 0) return split;
-  const auto& dimms = per_channel_.at(static_cast<std::size_t>(channel));
-  if (dimms.empty() || !dimms.front().spec().ecc) {
-    split.uncorrectable = events;
-    return split;
+                                                          Rng& rng) {
+  Channel& state = channels_.at(static_cast<std::size_t>(channel));
+  const auto& dimms = per_channel_[static_cast<std::size_t>(channel)];
+  // All DIMMs on a channel share the spec; the first's decides ECC.
+  const bool ecc = !dimms.empty() && dimms.front().spec().ecc;
+  const auto temp_bits = std::bit_cast<std::uint64_t>(temp.value);
+  if (state.memo_temp_bits != temp_bits) {
+    state.memo_temp_bits = temp_bits;
+    state.memo_rate_per_s = error_rate_per_s(channel, temp);
+    state.memo_uncorrectable =
+        ecc ? dimms.front().uncorrectable_fraction(state.refresh, temp) : 1.0;
   }
-  // All DIMMs on a channel share the spec; use the first's fraction.
-  const double p_uncorrectable = dimms.front().uncorrectable_fraction(
-      channel_refresh(channel), temp);
-  split.uncorrectable = rng.binomial(events, p_uncorrectable);
+  ErrorSplit split;
+  if (state.memo_rate_per_s <= 0.0 || window.value <= 0.0) return split;
+  const std::uint64_t events =
+      rng.poisson(state.memo_rate_per_s * window.value);
+  if (events == 0) return split;
+  split.uncorrectable =
+      ecc ? rng.binomial(events, state.memo_uncorrectable) : events;
   split.corrected = events - split.uncorrectable;
   return split;
 }
@@ -178,7 +185,7 @@ Watt MemorySystem::dimm_power_sum() const {
   Watt total{0.0};
   for (std::size_t c = 0; c < per_channel_.size(); ++c) {
     for (const auto& dimm : per_channel_[c]) {
-      total += dimm.power(channel_refresh_[c]);
+      total += dimm.power(channels_[c].refresh);
     }
   }
   return total;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,7 +105,7 @@ class MemorySystem {
   MemorySystem(const DimmSpec& spec, int channels, int dimms_per_channel,
                std::uint64_t seed);
 
-  int channels() const { return static_cast<int>(channel_refresh_.size()); }
+  int channels() const { return static_cast<int>(channels_.size()); }
   std::uint64_t total_bits() const;
   std::uint64_t channel_bits(int channel) const;
 
@@ -127,13 +128,15 @@ class MemorySystem {
 
   /// Like sample_errors, but splits events into ECC-corrected (masked
   /// in hardware) and uncorrectable (reach software). Without ECC every
-  /// event is uncorrectable.
+  /// event is uncorrectable. Non-const: it memoizes the channel's
+  /// error_rate_per_s and uncorrectable_fraction at the last temperature
+  /// (bitwise), and set_channel_refresh drops that memo.
   struct ErrorSplit {
     std::uint64_t corrected{0};
     std::uint64_t uncorrectable{0};
   };
   ErrorSplit sample_error_split(int channel, Seconds window, Celsius temp,
-                                Rng& rng) const;
+                                Rng& rng);
 
   /// Total memory power at the current per-channel refresh settings,
   /// kept as a member: dimm_power_sum() is re-run only when a channel's
@@ -150,8 +153,15 @@ class MemorySystem {
   const DimmModel& dimm(int channel, int index) const;
 
  private:
+  /// A channel's refresh interval and sample_error_split's memo.
+  struct Channel {
+    Seconds refresh;
+    std::optional<std::uint64_t> memo_temp_bits;  ///< empty: no memo
+    double memo_rate_per_s{0.0};
+    double memo_uncorrectable{0.0};
+  };
   std::vector<std::vector<DimmModel>> per_channel_;
-  std::vector<Seconds> channel_refresh_;
+  std::vector<Channel> channels_;
   Watt power_{Watt{0.0}};
 };
 

@@ -16,6 +16,7 @@ ServerNode::ServerNode(const NodeSpec& spec, std::uint64_t seed)
   eop_.vdd = spec.chip.vdd_nominal;
   eop_.freq = spec.chip.freq_nominal;
   eop_.refresh = spec.dimm.nominal_refresh;
+  recount_domain_capacity();
 }
 
 void ServerNode::set_eop(const Eop& eop) {
@@ -32,10 +33,22 @@ void ServerNode::pin_channel_reliable(int channel, bool reliable) {
   reliable_channel_.at(static_cast<std::size_t>(channel)) = reliable;
   memory_.set_channel_refresh(
       channel, reliable ? spec_.dimm.nominal_refresh : eop_.refresh);
+  recount_domain_capacity();
 }
 
 bool ServerNode::channel_reliable(int channel) const {
   return reliable_channel_.at(static_cast<std::size_t>(channel));
+}
+
+void ServerNode::recount_domain_capacity() {
+  reliable_mb_ = 0.0;
+  relaxed_mb_ = 0.0;
+  for (int c = 0; c < memory_.channels(); ++c) {
+    double& sum = reliable_channel_[static_cast<std::size_t>(c)]
+                      ? reliable_mb_
+                      : relaxed_mb_;
+    sum += channel_capacity_mb(c);
+  }
 }
 
 void ServerNode::choose_cores(const WorkloadSignature& w, int active_cores,

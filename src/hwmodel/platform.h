@@ -90,6 +90,15 @@ class ServerNode {
   void pin_channel_reliable(int channel, bool reliable);
   bool channel_reliable(int channel) const;
 
+  double channel_capacity_mb(int channel) const {
+    return static_cast<double>(memory_.channel_bits(channel)) / 8.0 /
+           (1024.0 * 1024.0);
+  }
+  /// Pinned (reliable) and unpinned (relaxed) capacity, summed in channel
+  /// order; recounted only by the constructor and pin_channel_reliable.
+  double reliable_capacity_mb() const { return reliable_mb_; }
+  double relaxed_capacity_mb() const { return relaxed_mb_; }
+
   /// Runs `w` on `active_cores` cores for `duration` at the current EOP.
   /// Cores are activated in index order, or strongest-first when
   /// NodeSpec::strong_cores_first is set. Non-const: the node memoizes
@@ -130,6 +139,7 @@ class ServerNode {
   void choose_cores(const WorkloadSignature& w, int active_cores,
                     std::vector<int>& cores,
                     std::vector<double>& margins) const;
+  void recount_domain_capacity();
 
   /// Inputs and result of the last PowerModel::steady_state call.
   struct SteadyStateMemo {
@@ -158,6 +168,8 @@ class ServerNode {
   MemorySystem memory_;
   Eop eop_;
   std::vector<bool> reliable_channel_;
+  double reliable_mb_{0.0};
+  double relaxed_mb_{0.0};
   SteadyStateMemo steady_memo_;
   CoreSetMemo core_set_memo_;
   /// run()'s active core set and each core's crash margin.

@@ -4,12 +4,6 @@ namespace uniserver::hv {
 
 MemoryDomainManager::MemoryDomainManager(hw::ServerNode& node) : node_(node) {}
 
-double MemoryDomainManager::channel_capacity_mb(int channel) const {
-  const double bits =
-      static_cast<double>(node_.memory().channel_bits(channel));
-  return bits / 8.0 / (1024.0 * 1024.0);
-}
-
 int MemoryDomainManager::configure_reliable_capacity(double reliable_mb) {
   release_all();
   double covered = 0.0;
@@ -17,7 +11,7 @@ int MemoryDomainManager::configure_reliable_capacity(double reliable_mb) {
   for (int c = 0; c < node_.memory().channels() && covered < reliable_mb;
        ++c) {
     node_.pin_channel_reliable(c, true);
-    covered += channel_capacity_mb(c);
+    covered += node_.channel_capacity_mb(c);
     ++pinned;
   }
   return pinned;
@@ -27,22 +21,6 @@ void MemoryDomainManager::release_all() {
   for (int c = 0; c < node_.memory().channels(); ++c) {
     node_.pin_channel_reliable(c, false);
   }
-}
-
-double MemoryDomainManager::reliable_capacity_mb() const {
-  double mb = 0.0;
-  for (int c = 0; c < node_.memory().channels(); ++c) {
-    if (node_.channel_reliable(c)) mb += channel_capacity_mb(c);
-  }
-  return mb;
-}
-
-double MemoryDomainManager::relaxed_capacity_mb() const {
-  double mb = 0.0;
-  for (int c = 0; c < node_.memory().channels(); ++c) {
-    if (!node_.channel_reliable(c)) mb += channel_capacity_mb(c);
-  }
-  return mb;
 }
 
 int MemoryDomainManager::reliable_channels() const {

@@ -27,9 +27,6 @@ class MemoryDomainManager {
   /// Releases all pinned channels (everything relaxes with the EOP).
   void release_all();
 
-  double channel_capacity_mb(int channel) const;
-  double reliable_capacity_mb() const;
-  double relaxed_capacity_mb() const;
   int reliable_channels() const;
 
  private:

@@ -335,12 +335,12 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
   }
 
   // Attribute each error to hypervisor / VM / free memory by occupancy.
-  const double relaxed_capacity = domains_.relaxed_capacity_mb();
+  const double relaxed_capacity = node_.relaxed_capacity_mb();
   double hv_relaxed_mb = hypervisor_footprint_mb();
   if (config_.use_reliable_domain) {
     // HV pages live in the reliable domain (up to its capacity).
     const double spill = std::max(
-        0.0, hv_relaxed_mb - domains_.reliable_capacity_mb());
+        0.0, hv_relaxed_mb - node_.reliable_capacity_mb());
     hv_relaxed_mb = spill;
   }
   const double vm_relaxed_mb = totals_.relaxed_mb;

@@ -190,6 +190,8 @@ ServeLayer::Replica* ServeLayer::least_backlog(const Members& members,
     if (best == nullptr || backlog < best_backlog) {
       best = replica;
       best_backlog = backlog;
+      // Backlogs are >= 0: no later member is strictly lower.
+      if (backlog == 0.0) break;
     }
   }
   return best;

@@ -208,7 +208,8 @@ class ServeLayer {
   /// the VM's workload signature.
   double speed_factor(const Replica& replica) const;
   /// In-place least-backlog scan over members in ascending VM id: the
-  /// first strict minimum is ReplicaBalancer::route's pick.
+  /// first strict minimum is ReplicaBalancer::route's pick. The scan
+  /// stops at the first idle (zero-backlog) member.
   static Replica* least_backlog(const Members& members, Seconds at);
   void dispatch(const Members& members, Seconds arrival);
 

@@ -60,7 +60,7 @@ TEST(FootprintModelTest, FootprintGrowsWithGuests) {
 TEST(DomainManager, PinsMinimalChannels) {
   hw::ServerNode node(node_spec(), 1);
   MemoryDomainManager domains(node);
-  const double channel_mb = domains.channel_capacity_mb(0);
+  const double channel_mb = node.channel_capacity_mb(0);
   EXPECT_EQ(domains.configure_reliable_capacity(channel_mb * 0.5), 1);
   EXPECT_EQ(domains.reliable_channels(), 1);
   EXPECT_EQ(domains.configure_reliable_capacity(channel_mb * 1.5), 2);
@@ -72,11 +72,11 @@ TEST(DomainManager, CapacityAccounting) {
   hw::ServerNode node(node_spec(), 1);
   MemoryDomainManager domains(node);
   const double total =
-      domains.reliable_capacity_mb() + domains.relaxed_capacity_mb();
+      node.reliable_capacity_mb() + node.relaxed_capacity_mb();
   domains.configure_reliable_capacity(1.0);
-  EXPECT_NEAR(domains.reliable_capacity_mb() + domains.relaxed_capacity_mb(),
+  EXPECT_NEAR(node.reliable_capacity_mb() + node.relaxed_capacity_mb(),
               total, 1e-6);
-  EXPECT_GT(domains.reliable_capacity_mb(), 0.0);
+  EXPECT_GT(node.reliable_capacity_mb(), 0.0);
 }
 
 class HypervisorFixture : public ::testing::Test {
@@ -115,16 +115,16 @@ TEST_F(HypervisorFixture, AggregateSignatureIsWeightedByVcpus) {
 
 TEST_F(HypervisorFixture, ReliableDomainCoversFootprint) {
   hypervisor_.create_vm(make_vm(1, 2, 8192.0));
-  EXPECT_GT(hypervisor_.domains().reliable_capacity_mb(),
+  EXPECT_GT(node_.reliable_capacity_mb(),
             hypervisor_.hypervisor_footprint_mb());
   EXPECT_LT(hypervisor_.hypervisor_share(), 0.07);
 }
 
 TEST_F(HypervisorFixture, CriticalVmExpandsReliableDomain) {
-  const double before = hypervisor_.domains().reliable_capacity_mb();
+  const double before = node_.reliable_capacity_mb();
   hypervisor_.create_vm(make_vm(1, 2, 30000.0, /*critical=*/true));
-  EXPECT_GE(hypervisor_.domains().reliable_capacity_mb(), before);
-  EXPECT_GE(hypervisor_.domains().reliable_capacity_mb(), 30000.0);
+  EXPECT_GE(node_.reliable_capacity_mb(), before);
+  EXPECT_GE(node_.reliable_capacity_mb(), 30000.0);
 }
 
 TEST_F(HypervisorFixture, TickAtNominalIsUneventful) {

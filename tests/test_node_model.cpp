@@ -2,10 +2,13 @@
 // model once per tick (one steady-state solve and one active core set
 // with its crash margins, each memoized across ticks on its full input;
 // one cached memory power), and read_sensors samples around the run's
-// operating point.
+// operating point. The node's domain capacities and each DRAM channel's
+// error rates are cached at their owner too.
 // Every tick must match, bit for bit, a reference built here from the
 // public per-call models: PowerModel::steady_state, CoreModel's
-// crash_voltage / crash_voltage_run, and MemorySystem::dimm_power_sum.
+// crash_voltage / crash_voltage_run, MemorySystem::dimm_power_sum,
+// MemorySystem::error_rate_per_s, DimmModel::uncorrectable_fraction and
+// a fresh walk of the channels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,6 +120,48 @@ SensorReadings reference_sensors(const ServerNode& node,
   return sensors;
 }
 
+/// Checks the node's reliable and relaxed capacity against a fresh
+/// ascending channel walk; returns the walk's reliable MB.
+double expect_capacities(const ServerNode& node, const std::string& where) {
+  SCOPED_TRACE(where);
+  double reliable = 0.0;
+  double relaxed = 0.0;
+  for (int c = 0; c < node.memory().channels(); ++c) {
+    const double mb =
+        static_cast<double>(node.memory().channel_bits(c)) / 8.0 /
+        (1024.0 * 1024.0);
+    if (node.channel_reliable(c)) {
+      reliable += mb;
+    } else {
+      relaxed += mb;
+    }
+  }
+  EXPECT_EQ(bits(node.reliable_capacity_mb()), bits(reliable));
+  EXPECT_EQ(bits(node.relaxed_capacity_mb()), bits(relaxed));
+  return reliable;
+}
+
+/// sample_error_split as the per-call models define it.
+MemorySystem::ErrorSplit reference_split(const MemorySystem& memory,
+                                         int channel, Seconds window,
+                                         Celsius temp, Rng& rng) {
+  MemorySystem::ErrorSplit split;
+  const double rate = memory.error_rate_per_s(channel, temp);
+  if (rate <= 0.0 || window.value <= 0.0) return split;
+  const std::uint64_t events = rng.poisson(rate * window.value);
+  if (events == 0) return split;
+  const DimmModel& dimm = memory.dimm(channel, 0);
+  if (!dimm.spec().ecc) {
+    split.uncorrectable = events;
+    return split;
+  }
+  split.uncorrectable = rng.binomial(
+      events,
+      dimm.uncorrectable_fraction(memory.channel_refresh(channel), temp));
+  split.corrected = events - split.uncorrectable;
+  return split;
+}
+
 void expect_same(const RunResult& got, const RunResult& want,
                  const std::string& where) {
   SCOPED_TRACE(where);
@@ -165,6 +210,7 @@ struct Tally {
   int repeated_inputs{0};
   int name_only_changes{0};
   int mid_tick_pins{0};
+  int pin_changes{0};
 };
 
 /// Drives one node through `ticks` seeded control-loop steps and checks
@@ -189,6 +235,8 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
   double last_didt = -1.0;
   int last_cores = -1;
   Eop last_eop = node.eop();
+  double last_reliable_mb =
+      expect_capacities(node, "seed " + std::to_string(seed) + " start");
 
   for (int t = 0; t < ticks; ++t) {
     const std::string where =
@@ -250,6 +298,10 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
         rename = true;
         break;
     }
+    // Every op above may pin or release a channel (apply_eop, create_vm
+    // and destroy_vm re-lay the domains).
+    double reliable_mb = expect_capacities(node, where + " op");
+    if (reliable_mb != last_reliable_mb) ++tally.pin_changes;
 
     WorkloadSignature w;
     int active_cores = 0;
@@ -299,7 +351,9 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
               static_cast<std::uint64_t>(spec.channels))),
           true);
       ++tally.mid_tick_pins;
+      reliable_mb = expect_capacities(node, where + " mid-tick pin");
     }
+    last_reliable_mb = reliable_mb;
     Rng ref_sensor_rng = rng;
     const SensorReadings sensors = node.read_sensors(got, rng);
     const SensorReadings want_sensors =
@@ -331,6 +385,7 @@ TEST(NodeModelDifferential, TickMatchesPerCallReferenceUnderChurn) {
   EXPECT_GT(tally.sdc_ticks, 10);
   EXPECT_GT(tally.ecc_ticks, 10);
   EXPECT_GT(tally.mid_tick_pins, 100);
+  EXPECT_GT(tally.pin_changes, 200);
 }
 
 TEST(NodeModelDifferential, ActiveCoreSetAndCrashVoltageMatchReference) {
@@ -388,6 +443,70 @@ TEST(NodeModelDifferential, CachedMemoryPowerFollowsEveryRefreshChange) {
     ASSERT_EQ(bits(memory.power().value),
               bits(memory.dimm_power_sum().value))
         << "step " << step;
+  }
+}
+
+TEST(NodeModelDifferential, CachedErrorRateFollowsEveryRefreshChange) {
+  // 0.0 disables refresh (rate 0); 0.064 appears twice, so some sets
+  // repeat the current interval. 45 C and 60 C at 5 s give enough weak
+  // cells for ECC to miss some events.
+  const std::vector<double> intervals = {0.064, 0.5, 1.5, 5.0, 0.0, 0.064};
+  const std::vector<double> temps = {25.0, 30.0, 45.0, 60.0};
+  const std::vector<double> windows = {60.0, 3600.0};
+  for (const bool ecc : {false, true}) {
+    DimmSpec spec;
+    spec.ecc = ecc;
+    MemorySystem memory(spec, 4, 2, 17);
+    Rng ops(ecc ? 5 : 3);
+    Rng rng(11);
+    Celsius temp{30.0};
+    int refresh_changes = 0;
+    int repeated_sets = 0;
+    int temp_changes = 0;
+    int event_samples = 0;
+    int uncorrectable_samples = 0;
+    for (int step = 0; step < 500; ++step) {
+      const std::string where = std::string(ecc ? "ecc" : "no ecc") +
+                                " step " + std::to_string(step);
+      const double u = ops.uniform();
+      if (u < 0.6) {
+        const int channel = static_cast<int>(ops.uniform_u64(4));
+        const Seconds interval{intervals[ops.uniform_u64(intervals.size())]};
+        if (bits(memory.channel_refresh(channel).value) ==
+            bits(interval.value)) {
+          ++repeated_sets;
+        } else {
+          ++refresh_changes;
+        }
+        memory.set_channel_refresh(channel, interval);
+      } else if (u < 0.8) {
+        temp = Celsius{temps[ops.uniform_u64(temps.size())]};
+        ++temp_changes;
+      }
+      // Every channel is sampled every step, so each memo is warm at the
+      // current temperature when its interval next changes.
+      for (int c = 0; c < memory.channels(); ++c) {
+        const Seconds window{windows[ops.uniform_u64(windows.size())]};
+        Rng ref_rng = rng;
+        const auto got = memory.sample_error_split(c, window, temp, rng);
+        const auto want = reference_split(memory, c, window, temp, ref_rng);
+        ASSERT_EQ(got.corrected, want.corrected) << where << " ch " << c;
+        ASSERT_EQ(got.uncorrectable, want.uncorrectable)
+            << where << " ch " << c;
+        expect_same_stream(rng, ref_rng, where + " stream");
+        ASSERT_FALSE(HasFailure());
+        if (got.corrected + got.uncorrectable > 0) ++event_samples;
+        if (ecc && got.uncorrectable > 0) ++uncorrectable_samples;
+      }
+    }
+    SCOPED_TRACE(ecc ? "ecc" : "no ecc");
+    EXPECT_GT(refresh_changes, 150);
+    EXPECT_GT(repeated_sets, 40);
+    EXPECT_GT(temp_changes, 50);
+    EXPECT_GT(event_samples, 300);
+    if (ecc) {
+      EXPECT_GT(uncorrectable_samples, 50);
+    }
   }
 }
 

@@ -398,10 +398,17 @@ class RouterDifferential {
     slow_.set_eop(eop);
   }
 
+  /// The routing paths of the picks check_routes compared.
+  struct Tally {
+    int idle_ahead_of_last{0};  ///< an idle pick before the last member
+    int all_busy{0};            ///< every member busy: a full scan
+  };
+
   serve::ServeLayer& layer() { return layer_; }
   const std::map<std::uint64_t, std::set<std::uint64_t>>& services() const {
     return services_;
   }
+  const Tally& tally() const { return tally_; }
 
   /// ReplicaBalancer's pick over the live members' backlogs at `at`,
   /// listed in shuffled order (the reference is order-independent).
@@ -452,8 +459,15 @@ class RouterDifferential {
     for (int k = 0; k < probes; ++k) {
       const Seconds at{from + rng_.uniform(0.0, span)};
       for (const auto& [service, members] : services_) {
-        ASSERT_EQ(layer_.route(service, at), reference_pick(service, at))
+        const std::uint64_t want = reference_pick(service, at);
+        ASSERT_EQ(layer_.route(service, at), want)
             << "service " << service << " at " << at.value;
+        // The pick holds the least backlog: if it is busy, all are.
+        if (layer_.backlog(want, at).value > 0.0) {
+          ++tally_.all_busy;
+        } else if (want != *members.rbegin()) {
+          ++tally_.idle_ahead_of_last;
+        }
       }
     }
     EXPECT_EQ(layer_.route(1000003, Seconds{from}), 0u);  // no such service
@@ -481,6 +495,7 @@ class RouterDifferential {
   hw::ServerNode slow_;
   std::set<std::uint64_t> live_;
   std::map<std::uint64_t, std::set<std::uint64_t>> services_;
+  Tally tally_;
 };
 
 serve::ServeConfig router_config() {
@@ -502,6 +517,10 @@ TEST(RouterDifferential, RouteMatchesReferenceUnderGeneratedLoad) {
       expect_books_balance(sim.layer());
     }
     EXPECT_GT(sim.layer().stats().admitted, 0u);
+    // Both exits of the scan were taken: the stop at an idle member
+    // ahead of the last one, and the full scan of a busy service.
+    EXPECT_GT(sim.tally().idle_ahead_of_last, 100);
+    EXPECT_GT(sim.tally().all_busy, 100);
   }
 }
 
