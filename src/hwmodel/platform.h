@@ -98,6 +98,10 @@ class ServerNode {
   /// order; recounted only by the constructor and pin_channel_reliable.
   double reliable_capacity_mb() const { return reliable_mb_; }
   double relaxed_capacity_mb() const { return relaxed_mb_; }
+  /// Whole-node capacity. Every channel capacity is an integer bit count
+  /// over 2^23, so the two sums and their total are exact (bit counts
+  /// stay below 2^53): this equals total_bits() / 8 / 2^20 bit for bit.
+  double memory_capacity_mb() const { return reliable_mb_ + relaxed_mb_; }
 
   /// Runs `w` on `active_cores` cores for `duration` at the current EOP.
   /// Cores are activated in index order, or strongest-first when

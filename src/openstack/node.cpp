@@ -9,10 +9,7 @@ ComputeNode::ComputeNode(std::string name, const hw::NodeSpec& spec,
     : name_(std::move(name)),
       server_(std::make_unique<hw::ServerNode>(spec, seed)),
       hypervisor_(std::make_unique<hv::Hypervisor>(*server_, hv_config,
-                                                   Rng(seed).fork(7).next())) {
-  const double bits = static_cast<double>(server_->memory().total_bits());
-  memory_capacity_mb_ = bits / 8.0 / (1024.0 * 1024.0);
-}
+                                                   Rng(seed).fork(7).next())) {}
 
 int ComputeNode::total_vcpus() const { return hypervisor_->usable_cores(); }
 

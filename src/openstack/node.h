@@ -44,7 +44,7 @@ class ComputeNode {
   int free_vcpus() const {
     return total_vcpus() - used_vcpus() - reserved_vcpus_;
   }
-  double memory_capacity_mb() const { return memory_capacity_mb_; }
+  double memory_capacity_mb() const { return server_->memory_capacity_mb(); }
   double used_memory_mb() const {
     return hypervisor_->vm_totals().memory_mb;
   }
@@ -125,7 +125,6 @@ class ComputeNode {
   NodeMetrics metrics_{};
   daemons::SafeMargins margins_{};
   bool has_margins_{false};
-  double memory_capacity_mb_{0.0};
   int reserved_vcpus_{0};
   double reserved_memory_mb_{0.0};
 };

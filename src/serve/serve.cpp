@@ -157,10 +157,11 @@ void ServeLayer::inject_burst(Seconds at, std::uint64_t count) {
   pending_bursts_.emplace_back(at.value, count);
 }
 
-double ServeLayer::speed_factor(const Replica& replica) const {
-  if (replica.node == nullptr) return 1.0;
-  const hw::NodeSpec& spec = replica.node->spec();
-  const hw::Eop& eop = replica.node->eop();
+double ServeLayer::speed_factor(const trace::VmRequest& request,
+                                const hw::ServerNode* node) {
+  if (node == nullptr) return 1.0;
+  const hw::NodeSpec& spec = node->spec();
+  const hw::Eop& eop = node->eop();
   // Compute-bound work scales with core frequency; the memory-bound
   // share does not, and pays refresh duty instead: a shorter-than-
   // nominal refresh interval steals proportionally more DRAM bandwidth
@@ -169,7 +170,7 @@ double ServeLayer::speed_factor(const Replica& replica) const {
                        ? eop.freq / spec.chip.freq_nominal
                        : 1.0;
   const double mem =
-      std::clamp(replica.request.workload.mem_intensity, 0.0, 1.0);
+      std::clamp(request.workload.mem_intensity, 0.0, 1.0);
   const double refresh_ratio =
       eop.refresh.value > 0.0
           ? spec.dimm.nominal_refresh.value / eop.refresh.value
@@ -218,7 +219,7 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
   }
   Replica& replica = *chosen;
   const double demand = rng_.exponential(1.0 / kMeanService.value);
-  const Seconds service_time{demand / speed_factor(replica)};
+  const Seconds service_time{demand / replica.speed};
   const VcpuQueue::Offer offer = replica.queue.offer(arrival, service_time);
   if (!offer.admitted) {
     ++stats_.dropped_overload;
@@ -250,6 +251,9 @@ void ServeLayer::dispatch(const Members& members, Seconds arrival) {
 
 void ServeLayer::advance(Seconds window_end, Seconds window) {
   const double t0 = window_end.value - window.value;
+  for (auto& [id, replica] : replicas_) {
+    replica.speed = speed_factor(replica.request, replica.node);
+  }
 
   // Bursts due in this window fire first, oldest first (stable on
   // equal timestamps so injection order is preserved).
@@ -284,8 +288,13 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
 
   // Open-loop Poisson per service, thinned against the diurnal shape.
   // Services iterate in ascending id so the Rng consumption order is a
-  // pure function of state (the determinism contract).
+  // pure function of state (the determinism contract). The band bounds
+  // the factor over the whole window, so only a draw that lands inside
+  // it needs the factor itself: the decision is `u * peak <= factor(t)`
+  // either way, and about 0.4% of draws pay for the cosine.
   const double peak = kDiurnal.peak_factor;
+  const trace::FactorBand band =
+      trace::diurnal_band(kDiurnal, Seconds{t0}, window);
   for (const auto& [service, members] : services_) {
     double vcpus = 0.0;
     for (const Replica* replica : members) {
@@ -297,9 +306,9 @@ void ServeLayer::advance(Seconds window_end, Seconds window) {
     while (true) {
       t += rng_.exponential(rate * peak);
       if (t >= window_end.value) break;
-      const double factor =
-          trace::diurnal_factor(kDiurnal, Seconds{t});
-      if (rng_.uniform() * peak <= factor) dispatch(members, Seconds{t});
+      if (band.under_factor(rng_.uniform() * peak, kDiurnal, Seconds{t})) {
+        dispatch(members, Seconds{t});
+      }
     }
   }
 

@@ -190,23 +190,30 @@ class ServeLayer {
   std::size_t services() const { return services_.size(); }
   /// Latency percentile over this layer's own histogram, milliseconds.
   double latency_percentile_ms(double q) const;
-  const telemetry::Histogram& latency_histogram() const {
+  const telemetry::LocalHistogram& latency_histogram() const {
     return latency_ms_;
   }
+
+  /// Service-time multiplier of `request` on `node` at the node's
+  /// current V-F-R point (1.0 with no node). The per-call reference:
+  /// advance() evaluates it once per replica per window.
+  static double speed_factor(const trace::VmRequest& request,
+                             const hw::ServerNode* node);
 
  private:
   struct Replica {
     trace::VmRequest request;
     const hw::ServerNode* node{nullptr};
     VcpuQueue queue;
+    /// speed_factor(request, node) of the current window, set for every
+    /// replica at the top of advance(): node EOPs and placements change
+    /// only between windows.
+    double speed{1.0};
   };
 
   using Members = std::vector<Replica*>;
 
   std::uint64_t service_of(std::uint64_t vm_id) const;
-  /// Service-time multiplier from the node's current V-F-R point and
-  /// the VM's workload signature.
-  double speed_factor(const Replica& replica) const;
   /// In-place least-backlog scan over members in ascending VM id: the
   /// first strict minimum is ReplicaBalancer::route's pick. The scan
   /// stops at the first idle (zero-backlog) member.
@@ -222,7 +229,8 @@ class ServeLayer {
   std::vector<std::pair<double, std::uint64_t>> pending_bursts_;
   std::uint64_t burst_rr_{0};  // round-robin cursor across services
   ServeStats stats_;
-  telemetry::Histogram latency_ms_;
+  // Written by this layer alone, once per admitted request.
+  telemetry::LocalHistogram latency_ms_;
 };
 
 }  // namespace uniserver::serve

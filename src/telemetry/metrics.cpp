@@ -19,79 +19,31 @@ const char* to_string(MetricType type) {
   return "?";
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
+template <template <class> class Cell>
+BasicHistogram<Cell>::BasicHistogram(double lo, double hi,
+                                     std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(std::max<std::size_t>(1, buckets)) {
   if (!(hi > lo)) throw std::logic_error("Histogram: hi must exceed lo");
 }
 
-void Histogram::record(double x) {
-  if (!std::isfinite(x)) {
-    // NaN/±inf would make the int64 bucket cast UB and poison sum_;
-    // reject the sample but keep it visible via the invalid tally.
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const double width = bucket_width();
-  auto index = static_cast<std::int64_t>(std::floor((x - lo_) / width));
-  if (index < 0) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-  } else if (index >= static_cast<std::int64_t>(counts_.size())) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
-  index = std::clamp<std::int64_t>(
-      index, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(index)].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
-  update_min(x);
-  update_max(x);
-}
-
-void Histogram::update_min(double x) {
-  double cur = min_.load(std::memory_order_relaxed);
-  while (x < cur && !min_.compare_exchange_weak(cur, x,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::update_max(double x) {
-  double cur = max_.load(std::memory_order_relaxed);
-  while (x > cur && !max_.compare_exchange_weak(cur, x,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::observed_min() const {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-
-double Histogram::observed_max() const {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::mean() const {
+template <template <class> class Cell>
+double BasicHistogram<Cell>::mean() const {
   const std::uint64_t n = count();
   return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  return counts_.at(i).load(std::memory_order_relaxed);
-}
-
-double Histogram::bucket_width() const {
-  return (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_low(std::size_t i) const {
+template <template <class> class Cell>
+double BasicHistogram<Cell>::bucket_low(std::size_t i) const {
   return lo_ + bucket_width() * static_cast<double>(i);
 }
 
-double Histogram::bucket_high(std::size_t i) const {
+template <template <class> class Cell>
+double BasicHistogram<Cell>::bucket_high(std::size_t i) const {
   return lo_ + bucket_width() * static_cast<double>(i + 1);
 }
 
-double Histogram::percentile(double q) const {
+template <template <class> class Cell>
+double BasicHistogram<Cell>::percentile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 100.0);
@@ -125,18 +77,20 @@ double Histogram::percentile(double q) const {
   return observed_max();
 }
 
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  invalid_.store(0, std::memory_order_relaxed);
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
+template <template <class> class Cell>
+void BasicHistogram<Cell>::reset() {
+  for (auto& c : counts_) c.store(0);
+  count_.store(0);
+  invalid_.store(0);
+  underflow_.store(0);
+  overflow_.store(0);
+  sum_.store(0.0);
+  min_.store(std::numeric_limits<double>::infinity());
+  max_.store(-std::numeric_limits<double>::infinity());
 }
+
+template class BasicHistogram<detail::AtomicCell>;
+template class BasicHistogram<detail::PlainCell>;
 
 namespace {
 [[noreturn]] void type_mismatch(const MetricMeta& meta, MetricType wanted) {

@@ -11,12 +11,15 @@
 // Lock-cheap by design: registration (rare) takes a mutex; the hot
 // paths — Counter::add, Gauge::set, Histogram::record — are relaxed
 // atomics on pre-registered objects whose addresses are stable for the
-// registry's lifetime. Metrics are observational only; nothing in the
+// registry's lifetime. A histogram only its owner writes is a
+// LocalHistogram: the same bucket and percentile math on plain
+// counters. Metrics are observational only; nothing in the
 // models reads them back, so instrumentation can never perturb a
 // deterministic run.
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -68,6 +71,55 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+namespace detail {
+
+/// A tally shared across threads: relaxed atomics, and CAS loops for
+/// the extremes because std::atomic<double> has no fetch_min/fetch_max.
+template <class T>
+class AtomicCell {
+ public:
+  explicit AtomicCell(T v = T{}) : value_(v) {}
+  void add(T n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  T load() const { return value_.load(std::memory_order_relaxed); }
+  void store(T v) { value_.store(v, std::memory_order_relaxed); }
+  void lower_to(T x) {
+    T cur = load();
+    while (x < cur && !value_.compare_exchange_weak(
+                          cur, x, std::memory_order_relaxed)) {
+    }
+  }
+  void raise_to(T x) {
+    T cur = load();
+    while (x > cur && !value_.compare_exchange_weak(
+                          cur, x, std::memory_order_relaxed)) {
+    }
+  }
+
+ private:
+  std::atomic<T> value_;
+};
+
+/// A tally only its owner writes: plain loads and stores.
+template <class T>
+class PlainCell {
+ public:
+  explicit PlainCell(T v = T{}) : value_(v) {}
+  void add(T n) { value_ += n; }
+  T load() const { return value_; }
+  void store(T v) { value_ = v; }
+  void lower_to(T x) {
+    if (x < value_) value_ = x;
+  }
+  void raise_to(T x) {
+    if (x > value_) value_ = x;
+  }
+
+ private:
+  T value_;
+};
+
+}  // namespace detail
+
 /// Fixed-width-bucket histogram over [lo, hi); out-of-range samples
 /// clamp into the edge buckets so no mass is lost (same policy as
 /// common/stats.h), but the clamp is *tracked*: `underflow()` and
@@ -80,38 +132,66 @@ class Gauge {
 /// interpolate linearly inside a bucket, so they are exact to within
 /// one bucket width for in-range mass; ranks that fall into the
 /// underflow/overflow mass return the true observed min/max.
-class Histogram {
+///
+/// `Cell` holds each tally. The bucket and percentile math is written
+/// once, here, for both instantiations: `Histogram` (relaxed atomics,
+/// any number of writers; the registry's kind) and `LocalHistogram`
+/// (plain counters for a histogram only its owner writes, such as a
+/// serving layer's request latency, which it records once per request).
+template <template <class> class Cell>
+class BasicHistogram {
  public:
-  Histogram(double lo, double hi, std::size_t buckets);
+  BasicHistogram(double lo, double hi, std::size_t buckets);
 
-  void record(double x);
-
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
+  void record(double x) {
+    if (!std::isfinite(x)) {
+      // NaN/±inf would poison sum_ and the extremes; reject the sample
+      // but keep it visible via the invalid tally.
+      invalid_.add(1);
+      return;
+    }
+    // Clamped while still a double, so no finite sample, however far
+    // out of range, reaches an out-of-range integer cast.
+    const double slot = std::floor((x - lo_) / bucket_width());
+    const std::size_t last = counts_.size() - 1;
+    std::size_t index = last;
+    if (slot < 0.0) {
+      underflow_.add(1);
+      index = 0;
+    } else if (slot > static_cast<double>(last)) {
+      overflow_.add(1);
+    } else {
+      index = static_cast<std::size_t>(slot);
+    }
+    counts_[index].add(1);
+    count_.add(1);
+    sum_.add(x);
+    min_.lower_to(x);
+    max_.raise_to(x);
   }
+
+  std::uint64_t count() const { return count_.load(); }
   /// Non-finite samples rejected by record().
-  std::uint64_t invalid() const {
-    return invalid_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t invalid() const { return invalid_.load(); }
   /// Finite samples below lo / at-or-above hi (clamped into the edge
   /// buckets but counted here so the distortion is visible).
-  std::uint64_t underflow() const {
-    return underflow_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t overflow() const {
-    return overflow_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t underflow() const { return underflow_.load(); }
+  std::uint64_t overflow() const { return overflow_.load(); }
   /// True extremes over all recorded finite samples (0 when empty).
-  double observed_min() const;
-  double observed_max() const;
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  double observed_min() const { return count() == 0 ? 0.0 : min_.load(); }
+  double observed_max() const { return count() == 0 ? 0.0 : max_.load(); }
+  double sum() const { return sum_.load(); }
   double mean() const;
 
   std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const;
+  std::uint64_t bucket_count(std::size_t i) const {
+    return counts_.at(i).load();
+  }
   double bucket_low(std::size_t i) const;
   double bucket_high(std::size_t i) const;
-  double bucket_width() const;
+  double bucket_width() const {
+    return (hi_ - lo_) / static_cast<double>(counts_.size());
+  }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
 
@@ -123,22 +203,23 @@ class Histogram {
   void reset();
 
  private:
-  // CAS loops because std::atomic<double> has no fetch_min/fetch_max.
-  void update_min(double x);
-  void update_max(double x);
-
   double lo_;
   double hi_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> invalid_{0};
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
-  std::atomic<double> sum_{0.0};
+  std::vector<Cell<std::uint64_t>> counts_;
+  Cell<std::uint64_t> count_{0};
+  Cell<std::uint64_t> invalid_{0};
+  Cell<std::uint64_t> underflow_{0};
+  Cell<std::uint64_t> overflow_{0};
+  Cell<double> sum_{0.0};
   // +inf/-inf sentinels while empty; accessors report 0 for count()==0.
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  Cell<double> min_{std::numeric_limits<double>::infinity()};
+  Cell<double> max_{-std::numeric_limits<double>::infinity()};
 };
+
+using Histogram = BasicHistogram<detail::AtomicCell>;
+using LocalHistogram = BasicHistogram<detail::PlainCell>;
+extern template class BasicHistogram<detail::AtomicCell>;
+extern template class BasicHistogram<detail::PlainCell>;
 
 /// Point-in-time reading of one metric, as produced by
 /// MetricsRegistry::snapshot() and consumed by the exporters.

@@ -29,6 +29,28 @@ struct DiurnalConfig {
 /// trough_factor and peak_factor, peaking at peak_hour).
 double diurnal_factor(const DiurnalConfig& config, Seconds t);
 
+/// Bounds on diurnal_factor over a window: lo <= diurnal_factor(t) <= hi
+/// for every t in [t0, t0 + window].
+struct FactorBand {
+  double lo{0.0};
+  double hi{0.0};
+
+  /// `draw <= diurnal_factor(config, t)` for a t in the band's window,
+  /// calling diurnal_factor only when the draw lands inside the band.
+  bool under_factor(double draw, const DiurnalConfig& config,
+                    Seconds t) const {
+    if (draw <= lo) return true;
+    if (draw > hi) return false;
+    return draw <= diurnal_factor(config, t);
+  }
+};
+
+/// The factor's slope is at most (peak - trough) / 2 * 2pi / 86400 per
+/// second, so over the window it stays within factor(t0) +- slope *
+/// window; the band adds a fixed margin for diurnal_factor's rounding.
+FactorBand diurnal_band(const DiurnalConfig& config, Seconds t0,
+                        Seconds window);
+
 /// Generates arrivals over [0, horizon) from a diurnally modulated
 /// Poisson process (thinning of the peak-rate process).
 std::vector<VmRequest> generate_diurnal(const DiurnalConfig& config,

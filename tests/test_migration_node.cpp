@@ -38,6 +38,14 @@ TEST(ComputeNodeTest, CapacityViews) {
   EXPECT_NEAR(node.used_memory_mb(), 2048.0, 1e-9);
   EXPECT_TRUE(node.remove_vm(1));
   EXPECT_EQ(node.used_vcpus(), 0);
+  // The capacity is the server's: all its bits over 2^23, exactly,
+  // whatever split of reliable and relaxed channels is pinned.
+  const double whole_mb =
+      static_cast<double>(node.server().memory().total_bits()) / 8.0 /
+      (1024.0 * 1024.0);
+  EXPECT_EQ(node.memory_capacity_mb(), whole_mb);
+  node.server().pin_channel_reliable(1, true);
+  EXPECT_EQ(node.memory_capacity_mb(), whole_mb);
 }
 
 TEST(ComputeNodeTest, EmptiedNodeCommitsNoMemory) {

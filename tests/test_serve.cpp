@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <queue>
 #include <set>
@@ -29,6 +30,7 @@
 #include "serve/serve.h"
 #include "stress/profiles.h"
 #include "trace/arrivals.h"
+#include "trace/diurnal.h"
 
 namespace uniserver {
 namespace {
@@ -374,6 +376,146 @@ TEST(ServeLayer, CriticalSloViolationsAreCountedPerClass) {
   ASSERT_GT(layer.stats().slo_violations, 0u);
   EXPECT_EQ(layer.stats().slo_violations,
             layer.stats().slo_violations_critical);
+}
+
+// -- Per-window replica speed ------------------------------------------
+//
+// advance() evaluates ServeLayer::speed_factor once per replica at the
+// top of each window and every dispatch divides by that value. With the
+// generator off, a one-request burst into an idle single-vCPU replica
+// leaves a backlog of (at + demand / speed) - at, and the demand is the
+// layer Rng's next exponential draw, so a mirror Rng predicts each
+// window's service time exactly.
+
+TEST(ServeLayer, EveryDispatchUsesTheSpeedOfItsWindow) {
+  serve::ServeConfig config = layer_config();
+  config.requests_per_vcpu_hz = 0.0;
+  hw::ServerNode a(hw::NodeSpec{}, 5);
+  hw::ServerNode b(hw::NodeSpec{}, 6);
+  serve::ServeLayer layer(config);
+  Rng mirror(config.seed);
+  Rng script(17);
+  trace::VmRequest vm = make_vm(1, 1);
+  hw::ServerNode* host = &a;
+  layer.on_vm_placed(vm, host);
+  std::set<double> speeds;
+  for (int tick = 1; tick <= 240; ++tick) {
+    // Between windows, one change that moves the replica's speed.
+    switch (tick % 3) {
+      case 0: {  // the host's node takes a new EOP
+        hw::Eop eop = host->eop();
+        eop.freq = MegaHertz{host->spec().chip.freq_nominal.value *
+                             script.uniform(0.4, 1.0)};
+        eop.refresh = Seconds{host->spec().dimm.nominal_refresh.value *
+                              script.uniform(0.5, 4.0)};
+        host->set_eop(eop);
+        break;
+      }
+      case 1:  // the VM migrates to the other node
+        host = host == &a ? &b : &a;
+        layer.on_vm_moved(vm.id, host);
+        break;
+      default:  // the VM id is placed again, with another workload mix
+        vm.workload.mem_intensity = script.uniform();
+        layer.on_vm_placed(vm, host);
+        break;
+    }
+    const double speed = serve::ServeLayer::speed_factor(vm, host);
+    speeds.insert(speed);
+    const double t0 = (tick - 1) * 60.0;
+    const Seconds at{t0 + 10.0};
+    layer.inject_burst(at, 1);
+    layer.advance(Seconds{t0 + 60.0}, Seconds{60.0});
+    const double demand =
+        mirror.exponential(1.0 / serve::ServeLayer::kMeanService.value);
+    ASSERT_EQ(layer.backlog(vm.id, at).value,
+              (at.value + demand / speed) - at.value)
+        << "window " << tick;
+  }
+  EXPECT_EQ(layer.stats().admitted, 240u);
+  EXPECT_GT(speeds.size(), 200u);
+}
+
+// -- Diurnal thinning band ---------------------------------------------
+//
+// ServeLayer::advance thins each window's candidates against
+// trace::diurnal_band instead of evaluating diurnal_factor per
+// candidate. The band must hold the factor at every time in its window,
+// and its decision must equal the reference `draw <= factor(t)`.
+
+struct BandCheck {
+  trace::DiurnalConfig config{};
+  Rng rng{2024};
+  std::uint64_t samples{0};
+  std::uint64_t inside{0};  ///< draws that needed the factor itself
+
+  // Checks the band of [t0, t0 + window] at its two ends, the last time
+  // before its end and `interior` uniform times.
+  void window(double t0, double window, int interior) {
+    const trace::FactorBand band =
+        trace::diurnal_band(config, Seconds{t0}, Seconds{window});
+    const double end = t0 + window;
+    std::vector<double> times = {t0, end, std::nextafter(end, t0)};
+    for (int k = 0; k < interior; ++k) {
+      times.push_back(t0 + rng.uniform() * window);
+    }
+    for (const double t : times) {
+      const double factor = trace::diurnal_factor(config, Seconds{t});
+      ASSERT_LE(band.lo, factor) << "t0 " << t0 << " window " << window
+                                 << " t " << t;
+      ASSERT_GE(band.hi, factor) << "t0 " << t0 << " window " << window
+                                 << " t " << t;
+      // A uniform draw as advance() makes it, and draws on and next to
+      // the factor itself.
+      for (const double draw :
+           {rng.uniform() * config.peak_factor, factor,
+            std::nextafter(factor, 0.0), std::nextafter(factor, 2.0)}) {
+        ASSERT_EQ(band.under_factor(draw, config, Seconds{t}),
+                  draw <= factor)
+            << "t " << t << " draw " << draw;
+        if (draw > band.lo && draw <= band.hi) ++inside;
+      }
+      ++samples;
+    }
+  }
+};
+
+TEST(DiurnalBand, HoldsTheFactorOverThirtyDaysOfServingWindows) {
+  // 60 s windows as the cloud drives them: every midnight wrap, 14:00
+  // peak and 02:00 trough of 30 days.
+  BandCheck check;
+  constexpr double kDay = 86400.0;
+  for (double t0 = 0.0; t0 < 30.0 * kDay; t0 += 60.0) {
+    check.window(t0, 60.0, 2);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(check.samples, 200000u);
+  EXPECT_GT(check.inside, 0u);
+}
+
+TEST(DiurnalBand, HoldsTheFactorAtOneYearAndOverOddWindows) {
+  // A year into a run, t / 3600 rounds to about 2e-12 h, and windows of
+  // odd lengths, from a few ulps of t to a day, start at odd offsets.
+  BandCheck check;
+  constexpr double kYear = 365.0 * 86400.0;
+  const double lengths[] = {1.5e-8, 1e-6, 0.37, 7.0, 61.3, 599.9, 3600.0,
+                            86400.0};
+  int n = 0;
+  for (double t0 = kYear; t0 < kYear + 86400.0; t0 += 37.3, ++n) {
+    check.window(t0, lengths[n % std::size(lengths)], 3);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Around the steepest times (08:00 and 20:00 with the 14:00 peak),
+  // where the slope bound is tightest.
+  for (const double hour : {8.0, 20.0}) {
+    for (double dt = -120.0; dt <= 120.0; dt += 0.25) {
+      for (const double length : lengths) {
+        check.window(kYear + hour * 3600.0 + dt, length, 1);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(check.samples, 50000u);
 }
 
 // -- serve-slo oracle helper -------------------------------------------

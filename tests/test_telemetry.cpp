@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace uniserver {
 namespace {
@@ -240,6 +243,77 @@ TEST(Histogram, InvalidCountSurfacesInSnapshotAndJson) {
 
   const std::string json = telemetry::to_json(registry, nullptr);
   EXPECT_NE(json.find("\"invalid\": 1"), std::string::npos) << json;
+}
+
+// A single-writer LocalHistogram (a serving layer's request latency)
+// and the registry's atomic Histogram share one bucket and percentile
+// rule: fed one stream, they agree on every tally and percentile, bit
+// for bit, after every sample.
+TEST(Histogram, LocalHistogramMatchesTheAtomicOne) {
+  struct Geometry {
+    double lo;
+    double hi;
+    std::size_t buckets;
+  };
+  // The serving layer's latency geometry (ms), and an offset range
+  // whose bucket width is not a power of two.
+  for (const Geometry g : {Geometry{0.0, 20000.0, 2000},
+                           Geometry{-3.5, 7.1, 37}}) {
+    Histogram shared(g.lo, g.hi, g.buckets);
+    telemetry::LocalHistogram local(g.lo, g.hi, g.buckets);
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> stream = {
+        std::numeric_limits<double>::quiet_NaN(), inf, -inf, -0.0, g.lo,
+        g.hi, g.hi, std::nextafter(g.hi, g.lo), std::nextafter(g.lo, -inf),
+        -1.0, g.lo - 1e9, g.hi + 1e9, 1e300, -1e300};
+    for (std::size_t i = 0; i <= g.buckets; ++i) {
+      stream.push_back(g.lo + shared.bucket_width() * static_cast<double>(i));
+    }
+    Rng rng(31);
+    const double span = g.hi - g.lo;
+    for (int k = 0; k < 20000; ++k) {
+      const double u = rng.uniform();
+      if (u < 0.8) {
+        stream.push_back(rng.uniform(g.lo - 0.05 * span, g.hi + 0.05 * span));
+      } else if (u < 0.9) {
+        stream.push_back(g.lo + rng.exponential(20.0 / span));
+      } else {
+        // An exact bucket edge.
+        stream.push_back(g.lo + shared.bucket_width() *
+                                    static_cast<double>(
+                                        rng.uniform_u64(g.buckets + 1)));
+      }
+    }
+    const auto agree = [&](std::size_t fed) {
+      SCOPED_TRACE(::testing::Message() << fed << " samples, lo " << g.lo);
+      ASSERT_EQ(local.count(), shared.count());
+      ASSERT_EQ(local.invalid(), shared.invalid());
+      ASSERT_EQ(local.underflow(), shared.underflow());
+      ASSERT_EQ(local.overflow(), shared.overflow());
+      ASSERT_EQ(local.observed_min(), shared.observed_min());
+      ASSERT_EQ(local.observed_max(), shared.observed_max());
+      ASSERT_EQ(local.sum(), shared.sum());
+      for (const double q : {0.0, 0.1, 50.0, 99.0, 99.9, 100.0}) {
+        ASSERT_EQ(local.percentile(q), shared.percentile(q)) << "q " << q;
+      }
+    };
+    agree(0);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      shared.record(stream[i]);
+      local.record(stream[i]);
+      if (i < 64 || i % 97 == 0) agree(i + 1);
+    }
+    agree(stream.size());
+    for (std::size_t i = 0; i < g.buckets; ++i) {
+      EXPECT_EQ(local.bucket_count(i), shared.bucket_count(i));
+    }
+    // The stream reaches every clamp and rejection path.
+    EXPECT_EQ(shared.invalid(), 3u);
+    EXPECT_GT(shared.underflow(), 100u);
+    EXPECT_GT(shared.overflow(), 100u);
+    EXPECT_EQ(shared.observed_max(), 1e300);
+    EXPECT_EQ(shared.observed_min(), -1e300);
+  }
 }
 
 // -- trace ring -------------------------------------------------------
