@@ -80,7 +80,7 @@ int main() {
   std::printf("reliable domain backing it: %d of %d channels "
               "(%.0f MB pinned at nominal refresh for a %.0f MB peak "
               "footprint)\n",
-              hypervisor.domains().reliable_channels(),
+              server.reliable_channels(),
               server.memory().channels(),
               server.reliable_capacity_mb(), footprint_mb);
   return 0;

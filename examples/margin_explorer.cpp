@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   // StressLog safe margins.
   daemons::StressLog stresslog(stress::ShmooConfig{}, seed ^ 0x51);
   const auto params = daemons::default_stress_params(node);
-  const auto margins =
-      stresslog.run_cycle(node, params, Seconds{0.0}, nullptr);
+  const auto margins = stresslog.run_cycle(node, params, Seconds{0.0});
   std::printf("\nsafe V-F-R vector (guard %.1f%%):\n", params.guard_percent);
   for (const auto& point : margins.points) {
     std::printf("  %5.0f MHz -> %.3f V (-%.1f%%)\n", point.freq.value,

@@ -63,19 +63,13 @@ using namespace uniserver::literals;
 
 namespace {
 
-hw::ChipSpec chip_by_name(const std::string& name) {
-  if (name == "i5") return hw::i5_4200u_spec();
-  if (name == "i7") return hw::i7_3970x_spec();
-  return hw::arm_soc_spec();
-}
-
 int cmd_characterize(const std::string& chip_name, std::uint64_t seed) {
   hw::NodeSpec spec;
-  spec.chip = chip_by_name(chip_name);
+  spec.chip = hw::chip_spec_by_name(chip_name);
   hw::ServerNode node(spec, seed);
   daemons::StressLog stresslog(stress::ShmooConfig{.runs = 1}, seed);
   const auto margins = stresslog.run_cycle(
-      node, daemons::default_stress_params(node), 0_s, nullptr);
+      node, daemons::default_stress_params(node), 0_s);
   std::printf("%s (seed %llu): safe V-F-R vector\n", spec.chip.name.c_str(),
               static_cast<unsigned long long>(seed));
   for (const auto& point : margins.points) {
@@ -91,7 +85,7 @@ int cmd_characterize(const std::string& chip_name, std::uint64_t seed) {
 }
 
 int cmd_surface(const std::string& chip_name, std::uint64_t seed) {
-  hw::Chip chip(chip_by_name(chip_name), seed);
+  hw::Chip chip(hw::chip_spec_by_name(chip_name), seed);
   Rng rng(seed);
   const auto surface = stress::characterize_surface(
       chip, *stress::spec_profile("h264ref"), stress::SurfaceConfig{}, rng);
@@ -166,7 +160,7 @@ int cmd_status(const std::string& chip_name, std::uint64_t seed) {
   // Characterize, deploy, run an hour of an LDBC guest, then print the
   // one-line status record upper layers would scrape (innovation iv).
   core::UniServerConfig config;
-  config.node_spec.chip = chip_by_name(chip_name);
+  config.node_spec.chip = hw::chip_spec_by_name(chip_name);
   config.shmoo = stress::ShmooConfig{.runs = 1};
   core::UniServerNode node(config, seed);
   node.characterize();
@@ -199,7 +193,7 @@ int cmd_stack(const std::string& chip_name, std::uint64_t seed) {
   // (the event loop), daemon.* (StressLog/HealthLog/Predictor), hv.*
   // (per-tick error handling) and cloud.* (scheduling + migration).
   core::EcosystemConfig config;
-  config.node_spec.chip = chip_by_name(chip_name);
+  config.node_spec.chip = hw::chip_spec_by_name(chip_name);
   config.shmoo = stress::ShmooConfig{.runs = 1};
   config.nodes = 4;
   core::Ecosystem ecosystem(config, seed);
@@ -396,7 +390,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 }
 
 int cmd_security(const std::string& chip_name, double offset_percent) {
-  const hw::ChipSpec chip = chip_by_name(chip_name);
+  const hw::ChipSpec chip = hw::chip_spec_by_name(chip_name);
   const hw::DimmSpec dimm;
   hw::Eop eop{hw::apply_undervolt_percent(chip.vdd_nominal, offset_percent),
               chip.freq_nominal, Seconds{1.5}};

@@ -22,12 +22,8 @@ void Ecosystem::commission() {
         daemons::default_stress_params(node->server());
     params.guard_percent = config_.guard_percent;
     params.freqs = {freq};
-    // Pre-deployment characterization logs to a scratch HealthLog: the
-    // provoked errors describe the sweep, not the deployed node, and
-    // must not feed the cloud's failure predictor.
-    daemons::HealthLog scratch;
-    const daemons::SafeMargins margins = stresslog.run_cycle(
-        node->server(), params, Seconds{0.0}, &scratch);
+    const daemons::SafeMargins margins =
+        stresslog.run_cycle(node->server(), params, Seconds{0.0});
     node->hypervisor().apply_margins(margins, freq);
     node->set_margins(margins);
   }

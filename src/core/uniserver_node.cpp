@@ -20,13 +20,8 @@ const daemons::SafeMargins& UniServerNode::characterize() {
   params.guard_percent = config_.guard_percent;
   params.dram_worst_case_temp = config_.dram_worst_case_temp;
   params.max_expected_dram_errors = config_.max_expected_dram_errors;
-  // Characterization errors describe the sweep, not deployed operation:
-  // they go to a scratch log so they neither trip the runtime error-rate
-  // threshold (instant re-characterization loop) nor pollute the stream
-  // the cloud's failure predictor consumes.
-  daemons::HealthLog scratch;
   const daemons::SafeMargins margins =
-      stresslog_.run_cycle(*server_, params, now_, &scratch);
+      stresslog_.run_cycle(*server_, params, now_);
   margins_.update(margins);
 
   // Train the Predictor on fresh shmoo outcomes at each frequency.

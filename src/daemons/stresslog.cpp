@@ -75,7 +75,7 @@ Seconds StressLog::safe_refresh_interval(const hw::ServerNode& node,
 
 SafeMargins StressLog::run_cycle(const hw::ServerNode& node,
                                  const StressTargetParams& params,
-                                 Seconds now, HealthLog* health) {
+                                 Seconds now) {
   ++cycles_;
   metrics().cycles.add();
   const auto cycle_start = telemetry::WallClock::now();
@@ -95,18 +95,7 @@ SafeMargins StressLog::run_cycle(const hw::ServerNode& node,
     for (const auto& summary : campaign) {
       min_crash = std::min(min_crash, summary.system_crash_offset);
       for (const auto& core : summary.per_core) {
-        for (const auto& run : core.runs) {
-          ecc_total += run.ecc_errors;
-          if (health && run.ecc_errors > 0) {
-            // The HealthLog runs in parallel during the cycle (§3.D)
-            // and records the correctable events the sweep provoked.
-            for (std::uint64_t e = 0; e < run.ecc_errors; ++e) {
-              health->record_error(ErrorEvent{now, Component::kCache,
-                                              Severity::kCorrectable,
-                                              core.core});
-            }
-          }
-        }
+        for (const auto& run : core.runs) ecc_total += run.ecc_errors;
       }
     }
     margins.ecc_events_observed += ecc_total;
@@ -122,15 +111,6 @@ SafeMargins StressLog::run_cycle(const hw::ServerNode& node,
   }
 
   margins.safe_refresh = safe_refresh_interval(node, params);
-
-  if (health) {
-    InfoVector vector;
-    vector.timestamp = now;
-    vector.eop = node.eop();
-    vector.correctable_errors = margins.ecc_events_observed;
-    vector.source = VectorSource::kStressLog;
-    health->record(vector);
-  }
 
   metrics().ecc_events.add(margins.ecc_events_observed);
   if (!margins.points.empty()) {

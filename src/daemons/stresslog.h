@@ -4,8 +4,8 @@
 // rotation, a workload suite (benchmarks + hand-coded stress kernels)
 // is run through the shmoo protocol at each candidate frequency, the
 // DRAM refresh interval is swept, and the output is a vector of new
-// safe V-F-R margins handed to the higher layers. A HealthLog instance
-// runs in parallel and records every event observed during the cycle.
+// safe V-F-R margins handed to the higher layers, with the count of
+// correctable events the cycle provoked.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "daemons/healthlog.h"
 #include "hwmodel/platform.h"
 #include "stress/shmoo.h"
 
@@ -58,11 +57,13 @@ class StressLog {
  public:
   StressLog(stress::ShmooConfig shmoo, std::uint64_t seed);
 
-  /// Runs one full offline stress cycle on the node. Events observed
-  /// during the cycle are recorded into `health` (may be null).
+  /// Runs one full offline stress cycle on the node. The correctable
+  /// events the sweep provokes are counted in the returned margins; they
+  /// describe the sweep, not deployed operation, so no HealthLog sees
+  /// them (they would trip its re-characterization threshold and feed
+  /// the cloud's failure predictor).
   SafeMargins run_cycle(const hw::ServerNode& node,
-                        const StressTargetParams& params,
-                        Seconds now, HealthLog* health);
+                        const StressTargetParams& params, Seconds now);
 
   /// Picks the longest candidate refresh interval whose expected decay
   /// errors per pass stay under the budget at the worst-case temp.

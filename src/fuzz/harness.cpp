@@ -33,12 +33,6 @@ FuzzMetrics& metrics() {
   return m;
 }
 
-hw::ChipSpec chip_by_name(const std::string& name) {
-  if (name == "i5") return hw::i5_4200u_spec();
-  if (name == "i7") return hw::i7_3970x_spec();
-  return hw::arm_soc_spec();
-}
-
 // -- outcome digest ----------------------------------------------------
 
 std::uint64_t digest_outcome(const RunOutcome& outcome,
@@ -211,7 +205,7 @@ RunOutcome run_scenario(const ScenarioConfig& config,
   metrics().cases.add();
 
   core::EcosystemConfig eco;
-  eco.node_spec.chip = chip_by_name(config.chip);
+  eco.node_spec.chip = hw::chip_spec_by_name(config.chip);
   eco.shmoo = stress::ShmooConfig{.runs = 1};
   eco.nodes = config.nodes;
   eco.cloud.tick = config.tick;

@@ -106,4 +106,10 @@ ChipSpec arm_soc_spec() {
   return spec;
 }
 
+ChipSpec chip_spec_by_name(const std::string& name) {
+  if (name == "i5") return i5_4200u_spec();
+  if (name == "i7") return i7_3970x_spec();
+  return arm_soc_spec();
+}
+
 }  // namespace uniserver::hw

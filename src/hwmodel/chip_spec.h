@@ -107,4 +107,8 @@ ChipSpec i7_3970x_spec();
 /// 0.98 V / 2.4 GHz.
 ChipSpec arm_soc_spec();
 
+/// The preset a command line names: "i5", "i7", and the ARM SoC for any
+/// other name.
+ChipSpec chip_spec_by_name(const std::string& name);
+
 }  // namespace uniserver::hw

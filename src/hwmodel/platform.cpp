@@ -30,7 +30,11 @@ void ServerNode::set_eop(const Eop& eop) {
 }
 
 void ServerNode::pin_channel_reliable(int channel, bool reliable) {
-  reliable_channel_.at(static_cast<std::size_t>(channel)) = reliable;
+  const auto index = static_cast<std::size_t>(channel);
+  // Same domain: set_eop and the previous pin already gave the channel
+  // this interval, and the capacity sums do not move.
+  if (reliable_channel_.at(index) == reliable) return;
+  reliable_channel_[index] = reliable;
   memory_.set_channel_refresh(
       channel, reliable ? spec_.dimm.nominal_refresh : eop_.refresh);
   recount_domain_capacity();
@@ -38,6 +42,11 @@ void ServerNode::pin_channel_reliable(int channel, bool reliable) {
 
 bool ServerNode::channel_reliable(int channel) const {
   return reliable_channel_.at(static_cast<std::size_t>(channel));
+}
+
+int ServerNode::reliable_channels() const {
+  return static_cast<int>(std::count(reliable_channel_.begin(),
+                                     reliable_channel_.end(), true));
 }
 
 void ServerNode::recount_domain_capacity() {

@@ -87,8 +87,11 @@ class ServerNode {
   void set_eop(const Eop& eop);
 
   /// Pins a channel to nominal refresh (the "reliable memory domain").
+  /// A call that leaves the channel in its domain changes nothing.
   void pin_channel_reliable(int channel, bool reliable);
   bool channel_reliable(int channel) const;
+  /// Number of channels pinned at nominal refresh.
+  int reliable_channels() const;
 
   double channel_capacity_mb(int channel) const {
     return static_cast<double>(memory_.channel_bits(channel)) / 8.0 /

@@ -35,7 +35,6 @@ Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
     : node_(node),
       config_(config),
       rng_(seed),
-      domains_(node),
       cores_(static_cast<std::size_t>(node.chip().num_cores())),
       channels_(static_cast<std::size_t>(node.memory().channels())),
       protection_plan_{.protected_categories = {},
@@ -88,22 +87,24 @@ void Hypervisor::recount_vms() {
 }
 
 void Hypervisor::reconfigure_domains() {
-  if (!config_.use_reliable_domain) {
-    domains_.release_all();
-  } else {
+  int leading = 0;
+  if (config_.use_reliable_domain) {
     // Reserve room for the hypervisor plus headroom for critical VMs.
     const double need =
         footprint_.hypervisor_mb(
             vms_.size(), total_utilized_mb() - footprint_.host_os_mb) +
         totals_.critical_mb + 256.0;
-    domains_.configure_reliable_capacity(need);
+    double covered = 0.0;
+    while (leading < node_.memory().channels() && covered < need) {
+      covered += node_.channel_capacity_mb(leading);
+      ++leading;
+    }
   }
   // Isolation decisions outlive any domain re-layout: a channel retired
   // for error pressure stays pinned at nominal refresh.
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    if (channels_[c].isolated) {
-      node_.pin_channel_reliable(static_cast<int>(c), true);
-    }
+  for (int c = 0; c < node_.memory().channels(); ++c) {
+    node_.pin_channel_reliable(
+        c, c < leading || channels_[static_cast<std::size_t>(c)].isolated);
   }
 }
 
@@ -132,14 +133,10 @@ void Hypervisor::apply_margins(const daemons::SafeMargins& margins,
   eop.vdd = point.safe_vdd;
   eop.freq = point.freq;
   eop.refresh = margins.safe_refresh;
-  node_.set_eop(eop);
-  reconfigure_domains();
+  apply_eop(eop);
 }
 
-void Hypervisor::apply_eop(const hw::Eop& eop) {
-  node_.set_eop(eop);
-  reconfigure_domains();
-}
+void Hypervisor::apply_eop(const hw::Eop& eop) { node_.set_eop(eop); }
 
 void Hypervisor::apply_protection_plan(const ProtectionPlan& plan) {
   protection_plan_ = plan;

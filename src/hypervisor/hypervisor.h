@@ -25,7 +25,6 @@
 #include "daemons/healthlog.h"
 #include "daemons/stresslog.h"
 #include "hwmodel/platform.h"
-#include "hypervisor/domains.h"
 #include "hypervisor/footprint.h"
 #include "hypervisor/objects.h"
 #include "hypervisor/protection.h"
@@ -142,7 +141,6 @@ class Hypervisor {
 
   const HvConfig& config() const { return config_; }
   daemons::HealthLog& healthlog() { return healthlog_; }
-  MemoryDomainManager& domains() { return domains_; }
 
   // -- VM lifecycle ---------------------------------------------------
   bool create_vm(const Vm& vm);
@@ -156,7 +154,8 @@ class Hypervisor {
   /// keeping the configured guard semantics (margins are already
   /// guard-banded by the StressLog).
   void apply_margins(const daemons::SafeMargins& margins, MegaHertz freq);
-  /// Applies an already-decided EOP and re-pins the reliable domain.
+  /// Applies an already-decided EOP. The layout does not depend on it:
+  /// the node keeps pinned channels at nominal refresh.
   void apply_eop(const hw::Eop& eop);
 
   /// Installs a characterization-derived selective-protection plan; it
@@ -207,6 +206,9 @@ class Hypervisor {
 
   /// Refills totals_ from vms_; the only writer of totals_.
   void recount_vms();
+  /// The only layout pass: pins channel c iff it is among the fewest
+  /// leading channels that cover the reliable need (none without the
+  /// reliable domain) or it is isolated. Called on each VM-set change.
   void reconfigure_domains();
   /// Average probability that an SDC into hypervisor memory is fatal,
   /// given the default KVM object profiles and the protection
@@ -225,7 +227,6 @@ class Hypervisor {
   const HvConfig config_;
   Rng rng_;
   daemons::HealthLog healthlog_;
-  MemoryDomainManager domains_;
   FootprintModel footprint_;
   std::map<std::uint64_t, Vm> vms_;
   VmTotals totals_;

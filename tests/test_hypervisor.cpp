@@ -9,12 +9,13 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/ecosystem.h"
 #include "hwmodel/chip_spec.h"
-#include "hypervisor/domains.h"
 #include "hypervisor/footprint.h"
 #include "openstack/node.h"
 #include "stress/profiles.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace uniserver::hv {
 namespace {
@@ -57,23 +58,31 @@ TEST(FootprintModelTest, FootprintGrowsWithGuests) {
   EXPECT_GT(model.total_utilized_mb(4, 16384.0), 16384.0);
 }
 
-TEST(DomainManager, PinsMinimalChannels) {
+TEST(HypervisorDomains, PinsMinimalChannels) {
   hw::ServerNode node(node_spec(), 1);
-  MemoryDomainManager domains(node);
+  Hypervisor hypervisor(node, HvConfig{}, 1);
   const double channel_mb = node.channel_capacity_mb(0);
-  EXPECT_EQ(domains.configure_reliable_capacity(channel_mb * 0.5), 1);
-  EXPECT_EQ(domains.reliable_channels(), 1);
-  EXPECT_EQ(domains.configure_reliable_capacity(channel_mb * 1.5), 2);
-  domains.release_all();
-  EXPECT_EQ(domains.reliable_channels(), 0);
+  // The empty hypervisor plus headroom fits in one channel.
+  EXPECT_EQ(node.reliable_channels(), 1);
+  EXPECT_TRUE(node.channel_reliable(0));
+  // A critical VM of one channel's size spills into a second.
+  ASSERT_TRUE(hypervisor.create_vm(make_vm(1, 2, channel_mb, true)));
+  EXPECT_EQ(node.reliable_channels(), 2);
+  EXPECT_TRUE(node.channel_reliable(1));
+  // Without the reliable domain every channel follows the EOP.
+  hw::ServerNode relaxed(node_spec(), 1);
+  HvConfig config;
+  config.use_reliable_domain = false;
+  Hypervisor unpinned(relaxed, config, 1);
+  ASSERT_TRUE(unpinned.create_vm(make_vm(1, 2, channel_mb, true)));
+  EXPECT_EQ(relaxed.reliable_channels(), 0);
 }
 
-TEST(DomainManager, CapacityAccounting) {
+TEST(HypervisorDomains, CapacityAccounting) {
   hw::ServerNode node(node_spec(), 1);
-  MemoryDomainManager domains(node);
   const double total =
       node.reliable_capacity_mb() + node.relaxed_capacity_mb();
-  domains.configure_reliable_capacity(1.0);
+  Hypervisor hypervisor(node, HvConfig{}, 1);
   EXPECT_NEAR(node.reliable_capacity_mb() + node.relaxed_capacity_mb(),
               total, 1e-6);
   EXPECT_GT(node.reliable_capacity_mb(), 0.0);
@@ -372,6 +381,103 @@ TEST_P(HypervisorTotals, MatchAFreshWalkAcrossCreateDestroyAndKills) {
 
 INSTANTIATE_TEST_SUITE_P(ReliableDomain, HypervisorTotals, ::testing::Bool());
 
+/// Checks every channel against the layout rule, computed here from the
+/// hypervisor's public state: channel c is pinned iff it is among the
+/// fewest leading channels whose capacity covers the reliable need (none
+/// without the reliable domain) or it is isolated. A pinned channel runs
+/// at nominal refresh, the others at the EOP's.
+void expect_layout_rule(const hw::ServerNode& node,
+                        const Hypervisor& hypervisor) {
+  const int channels = node.memory().channels();
+  int leading = 0;
+  if (hypervisor.config().use_reliable_domain) {
+    const FootprintModel& footprint = hypervisor.footprint_model();
+    const double need =
+        footprint.hypervisor_mb(
+            hypervisor.vm_count(),
+            hypervisor.total_utilized_mb() - footprint.host_os_mb) +
+        hypervisor.vm_totals().critical_mb + 256.0;
+    double covered = 0.0;
+    while (leading < channels && covered < need) {
+      covered += node.channel_capacity_mb(leading);
+      ++leading;
+    }
+  }
+  int pinned = 0;
+  for (int c = 0; c < channels; ++c) {
+    const bool want = c < leading || hypervisor.channel_isolated(c);
+    EXPECT_EQ(node.channel_reliable(c), want) << "channel " << c;
+    const Seconds refresh =
+        want ? node.spec().dimm.nominal_refresh : node.eop().refresh;
+    EXPECT_EQ(bits(node.memory().channel_refresh(c).value),
+              bits(refresh.value))
+        << "channel " << c;
+    if (want) ++pinned;
+  }
+  EXPECT_EQ(node.reliable_channels(), pinned);
+  EXPECT_EQ(bits(node.memory().power().value),
+            bits(node.memory().dimm_power_sum().value));
+}
+
+class HypervisorLayout : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HypervisorLayout, EveryStepKeepsThePrefixCoverAndIsolatedChannels) {
+  const Seconds refreshes[] = {64_ms, 1500_ms, Seconds{5.0}};
+  int isolations = 0;
+  int pin_changes = 0;
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    hw::ServerNode node(node_spec(), seed);
+    HvConfig config;
+    config.use_reliable_domain = GetParam();
+    // Isolate slowly enough that the layout sees several isolation
+    // states before every channel is pinned.
+    config.channel_isolation_threshold_per_hour = 60.0;
+    Hypervisor hypervisor(node, config, seed);
+    expect_layout_rule(node, hypervisor);
+
+    Rng rng(seed);
+    int last_pinned = node.reliable_channels();
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const std::uint64_t id = 1 + rng.uniform_u64(8);
+      switch (rng.uniform_u64(5)) {
+        case 0:
+        case 1: {
+          const double memory_mb = rng.uniform(512.0, 12288.0);
+          hypervisor.create_vm(make_vm(id, 1, memory_mb, rng.bernoulli(0.5)));
+          break;
+        }
+        case 2:
+          hypervisor.destroy_vm(id);
+          break;
+        case 3: {
+          hw::Eop eop = node.eop();
+          eop.refresh = refreshes[rng.uniform_u64(3)];
+          hypervisor.apply_eop(eop);
+          break;
+        }
+        default: {
+          // A tick: relaxed channels may cross the isolation threshold.
+          const int before = hypervisor.isolated_channels();
+          hypervisor.tick(Seconds{60.0 * step}, 60_s);
+          isolations += hypervisor.isolated_channels() - before;
+        }
+      }
+      expect_layout_rule(node, hypervisor);
+      if (node.reliable_channels() != last_pinned) ++pin_changes;
+      last_pinned = node.reliable_channels();
+      if (HasFailure()) return;
+    }
+  }
+  // Both rule terms moved: channels were isolated and the pinned set
+  // changed size.
+  EXPECT_GT(isolations, 0);
+  EXPECT_GT(pin_changes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReliableDomain, HypervisorLayout, ::testing::Bool());
+
 TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
   // A node just above its crash voltage with 5 s DRAM refresh: cache
   // ECC storms that retire cores and raise the re-characterization
@@ -435,6 +541,25 @@ TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
   EXPECT_GT(kills, 0u);
   EXPECT_GT(crashes, 0u);
   EXPECT_EQ(after, before);
+}
+
+TEST(CommissioningTrace, RecordsNoHealthLogEvent) {
+  // The commissioning sweep's provoked errors describe the sweep, not
+  // the deployed node: no HealthLog sees them, so none can trip a
+  // re-characterization event into the trace ring.
+  core::EcosystemConfig config;
+  config.node_spec = node_spec();
+  config.shmoo = stress::ShmooConfig{.runs = 1};
+  config.nodes = 4;
+  core::Ecosystem ecosystem(config, 5);
+  telemetry::TraceBuffer::global().clear();
+  ecosystem.commission();
+  int cycles = 0;
+  for (const auto& event : telemetry::TraceBuffer::global().snapshot()) {
+    EXPECT_NE(event.component, "healthlog") << event.name;
+    if (event.component == "stresslog") ++cycles;
+  }
+  EXPECT_EQ(cycles, config.nodes);  // the sweep itself is traced
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ TEST(StressLog, CycleProducesPointPerFrequency) {
   StressLog stresslog(stress::ShmooConfig{.runs = 1}, 11);
   StressTargetParams params = default_stress_params(node);
   const SafeMargins margins =
-      stresslog.run_cycle(node, params, Seconds{0.0}, nullptr);
+      stresslog.run_cycle(node, params, Seconds{0.0});
   ASSERT_EQ(margins.points.size(), params.freqs.size());
   EXPECT_EQ(stresslog.cycles(), 1);
   for (std::size_t i = 0; i < margins.points.size(); ++i) {
@@ -35,7 +35,7 @@ TEST(StressLog, GuardBandIsApplied) {
   StressTargetParams params = default_stress_params(node);
   params.guard_percent = 2.5;
   const SafeMargins margins =
-      stresslog.run_cycle(node, params, Seconds{0.0}, nullptr);
+      stresslog.run_cycle(node, params, Seconds{0.0});
   for (const auto& point : margins.points) {
     EXPECT_NEAR(point.safe_offset_percent,
                 point.crash_offset_percent - 2.5, 1e-9);
@@ -50,7 +50,10 @@ TEST(StressLog, LowerFrequencyYieldsDeeperSafeUndervolt) {
   hw::ServerNode node(node_spec(), 11);
   StressLog stresslog(stress::ShmooConfig{.runs = 1}, 11);
   const SafeMargins margins = stresslog.run_cycle(
-      node, default_stress_params(node), Seconds{0.0}, nullptr);
+      node, default_stress_params(node), Seconds{0.0});
+  // The ARM part exposes cache ECC before crash, so the sweep provokes
+  // correctable events, which the margins count.
+  EXPECT_GT(margins.ecc_events_observed, 0u);
   ASSERT_GE(margins.points.size(), 2u);
   // Points are ordered nominal-first, descending frequency.
   for (std::size_t i = 1; i < margins.points.size(); ++i) {
@@ -93,19 +96,6 @@ TEST(StressLog, HotterWorstCaseShortensRefresh) {
   hot.dram_worst_case_temp = Celsius{70.0};
   EXPECT_GT(StressLog::safe_refresh_interval(node, cool).value,
             StressLog::safe_refresh_interval(node, hot).value);
-}
-
-TEST(StressLog, HealthLogObservesTheCycle) {
-  hw::ServerNode node(node_spec(), 11);
-  StressLog stresslog(stress::ShmooConfig{.runs = 1}, 11);
-  HealthLog health;
-  const SafeMargins margins = stresslog.run_cycle(
-      node, default_stress_params(node), Seconds{5.0}, &health);
-  // The ARM part exposes cache ECC before crash, so the sweep provokes
-  // correctable events which land in the HealthLog.
-  EXPECT_GT(margins.ecc_events_observed, 0u);
-  EXPECT_EQ(health.total_correctable(), margins.ecc_events_observed);
-  EXPECT_EQ(health.latest().source, VectorSource::kStressLog);
 }
 
 TEST(SafeMarginsTest, PointForPicksNearestFrequency) {
