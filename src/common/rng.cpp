@@ -110,15 +110,6 @@ double Rng::exponential(double lambda) {
   return -std::log(u) / lambda;
 }
 
-double Rng::weibull(double shape, double scale) {
-  assert(shape > 0.0 && scale > 0.0);
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
 std::uint64_t Rng::poisson(double lambda) {
   assert(lambda >= 0.0);
   if (lambda == 0.0) return 0;

@@ -60,8 +60,6 @@ class Rng {
   double lognormal(double mu, double sigma);
   /// Exponential with rate lambda (> 0).
   double exponential(double lambda);
-  /// Weibull with shape k and scale lambda.
-  double weibull(double shape, double scale);
   /// Poisson with mean lambda (Knuth for small, normal approx for large).
   std::uint64_t poisson(double lambda);
   /// Binomial(n, p) — exact summation for small n, normal approx otherwise.

@@ -73,11 +73,6 @@ double Histogram::bin_high(std::size_t i) const {
   return lo_ + width * static_cast<double>(i + 1);
 }
 
-double Histogram::fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
 std::string Histogram::ascii(std::size_t bar_width) const {
   std::size_t peak = 1;
   for (auto c : counts_) peak = std::max(peak, c);
@@ -91,23 +86,6 @@ std::string Histogram::ascii(std::size_t bar_width) const {
     os << " " << counts_[i] << "\n";
   }
   return os.str();
-}
-
-double correlation(const std::vector<double>& x, const std::vector<double>& y) {
-  assert(x.size() == y.size());
-  if (x.size() < 2) return 0.0;
-  Accumulator ax;
-  Accumulator ay;
-  for (double v : x) ax.add(v);
-  for (double v : y) ay.add(v);
-  double cov = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    cov += (x[i] - ax.mean()) * (y[i] - ay.mean());
-  }
-  cov /= static_cast<double>(x.size() - 1);
-  const double denom = ax.stddev() * ay.stddev();
-  if (denom == 0.0) return 0.0;
-  return cov / denom;
 }
 
 }  // namespace uniserver

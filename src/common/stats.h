@@ -56,8 +56,6 @@ class Histogram {
   std::size_t total() const { return total_; }
   double bin_low(std::size_t i) const;
   double bin_high(std::size_t i) const;
-  /// Fraction of samples in bin i (0 if empty histogram).
-  double fraction(std::size_t i) const;
   /// Multi-line ASCII rendering with proportional bars.
   std::string ascii(std::size_t bar_width = 40) const;
 
@@ -67,8 +65,5 @@ class Histogram {
   std::vector<std::size_t> counts_;
   std::size_t total_{0};
 };
-
-/// Pearson correlation of two equally sized samples (0 if degenerate).
-double correlation(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace uniserver

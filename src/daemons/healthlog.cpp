@@ -33,18 +33,6 @@ const char* to_string(Severity severity) {
   return "?";
 }
 
-const char* to_string(VectorSource source) {
-  switch (source) {
-    case VectorSource::kHealthLog:
-      return "healthlog";
-    case VectorSource::kStressLog:
-      return "stresslog";
-    case VectorSource::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 void HealthLog::record(const InfoVector& vector) {
   if (vectors_.size() < kVectorCapacity) {
     vectors_.push_back(vector);

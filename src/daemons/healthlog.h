@@ -26,8 +26,7 @@ class HealthLog {
  public:
   /// Monitoring vectors retained, a separate and much smaller bound
   /// than the error log (64 is one hour of 60 s ticks). No decision
-  /// reads the vector history; only latest(), aggregate() and the
-  /// logfile dump do.
+  /// reads the vector history; only latest() and aggregate() do.
   static constexpr std::size_t kVectorCapacity = 64;
 
   /// Error events retained. They feed the rate window, and through it

@@ -30,12 +30,6 @@ struct ErrorEvent {
   int unit{0};
 };
 
-/// Which daemon produced a monitoring record; the logfile writes it as
-/// `healthlog`, `stresslog` or `unknown`.
-enum class VectorSource { kHealthLog, kStressLog, kUnknown };
-
-const char* to_string(VectorSource source);
-
 /// One monitoring record: "system configuration values, sensor readings
 /// and performance counters" plus error tallies.
 struct InfoVector {
@@ -46,7 +40,6 @@ struct InfoVector {
   double utilization{0.0};
   std::uint64_t correctable_errors{0};
   std::uint64_t uncorrectable_errors{0};
-  VectorSource source{VectorSource::kHealthLog};
 };
 
 }  // namespace uniserver::daemons

@@ -7,8 +7,8 @@
 // self-describing snapshot: the operating point, how much of the
 // characterized margin is in use, live error statistics from the
 // HealthLog, the Predictor's risk estimate for the current conditions
-// and the isolation state. Also serializes to the same key=value line
-// format as the logfile, so existing log shippers carry it.
+// and the isolation state. Also serializes to one key=value line, so
+// existing log shippers carry it.
 #pragma once
 
 #include <string>

@@ -45,12 +45,6 @@ double word_uncorrectable_probability(const ScrubConfig& config) {
   return p_ok >= 1.0 ? 0.0 : 1.0 - p_ok;
 }
 
-double uncorrectable_rate_per_s(const ScrubConfig& config) {
-  if (config.scrub_interval.value <= 0.0) return 0.0;
-  return static_cast<double>(config.words) *
-         word_uncorrectable_probability(config) / config.scrub_interval.value;
-}
-
 ScrubStats simulate_scrubbing(const ScrubConfig& config,
                               std::uint64_t intervals, Rng& rng) {
   ScrubStats stats;

@@ -38,9 +38,6 @@ struct ScrubStats {
 /// (>= 2 flips) event within one scrub interval.
 double word_uncorrectable_probability(const ScrubConfig& config);
 
-/// Expected uncorrectable words per second across the whole region.
-double uncorrectable_rate_per_s(const ScrubConfig& config);
-
 /// Monte-Carlo simulation of `intervals` scrub periods using the real
 /// Secded72 codec: flips are drawn per word, decode is run, and a word
 /// that decodes correctable is rewritten (flips cleared).

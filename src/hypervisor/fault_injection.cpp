@@ -1,7 +1,6 @@
 #include "hypervisor/fault_injection.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/parallel.h"
@@ -78,13 +77,6 @@ CampaignResult FaultInjector::run_campaign(const CampaignConfig& config,
         std::to_string(result.objects_marked_crucial())},
        {"loaded", config.workload_loaded ? "true" : "false"}});
   return result;
-}
-
-double FaultInjector::expected_detection_rate(double consumption_probability,
-                                              int runs_per_object) {
-  // A crucial object is missed only if no run consumes the corruption.
-  return 1.0 - std::pow(1.0 - consumption_probability,
-                        static_cast<double>(runs_per_object));
 }
 
 }  // namespace uniserver::hv

@@ -45,11 +45,6 @@ class FaultInjector {
   /// Runs the full campaign (inventory x runs_per_object injections).
   CampaignResult run_campaign(const CampaignConfig& config, Rng& rng) const;
 
-  /// Classification quality: fraction of truly crucial objects that a
-  /// campaign with `runs_per_object` runs would mark (1 - miss rate).
-  static double expected_detection_rate(double consumption_probability,
-                                        int runs_per_object);
-
  private:
   const ObjectInventory& inventory_;
 };

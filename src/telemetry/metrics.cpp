@@ -218,15 +218,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return samples;
 }
 
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, slot] : slots_) {
-    if (slot.counter) slot.counter->reset();
-    if (slot.gauge) slot.gauge->reset();
-    if (slot.histogram) slot.histogram->reset();
-  }
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -53,7 +53,6 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -65,7 +64,6 @@ class Gauge {
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   void add(double v) { value_.fetch_add(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -271,11 +269,6 @@ class MetricsRegistry {
 
   /// All metrics, sorted by name.
   std::vector<MetricSample> snapshot() const;
-
-  /// Zeroes every metric but keeps all registrations (and therefore
-  /// every reference handed out) valid. Registrations are never
-  /// removed: cached references must outlive the process.
-  void reset_values();
 
   /// The process-wide registry the stack instruments into.
   static MetricsRegistry& global();

@@ -35,29 +35,4 @@ FactorBand diurnal_band(const DiurnalConfig& config, Seconds t0,
   return {centre - reach, centre + reach};
 }
 
-std::vector<VmRequest> generate_diurnal(const DiurnalConfig& config,
-                                        Seconds horizon,
-                                        std::uint64_t seed) {
-  // Thinning: draw from a homogeneous process at the peak rate, keep
-  // each arrival with probability factor(t)/peak_factor, then rebuild
-  // the requests (ids/lifetimes/flavors) from a dedicated stream so the
-  // kept set is a proper Poisson sample of the modulated rate.
-  ArrivalConfig peak = config.base;
-  peak.arrivals_per_hour =
-      config.base.arrivals_per_hour * config.peak_factor;
-  VmArrivalStream stream(peak, seed);
-  Rng thinning(Rng(seed).fork(0xD1).next());
-
-  std::vector<VmRequest> kept;
-  std::uint64_t next_id = 1;
-  for (VmRequest& request : stream.generate(horizon)) {
-    const double keep_probability =
-        diurnal_factor(config, request.arrival) / config.peak_factor;
-    if (!thinning.bernoulli(keep_probability)) continue;
-    request.id = next_id++;  // keep ids dense after thinning
-    kept.push_back(request);
-  }
-  return kept;
-}
-
 }  // namespace uniserver::trace

@@ -6,10 +6,6 @@
 // base Poisson arrival rate with a day-shaped profile.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "common/rng.h"
 #include "common/units.h"
 #include "trace/arrivals.h"
 
@@ -50,11 +46,5 @@ struct FactorBand {
 /// window; the band adds a fixed margin for diurnal_factor's rounding.
 FactorBand diurnal_band(const DiurnalConfig& config, Seconds t0,
                         Seconds window);
-
-/// Generates arrivals over [0, horizon) from a diurnally modulated
-/// Poisson process (thinning of the peak-rate process).
-std::vector<VmRequest> generate_diurnal(const DiurnalConfig& config,
-                                        Seconds horizon,
-                                        std::uint64_t seed);
 
 }  // namespace uniserver::trace

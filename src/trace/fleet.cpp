@@ -62,10 +62,10 @@ Seconds FleetTraceGenerator::horizon() const {
 
 std::optional<VmRequest> FleetTraceGenerator::next() {
   if (emitted_ >= config_.vms) return std::nullopt;
-  // Thinning (same scheme as generate_diurnal): draw from the peak-rate
-  // process, keep with probability factor(t)/peak, re-densify ids. The
-  // day shape is periodic, so a stream that needs slightly longer than
-  // `days` to reach its VM count just continues into the next day.
+  // Thinning: draw from the peak-rate process, keep with probability
+  // factor(t)/peak, re-densify ids. The day shape is periodic, so a
+  // stream that needs slightly longer than `days` to reach its VM count
+  // just continues into the next day.
   while (true) {
     VmRequest request = stream_.next(cursor_);
     cursor_ = request.arrival;

@@ -1,15 +1,15 @@
 // Fleet-scale workload generator: datacenter-sized diurnal VM request
 // streams (default 10k nodes, 1M VMs over one simulated day).
 //
-// The per-experiment generators (arrivals.h, diurnal.h) materialize a
-// full request vector, which is fine for hundreds of VMs but not for
-// the millions the indexed placement engine is built to absorb. This
-// generator streams: the arrival process is the same thinned diurnal
-// Poisson as diurnal.h, but requests are pulled one (or one batch) at a
-// time, the rate is derived from the requested VM count, and the mean
-// lifetime is derived from the fleet's capacity so the cluster settles
-// at a target steady-state utilization instead of overflowing or
-// idling. Deterministic for a given seed.
+// The per-experiment generator (arrivals.h) materializes a full request
+// vector, which is fine for hundreds of VMs but not for the millions the
+// indexed placement engine is built to absorb. This generator streams:
+// the arrival process is a Poisson process thinned to diurnal.h's day
+// shape, requests are pulled one (or one batch) at a time, the rate is
+// derived from the requested VM count, and the mean lifetime is derived
+// from the fleet's capacity so the cluster settles at a target
+// steady-state utilization instead of overflowing or idling.
+// Deterministic for a given seed.
 #pragma once
 
 #include <cstdint>

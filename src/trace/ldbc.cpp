@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/rng.h"
 #include "stress/profiles.h"
 
 namespace uniserver::trace {
@@ -34,19 +35,6 @@ double LdbcWorkload::memory_mb(Seconds t) const {
       config_.base_memory_mb +
       (config_.plateau_memory_mb - config_.base_memory_mb) * ramp;
   return plateau * (1.0 + config_.fluctuation * wobble(t) * ramp);
-}
-
-double LdbcWorkload::cpu_utilization(Seconds t) const {
-  const double progress =
-      config_.warmup.value <= 0.0
-          ? 1.0
-          : std::clamp(t.value / config_.warmup.value, 0.0, 1.0);
-  const double busy = 0.25 + 0.55 * progress;
-  return std::clamp(busy * (1.0 + 0.15 * wobble(t)), 0.0, 1.0);
-}
-
-std::uint64_t LdbcWorkload::sample_requests(Seconds window, Rng& rng) const {
-  return rng.poisson(config_.requests_per_s * window.value);
 }
 
 hw::WorkloadSignature LdbcWorkload::signature() const {

@@ -3,7 +3,7 @@
 // Paper §6.C measures the hypervisor memory footprint while four VMs
 // each run the LDBC SNB interactive workload on a graph database
 // (Sparksee). The real benchmark is a request mix over a social graph;
-// what the footprint experiment consumes is each VM's memory and CPU
+// what the footprint experiment consumes is each VM's memory
 // time-series: a warm-up ramp while the graph loads, a plateau with
 // request-driven fluctuation, and I/O bursts. This generator produces
 // that series deterministically from a seed.
@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "common/rng.h"
 #include "common/units.h"
 #include "hwmodel/workload_signature.h"
 
@@ -22,7 +21,6 @@ struct LdbcConfig {
   double plateau_memory_mb{6144.0};///< graph fully loaded + page cache
   Seconds warmup{Seconds{600.0}};  ///< graph load / cache warm time
   double fluctuation{0.04};        ///< relative request-driven wobble
-  double requests_per_s{120.0};    ///< interactive query arrival rate
 };
 
 class LdbcWorkload {
@@ -34,12 +32,6 @@ class LdbcWorkload {
   /// VM-resident memory at time t since the VM started (megabytes).
   /// Deterministic ramp/plateau plus seeded per-VM wobble.
   double memory_mb(Seconds t) const;
-
-  /// CPU utilization in [0,1] at time t (load ramps with the cache).
-  double cpu_utilization(Seconds t) const;
-
-  /// Interactive query arrivals within a window (Poisson).
-  std::uint64_t sample_requests(Seconds window, Rng& rng) const;
 
   /// The electrical signature the margin models see for this workload.
   hw::WorkloadSignature signature() const;

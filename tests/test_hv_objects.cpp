@@ -141,14 +141,6 @@ TEST_F(CampaignFixture, SensitivitySetIsLoadInvariant) {
   }
 }
 
-TEST(FaultInjectorStatics, DetectionRateFormula) {
-  EXPECT_NEAR(FaultInjector::expected_detection_rate(0.5, 1), 0.5, 1e-12);
-  EXPECT_NEAR(FaultInjector::expected_detection_rate(0.5, 5), 0.96875,
-              1e-9);
-  EXPECT_NEAR(FaultInjector::expected_detection_rate(0.0, 5), 0.0, 1e-12);
-  EXPECT_NEAR(FaultInjector::expected_detection_rate(1.0, 1), 1.0, 1e-12);
-}
-
 TEST_F(CampaignFixture, MoreRunsFindMoreCrucialObjects) {
   Rng rng_few(5);
   Rng rng_many(6);

@@ -302,16 +302,35 @@ TEST(RaceMutation, SeededSharedWriteInRealCampaignIsCaught) {
 }
 
 TEST(RaceChangedOnly, SubsetScanOfTheRealTree) {
-  // --changed-only narrows the scan to git-modified files; on a tree
-  // whose full scan is clean any subset must be clean too.
-  const RunResult r =
-      run(race("--changed-only --root " + std::string(kRoot)));
+  // --changed-only narrows the scan to git-modified files. The test
+  // builds its own small work tree, so it holds whether this source
+  // tree is a git checkout or an exported copy: one clean file is
+  // committed unchanged, one clean file is modified after the commit,
+  // and both tools must scan exactly the modified one.
+  namespace fs = std::filesystem;
+  const fs::path repo = fs::path(kScratch) / "changed-only-repo";
+  fs::remove_all(repo);
+  fs::create_directories(repo / "src");
+  fs::create_directories(repo / "docs");
+  std::ofstream(repo / "docs" / "OBSERVABILITY.md") << "# Metrics\n";
+  std::ofstream(repo / "src" / "kept.cpp") << "int kept() { return 1; }\n";
+  std::ofstream(repo / "src" / "edited.cpp") << "int edited() { return 2; }\n";
+  const std::string git = "git -C '" + repo.string() + "' ";
+  const RunResult init = run(
+      git + "init -q && " + git + "add -A && " + git +
+      "-c user.name=lint -c user.email=lint@example.invalid"
+      " commit -q -m fixture");
+  ASSERT_EQ(init.exit_code, 0) << init.output;
+  std::ofstream(repo / "src" / "edited.cpp", std::ios::app)
+      << "int edited_too() { return 3; }\n";
+
+  const std::string expected = "changed-only, 1 file of 1 changed";
+  const RunResult r = run(race("--changed-only --root " + repo.string()));
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("changed-only"), std::string::npos) << r.output;
-  const RunResult l =
-      run(lint("--changed-only --root " + std::string(kRoot)));
+  EXPECT_NE(r.output.find(expected), std::string::npos) << r.output;
+  const RunResult l = run(lint("--changed-only --root " + repo.string()));
   EXPECT_EQ(l.exit_code, 0) << l.output;
-  EXPECT_NE(l.output.find("changed-only"), std::string::npos) << l.output;
+  EXPECT_NE(l.output.find(expected), std::string::npos) << l.output;
 }
 
 TEST(RaceFormat, GithubAnnotationsCarryFileLineAndRule) {

@@ -163,13 +163,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(median(samples), std::exp(1.0), 0.1);
 }
 
-TEST(Rng, WeibullShapeOneIsExponential) {
-  Rng rng(12);
-  Accumulator acc;
-  for (int i = 0; i < 100000; ++i) acc.add(rng.weibull(1.0, 3.0));
-  EXPECT_NEAR(acc.mean(), 3.0, 0.1);
-}
-
 class PoissonTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonTest, MeanAndVarianceMatchLambda) {

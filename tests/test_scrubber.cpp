@@ -11,7 +11,6 @@ TEST(Scrubber, ZeroRateIsPerfectlySafe) {
   config.bit_flip_rate_per_s = 0.0;
   config.scrub_interval = Seconds{10.0};
   EXPECT_DOUBLE_EQ(word_uncorrectable_probability(config), 0.0);
-  EXPECT_DOUBLE_EQ(uncorrectable_rate_per_s(config), 0.0);
 }
 
 TEST(Scrubber, ProbabilityMonotoneInRate) {
@@ -42,16 +41,6 @@ TEST(Scrubber, SmallRateMatchesQuadraticApproximation) {
   const double m = 1e-6;
   const double approx = 72.0 * 71.0 / 2.0 * m * m;
   EXPECT_NEAR(word_uncorrectable_probability(config) / approx, 1.0, 0.01);
-}
-
-TEST(Scrubber, RateScalesWithWords) {
-  ScrubConfig config;
-  config.bit_flip_rate_per_s = 1e-5;
-  config.scrub_interval = Seconds{2.0};
-  config.words = 1;
-  const double one = uncorrectable_rate_per_s(config);
-  config.words = 1000;
-  EXPECT_NEAR(uncorrectable_rate_per_s(config), 1000.0 * one, 1e-12);
 }
 
 TEST(Scrubber, SimulationAgreesWithAnalyticEstimate) {

@@ -100,7 +100,6 @@ TEST(HistogramTest, BinsAndClamping) {
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(2), 1u);
   EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
 }
 
 TEST(HistogramTest, BinEdges) {
@@ -117,25 +116,6 @@ TEST(HistogramTest, AsciiRendersOneLinePerBin) {
   h.add(0.5);
   const std::string art = h.ascii(10);
   EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
-}
-
-TEST(Correlation, PerfectPositive) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(x, y), 1.0, 1e-12);
-}
-
-TEST(Correlation, PerfectNegative) {
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  const std::vector<double> y{3.0, 2.0, 1.0};
-  EXPECT_NEAR(correlation(x, y), -1.0, 1e-12);
-}
-
-TEST(Correlation, DegenerateIsZero) {
-  const std::vector<double> x{1.0, 1.0, 1.0};
-  const std::vector<double> y{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(correlation(x, y), 0.0);
-  EXPECT_DOUBLE_EQ(correlation({1.0}, {2.0}), 0.0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests: NodeStatus interface, diurnal arrivals, CPU SDC runtime path.
+// Tests: NodeStatus interface, diurnal day shape, CPU SDC runtime path.
 #include <gtest/gtest.h>
 
 #include "daemons/status_interface.h"
@@ -88,27 +88,6 @@ TEST(Diurnal, FactorPeaksAndTroughsWhereConfigured) {
   // Next day, same hour: periodic.
   EXPECT_NEAR(trace::diurnal_factor(config, Seconds{(24.0 + 14.0) * 3600.0}),
               config.peak_factor, 1e-9);
-}
-
-TEST(Diurnal, GeneratedLoadFollowsTheShape) {
-  trace::DiurnalConfig config;
-  config.base.arrivals_per_hour = 600.0;
-  const auto requests =
-      trace::generate_diurnal(config, Seconds{24.0 * 3600.0}, 3);
-  ASSERT_GT(requests.size(), 2000u);
-  std::size_t day = 0;   // 11:00-17:00
-  std::size_t night = 0; // 23:00-05:00
-  for (const auto& request : requests) {
-    const double hour = std::fmod(request.arrival.value / 3600.0, 24.0);
-    if (hour >= 11.0 && hour < 17.0) ++day;
-    if (hour >= 23.0 || hour < 5.0) ++night;
-  }
-  // Same window width: day traffic must dominate night by several x.
-  EXPECT_GT(static_cast<double>(day), 3.0 * static_cast<double>(night));
-  // Ids are dense and unique after thinning.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(requests[i].id, i + 1);
-  }
 }
 
 TEST(CpuSdc, RateGrowsNearTheCrashPoint) {

@@ -1,12 +1,11 @@
+// Tests of the text-table renderer and the CSV writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/csv.h"
-#include "common/log.h"
 #include "common/table.h"
 
 namespace uniserver {
@@ -64,28 +63,6 @@ TEST(CsvWriterTest, SaveWritesFile) {
   std::getline(in, line);
   EXPECT_EQ(line, "1,2");
   std::remove(path.c_str());
-}
-
-TEST(LoggerTest, SinkCapturesAboveLevel) {
-  std::vector<std::string> captured;
-  Logger::instance().set_sink(
-      [&captured](LogLevel, const std::string& message) {
-        captured.push_back(message);
-      });
-  Logger::instance().set_level(LogLevel::kWarn);
-  US_LOG_DEBUG << "invisible";
-  US_LOG_WARN << "visible " << 42;
-  US_LOG_ERROR << "also visible";
-  Logger::instance().set_sink(nullptr);
-  Logger::instance().set_level(LogLevel::kWarn);
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0], "visible 42");
-  EXPECT_EQ(captured[1], "also visible");
-}
-
-TEST(LoggerTest, LevelNames) {
-  EXPECT_STREQ(to_string(LogLevel::kDebug), "DEBUG");
-  EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
 }
 
 }  // namespace

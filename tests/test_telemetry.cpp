@@ -80,21 +80,6 @@ TEST(MetricsRegistry, SnapshotSortedAndTyped) {
   EXPECT_DOUBLE_EQ(snapshot[2].sum, 5.0);
 }
 
-TEST(MetricsRegistry, ResetValuesKeepsRegistrationsValid) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("n.count");
-  Histogram& hist = registry.histogram("n.hist", 0.0, 10.0, 5);
-  counter.add(10);
-  hist.record(3.0);
-
-  registry.reset_values();
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_EQ(counter.value(), 0u);  // same object, zeroed
-  EXPECT_EQ(hist.count(), 0u);
-  counter.add(1);
-  EXPECT_EQ(registry.find_counter("n.count")->value(), 1u);
-}
-
 TEST(MetricsRegistry, GlobalIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
   Counter& via_helper = telemetry::counter("test.telemetry.global_probe");

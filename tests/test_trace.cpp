@@ -36,28 +36,6 @@ TEST(Ldbc, DeterministicPerSeed) {
   EXPECT_NE(a.memory_mb(Seconds{500.0}), c.memory_mb(Seconds{500.0}));
 }
 
-TEST(Ldbc, CpuUtilizationBounded) {
-  const LdbcWorkload workload(LdbcConfig{}, 2);
-  for (double t = 0.0; t < 7200.0; t += 97.0) {
-    const double u = workload.cpu_utilization(Seconds{t});
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0);
-  }
-}
-
-TEST(Ldbc, RequestsFollowRate) {
-  LdbcConfig config;
-  config.requests_per_s = 50.0;
-  const LdbcWorkload workload(config, 3);
-  Rng rng(3);
-  double total = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    total += static_cast<double>(
-        workload.sample_requests(Seconds{10.0}, rng));
-  }
-  EXPECT_NEAR(total / 200.0, 500.0, 25.0);
-}
-
 TEST(Ldbc, SignatureIsLdbcProfile) {
   const LdbcWorkload workload(LdbcConfig{}, 4);
   EXPECT_EQ(workload.signature().name, "ldbc-snb");

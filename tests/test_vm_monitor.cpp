@@ -1,4 +1,4 @@
-// Tests of the HealthLog logfile format and the fine-grained VM monitor.
+// Tests of the fine-grained VM monitor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,133 +7,14 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-
-#include "daemons/logfile.h"
 #include "openstack/monitor.h"
 
 namespace uniserver {
 namespace {
-
-using namespace uniserver::literals;
-
-daemons::InfoVector sample_vector() {
-  daemons::InfoVector vector;
-  vector.timestamp = Seconds{12.5};
-  vector.eop.vdd = Volt{0.8215};
-  vector.eop.freq = MegaHertz{2040.0};
-  vector.eop.refresh = 1500_ms;
-  vector.sensors.package_power = Watt{21.375};
-  vector.sensors.memory_power = Watt{10.5};
-  vector.sensors.temperature = Celsius{47.25};
-  vector.ipc = 1.3;
-  vector.utilization = 0.75;
-  vector.correctable_errors = 3;
-  vector.uncorrectable_errors = 1;
-  vector.source = daemons::VectorSource::kHealthLog;
-  return vector;
-}
-
-TEST(Logfile, InfoVectorRoundTrips) {
-  const auto original = sample_vector();
-  const std::string line = daemons::serialize(original);
-  EXPECT_EQ(line.rfind("IV ", 0), 0u);
-  const auto parsed = daemons::parse_info_vector(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_NEAR(parsed->timestamp.value, 12.5, 1e-3);
-  EXPECT_NEAR(parsed->eop.vdd.value, 0.8215, 1e-4);
-  EXPECT_NEAR(parsed->eop.freq.value, 2040.0, 0.1);
-  EXPECT_NEAR(parsed->eop.refresh.value, 1.5, 1e-4);
-  EXPECT_NEAR(parsed->sensors.package_power.value, 21.375, 1e-3);
-  EXPECT_NEAR(parsed->ipc, 1.3, 1e-3);
-  EXPECT_EQ(parsed->correctable_errors, 3u);
-  EXPECT_EQ(parsed->uncorrectable_errors, 1u);
-  EXPECT_EQ(parsed->source, daemons::VectorSource::kHealthLog);
-}
-
-TEST(Logfile, SourceIsWrittenByNameAndUnknownNamesParseAsUnknown) {
-  auto vector = sample_vector();
-  for (const auto& [source, name] :
-       {std::pair{daemons::VectorSource::kHealthLog, "src=healthlog"},
-        std::pair{daemons::VectorSource::kStressLog, "src=stresslog"},
-        std::pair{daemons::VectorSource::kUnknown, "src=unknown"}}) {
-    vector.source = source;
-    const std::string line = daemons::serialize(vector);
-    EXPECT_NE(line.find(name), std::string::npos) << line;
-    const auto parsed = daemons::parse_info_vector(line);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->source, source);
-  }
-  const auto foreign = daemons::parse_info_vector("IV t=1.0 src=ipmi");
-  ASSERT_TRUE(foreign.has_value());
-  EXPECT_EQ(foreign->source, daemons::VectorSource::kUnknown);
-  // A line without a source field keeps the HealthLog default.
-  const auto bare = daemons::parse_info_vector("IV t=1.0");
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->source, daemons::VectorSource::kHealthLog);
-}
-
-TEST(Logfile, ErrorEventRoundTrips) {
-  daemons::ErrorEvent event{Seconds{99.0}, daemons::Component::kCache,
-                            daemons::Severity::kUncorrectable, 3};
-  const auto parsed = daemons::parse_error_event(daemons::serialize(event));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_NEAR(parsed->timestamp.value, 99.0, 1e-3);
-  EXPECT_EQ(parsed->component, daemons::Component::kCache);
-  EXPECT_EQ(parsed->severity, daemons::Severity::kUncorrectable);
-  EXPECT_EQ(parsed->unit, 3);
-}
-
-TEST(Logfile, RejectsGarbage) {
-  EXPECT_FALSE(daemons::parse_info_vector("EE t=1.0").has_value());
-  EXPECT_FALSE(daemons::parse_info_vector("nonsense").has_value());
-  EXPECT_FALSE(daemons::parse_info_vector("IV novalue").has_value());
-  EXPECT_FALSE(daemons::parse_error_event("EE t=1.0 comp=gpu sev=crash")
-                   .has_value());
-  EXPECT_FALSE(daemons::parse_error_event("IV t=1.0").has_value());
-}
-
-TEST(Logfile, DumpAndLoadRoundTripsWholeLog) {
-  daemons::HealthLog log;
-  for (int i = 0; i < 5; ++i) {
-    auto vector = sample_vector();
-    vector.timestamp = Seconds{static_cast<double>(i)};
-    log.record(vector);
-  }
-  log.record_error({Seconds{2.0}, daemons::Component::kDram,
-                    daemons::Severity::kCorrectable, 0});
-  log.record_error({Seconds{3.0}, daemons::Component::kCore,
-                    daemons::Severity::kCrash, 5});
-
-  std::stringstream file;
-  daemons::dump_logfile(log, file);
-
-  daemons::HealthLog replayed;
-  EXPECT_EQ(daemons::load_logfile(file, replayed), 7u);
-  EXPECT_EQ(replayed.vectors().size(), 5u);
-  EXPECT_EQ(replayed.errors().size(), 2u);
-  EXPECT_EQ(replayed.total_correctable(), 1u);
-  EXPECT_EQ(replayed.total_uncorrectable(), 1u);
-}
-
-TEST(Logfile, LoadFiresSubscribers) {
-  daemons::HealthLog source;
-  source.record_error({Seconds{1.0}, daemons::Component::kDram,
-                       daemons::Severity::kUncorrectable, 0});
-  std::stringstream file;
-  daemons::dump_logfile(source, file);
-
-  daemons::HealthLog sink;
-  int events = 0;
-  sink.subscribe_errors([&events](const daemons::ErrorEvent&) { ++events; });
-  daemons::load_logfile(file, sink);
-  EXPECT_EQ(events, 1);
-}
 
 TEST(VmMonitorTest, UsageAggregates) {
   // A fixed profile over two ticks, with two hits in the second.

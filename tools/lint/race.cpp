@@ -52,10 +52,10 @@ bool is_mutating_method(const std::string& m) {
 /// The uniserver::Rng drawing/forking interface (src/common/rng.h).
 bool is_rng_method(const std::string& m) {
   static const std::set<std::string> kRng = {
-      "next",        "fork",     "uniform",   "uniform_u64",
+      "next",        "fork",      "uniform",  "uniform_u64",
       "uniform_int", "bernoulli", "normal",   "lognormal",
-      "exponential", "weibull",  "poisson",   "binomial",
-      "weighted_pick", "shuffle"};
+      "exponential", "poisson",   "binomial", "weighted_pick",
+      "shuffle"};
   return kRng.count(m) != 0;
 }
 
