@@ -16,13 +16,13 @@ int main() {
   edge::LatencyModel latency;  // 200 ms target, 100 ms cloud RTT, 5 ms edge
 
   std::printf("== Edge latency budget (target %.0f ms) ==\n",
-              latency.target_latency.millis());
+              edge::LatencyModel::kTargetLatency.millis());
   std::printf("cloud: RTT %.0f ms -> compute budget %.0f ms (%.0f%% of the "
               "budget burnt in the network)\n",
-              latency.cloud_rtt.millis(),
+              edge::LatencyModel::kCloudRtt.millis(),
               latency.compute_budget_cloud().millis(),
-              latency.cloud_rtt.millis() /
-                  latency.target_latency.millis() * 100.0);
+              edge::LatencyModel::kCloudRtt.millis() /
+                  edge::LatencyModel::kTargetLatency.millis() * 100.0);
   std::printf("edge:  RTT %.0f ms -> compute budget %.0f ms\n\n",
               latency.edge_rtt.millis(),
               latency.compute_budget_edge().millis());
@@ -37,8 +37,7 @@ int main() {
                  TextTable::pct(quoted.energy_saving() * 100.0, 1),
                  "75% power, 50% energy"});
 
-  const edge::VfCurve curve;
-  const edge::DvfsSavings slack = edge::edge_savings(latency, curve);
+  const edge::DvfsSavings slack = edge::edge_savings(latency);
   table.add_row({"slack-derived",
                  TextTable::pct(slack.freq_ratio * 100.0, 0),
                  TextTable::pct(slack.voltage_ratio * 100.0, 0),
@@ -50,7 +49,7 @@ int main() {
   sweep.set_header({"freq ratio", "voltage ratio", "power saving",
                     "energy saving"});
   for (double fr = 1.0; fr >= 0.29; fr -= 0.1) {
-    const double vr = curve.voltage_ratio_for(fr);
+    const double vr = edge::voltage_ratio_for(fr);
     const edge::DvfsSavings savings = edge::savings_at(fr, vr);
     sweep.add_row({TextTable::num(fr, 1), TextTable::num(vr, 2),
                    TextTable::pct(savings.power_saving() * 100.0, 1),

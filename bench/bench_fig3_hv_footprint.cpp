@@ -27,16 +27,15 @@ int main() {
   hv::HvConfig hv_config;
   hv::Hypervisor hypervisor(server, hv_config, 5);
 
-  trace::LdbcConfig ldbc_config;
   std::vector<trace::LdbcWorkload> workloads;
   Rng rng(5);
   for (std::uint64_t vm_id = 1; vm_id <= 4; ++vm_id) {
-    workloads.emplace_back(ldbc_config, rng.next());
+    workloads.emplace_back(rng.next());
     hv::Vm vm;
     vm.id = vm_id;
     vm.name = "ldbc-vm-" + std::to_string(vm_id);
     vm.vcpus = 2;
-    vm.memory_mb = ldbc_config.base_memory_mb;
+    vm.memory_mb = trace::LdbcWorkload::kBaseMemoryMb;
     vm.workload = workloads.back().signature();
     // Staggered starts: 3 minutes apart.
     vm.started_at = Seconds{180.0 * static_cast<double>(vm_id - 1)};
@@ -48,7 +47,6 @@ int main() {
                     "total utilized [MB]", "HV share"});
   // The guests' resident memory ramps with the LDBC workload; the
   // hypervisor's footprint model is evaluated at each minute's total.
-  const hv::FootprintModel& model = hypervisor.footprint_model();
   const std::size_t vm_count = workloads.size();
   double max_share = 0.0;
   double footprint_mb = 0.0;
@@ -61,15 +59,15 @@ int main() {
           std::max(0.0, t.value - vm.started_at.value);
       vm_mb += workloads[i].memory_mb(Seconds{since_start});
     }
-    footprint_mb = model.hypervisor_mb(vm_count, vm_mb);
-    const double share = model.hypervisor_share(vm_count, vm_mb);
+    footprint_mb = hv::footprint::hypervisor_mb(vm_count, vm_mb);
+    const double share = hv::footprint::hypervisor_share(vm_count, vm_mb);
     max_share = std::max(max_share, share);
     if (static_cast<long>(t.value) % 600 == 0) {
       table.add_row({TextTable::num(t.value / 60.0, 0),
                      TextTable::num(vm_mb, 0),
                      TextTable::num(footprint_mb, 0),
-                     TextTable::num(model.total_utilized_mb(vm_count, vm_mb),
-                                    0),
+                     TextTable::num(
+                         hv::footprint::total_utilized_mb(vm_count, vm_mb), 0),
                      TextTable::pct(share * 100.0)});
     }
   }

@@ -21,7 +21,7 @@ int main() {
   hw::DimmSpec spec;
   spec.dimm_scale_sigma = 0.0;  // population-average part
   const hw::DimmModel dimm(spec, 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const Celsius temp{30.0};
 
   TextTable table(

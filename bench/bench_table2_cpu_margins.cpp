@@ -38,9 +38,7 @@ struct ChipRow {
 ChipRow characterize(const hw::ChipSpec& spec, std::uint64_t seed) {
   hw::Chip chip(spec, seed);
   stress::ShmooConfig config;
-  config.step_percent = 0.2;
   config.runs = 3;
-  config.step_duration = Seconds{10.0};
   stress::ShmooCharacterizer characterizer(config);
   Rng rng(seed ^ 0x7AB1E2ULL);
 

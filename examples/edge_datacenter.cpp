@@ -41,12 +41,12 @@ core::EcosystemConfig fleet_config(bool enable_eop, MegaHertz freq) {
 int main() {
   // --- the latency argument for running at the edge ------------------
   edge::LatencyModel latency;
-  const edge::DvfsSavings dvfs = edge::edge_savings(latency, edge::VfCurve{});
+  const edge::DvfsSavings dvfs = edge::edge_savings(latency);
   std::printf("== Edge micro-datacenter ==\n");
   std::printf("latency target %.0f ms: cloud leaves %.0f ms of compute, "
               "edge leaves %.0f ms -> run at %.0f%% frequency "
               "(%.0f%% less power)\n\n",
-              latency.target_latency.millis(),
+              edge::LatencyModel::kTargetLatency.millis(),
               latency.compute_budget_cloud().millis(),
               latency.compute_budget_edge().millis(),
               dvfs.freq_ratio * 100.0, dvfs.power_saving() * 100.0);

@@ -121,7 +121,7 @@ int cmd_campaign(std::uint64_t seed) {
 int cmd_raidr(std::uint64_t seed) {
   hw::DimmSpec spec;
   const hw::DimmModel dimm(spec, seed);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   TextTable table("refresh binning frontier (30 C)");
   table.set_header({"long interval", "fast-bin rows", "DIMM power saved"});
   for (const Seconds interval : {1_s, 2_s, 5_s, 10_s}) {

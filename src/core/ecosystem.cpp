@@ -38,14 +38,14 @@ void Ecosystem::run(const std::vector<trace::VmRequest>& requests,
 Ecosystem::Summary Ecosystem::summary(
     const hw::WorkloadSignature& reference) const {
   Summary summary;
-  const auto& nodes = const_cast<Ecosystem*>(this)->cloud_->node_ptrs();
+  const std::vector<const osk::ComputeNode*> nodes = cloud_->node_views();
   if (nodes.empty()) return summary;
 
   double undervolt = 0.0;
   double refresh = 0.0;
   double power = 0.0;
   double nominal_power = 0.0;
-  for (osk::ComputeNode* node : nodes) {
+  for (const osk::ComputeNode* node : nodes) {
     const auto& spec = node->server().spec();
     const hw::Eop eop = node->server().eop();
     undervolt += hw::undervolt_percent(spec.chip.vdd_nominal, eop.vdd);

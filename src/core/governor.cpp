@@ -7,9 +7,9 @@ namespace uniserver::core {
 void EopGovernor::update_mode(double utilization) {
   using daemons::ExecutionMode;
   const ExecutionMode wanted =
-      utilization >= config_.high_util_threshold ? ExecutionMode::kHighPerformance
-      : utilization <= config_.low_util_threshold ? ExecutionMode::kLowPower
-                                                  : mode_;
+      utilization >= kHighUtilThreshold ? ExecutionMode::kHighPerformance
+      : utilization <= kLowUtilThreshold ? ExecutionMode::kLowPower
+                                         : mode_;
   if (wanted == mode_) {
     streak_ = 0;
     return;
@@ -45,9 +45,8 @@ hw::Eop EopGovernor::decide(const MarginTable& margins,
     std::vector<hw::Eop> extended;
     for (const hw::Eop& base : candidates) {
       const double base_offset = hw::undervolt_percent(vnom, base.vdd);
-      for (double extra = config_.extra_step_percent;
-           extra <= config_.extra_undervolt_percent;
-           extra += config_.extra_step_percent) {
+      for (double extra = kExtraStepPercent; extra <= kExtraUndervoltPercent;
+           extra += kExtraStepPercent) {
         hw::Eop eop = base;
         eop.vdd = hw::apply_undervolt_percent(vnom, base_offset + extra);
         extended.push_back(eop);

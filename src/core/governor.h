@@ -29,22 +29,26 @@
 namespace uniserver::core {
 
 struct GovernorConfig {
-  double high_util_threshold{0.70};
-  double low_util_threshold{0.30};
   /// Consecutive decisions on the other side before the mode flips.
   int hysteresis_ticks{3};
   /// Offer candidates beyond the virus-derived safe floor, priced by
   /// the Predictor against the current workload.
   bool workload_aware{false};
-  /// How far beyond the safe floor workload-aware mode may explore (%).
-  double extra_undervolt_percent{6.0};
-  double extra_step_percent{0.5};
   /// Risk budget handed to the Predictor.
   double risk_budget{0.02};
 };
 
 class EopGovernor {
  public:
+  /// Utilization at or above which the mode leans high-performance.
+  static constexpr double kHighUtilThreshold = 0.70;
+  /// Utilization at or below which the mode leans low-power.
+  static constexpr double kLowUtilThreshold = 0.30;
+  /// How far beyond the safe floor workload-aware mode may explore (%),
+  /// in steps of `kExtraStepPercent`.
+  static constexpr double kExtraUndervoltPercent = 6.0;
+  static constexpr double kExtraStepPercent = 0.5;
+
   explicit EopGovernor(const GovernorConfig& config) : config_(config) {}
 
   daemons::ExecutionMode mode() const { return mode_; }

@@ -39,11 +39,9 @@ LifecycleStats LifecycleRunner::run() {
         node_.deploy();
       }
     }
-    if (config_.respawn_vms) {
-      for (const hv::Vm& vm : service_vms) {
-        if (!node_.hypervisor().vms().contains(vm.id)) {
-          node_.hypervisor().create_vm(vm);
-        }
+    for (const hv::Vm& vm : service_vms) {
+      if (!node_.hypervisor().vms().contains(vm.id)) {
+        node_.hypervisor().create_vm(vm);
       }
     }
   });

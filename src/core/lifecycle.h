@@ -8,6 +8,9 @@
 //   - the HealthLog threshold (reactive) and the StressLog's periodic
 //     schedule ("every 2-3 months", paper §3.D) both trigger
 //     re-characterization cycles that refresh the margins;
+//   - VMs lost to errors or crashes are re-created (a long-running
+//     service that restarts), which keeps the load, and therefore the
+//     droop stress, constant over the deployment;
 //   - everything is recorded so the aging ablation can compare
 //     adaptive UniServer margins against a characterize-once baseline.
 #pragma once
@@ -34,10 +37,6 @@ struct LifecycleConfig {
   /// Whether re-characterization is allowed at all (false = the
   /// characterize-once baseline for the aging ablation).
   bool adaptive{true};
-  /// Re-create VMs lost to errors/crashes (a long-running service that
-  /// restarts); keeps the load — and therefore the droop stress —
-  /// constant over the deployment.
-  bool respawn_vms{true};
 };
 
 struct LifecycleStats {

@@ -16,7 +16,7 @@ std::vector<hw::Eop> MarginTable::eop_candidates(
   if (!valid_) return candidates;
 
   for (const auto& point : margins_.points) {
-    for (double backoff : backoff_levels) {
+    for (double backoff : kBackoffLevels) {
       const double offset =
           std::max(0.0, point.safe_offset_percent - backoff);
       hw::Eop eop;

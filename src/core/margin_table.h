@@ -5,6 +5,7 @@
 // Hypervisor (which applies one).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/units.h"
@@ -15,6 +16,9 @@ namespace uniserver::core {
 
 class MarginTable {
  public:
+  /// Extra undervolt backoff levels (percent added back toward nominal).
+  static constexpr std::array<double, 3> kBackoffLevels{0.0, 0.5, 1.0};
+
   MarginTable() = default;
 
   bool valid() const { return valid_; }
@@ -22,15 +26,12 @@ class MarginTable {
   const daemons::SafeMargins& current() const { return margins_; }
 
   /// Candidate EOPs: for every characterized frequency point, the safe
-  /// voltage plus a few more conservative backoff levels, all at the
+  /// voltage at each of `kBackoffLevels`, all at the
   /// characterized safe refresh interval. The nominal point is always
   /// included as the fallback.
   std::vector<hw::Eop> eop_candidates(Volt vdd_nominal,
                                       MegaHertz freq_nominal,
                                       Seconds refresh_nominal) const;
-
-  /// Extra undervolt backoff levels (percent added back toward nominal).
-  std::vector<double> backoff_levels{0.0, 0.5, 1.0};
 
  private:
   daemons::SafeMargins margins_{};

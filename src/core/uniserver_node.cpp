@@ -19,7 +19,6 @@ const daemons::SafeMargins& UniServerNode::characterize() {
   daemons::StressTargetParams params = daemons::default_stress_params(*server_);
   params.guard_percent = config_.guard_percent;
   params.dram_worst_case_temp = config_.dram_worst_case_temp;
-  params.max_expected_dram_errors = config_.max_expected_dram_errors;
   const daemons::SafeMargins margins =
       stresslog_.run_cycle(*server_, params, now_);
   margins_.update(margins);
@@ -37,8 +36,8 @@ const daemons::SafeMargins& UniServerNode::characterize() {
     samples.insert(samples.end(), batch.begin(), batch.end());
   }
   Rng train_rng = rng_.fork(0x7Ea2);
-  predictor_.train(samples, config_.predictor_epochs,
-                   config_.predictor_learning_rate, train_rng);
+  predictor_.train(samples, config_.predictor_epochs, kPredictorLearningRate,
+                   train_rng);
   return margins_.current();
 }
 
@@ -54,7 +53,7 @@ daemons::Predictor::Advice UniServerNode::deploy() {
   });
   auto advice = predictor_.advise(
       server_->chip(), hypervisor_->aggregate_signature(), candidates,
-      config_.risk_budget);
+      kRiskBudget);
   const bool chose_nominal =
       advice.eop.vdd.value >= chip_spec.vdd_nominal.value - 1e-12;
   if (chose_nominal && margins_.valid()) {

@@ -34,19 +34,12 @@ struct UniServerConfig {
   /// Default is the paper's air-conditioned machine room; an edge
   /// deployment should set its real closet temperature (+headroom).
   Celsius dram_worst_case_temp{Celsius{30.0}};
-  /// Weak-cell budget for the refresh-interval selection.
-  double max_expected_dram_errors{2.0};
-  /// Risk budget handed to the Predictor when choosing an EOP (a
-  /// ranking threshold on the coarsely calibrated logistic output; the
-  /// guard band is the hard safety margin).
-  double risk_budget{0.02};
   /// QoS floor: candidate EOPs below this fraction of nominal frequency
   /// are filtered out (1.0 = performance-neutral undervolting only;
   /// lower it to let the Predictor pick low-power modes).
   double min_freq_ratio{1.0};
-  /// Train/refresh parameters for the Predictor.
+  /// Training epochs for the Predictor.
   int predictor_epochs{40};
-  double predictor_learning_rate{0.2};
   /// Whether a HealthLog error-rate trigger schedules an automatic
   /// re-characterization at the next step (false = static margins).
   bool auto_recharacterize{true};
@@ -54,6 +47,13 @@ struct UniServerConfig {
 
 class UniServerNode {
  public:
+  /// Risk budget handed to the Predictor when choosing an EOP (a
+  /// ranking threshold on the coarsely calibrated logistic output; the
+  /// guard band is the hard safety margin).
+  static constexpr double kRiskBudget = 0.02;
+  /// Learning rate of the Predictor's training.
+  static constexpr double kPredictorLearningRate = 0.2;
+
   UniServerNode(const UniServerConfig& config, std::uint64_t seed);
 
   UniServerNode(const UniServerNode&) = delete;

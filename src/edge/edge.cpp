@@ -13,10 +13,10 @@ double LatencyModel::allowed_freq_ratio() const {
   return std::clamp(cloud_budget / edge_budget, 0.05, 1.0);
 }
 
-DvfsSavings edge_savings(const LatencyModel& latency, const VfCurve& curve) {
+DvfsSavings edge_savings(const LatencyModel& latency) {
   DvfsSavings savings;
   savings.freq_ratio = latency.allowed_freq_ratio();
-  savings.voltage_ratio = curve.voltage_ratio_for(savings.freq_ratio);
+  savings.voltage_ratio = voltage_ratio_for(savings.freq_ratio);
   return savings;
 }
 

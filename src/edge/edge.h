@@ -15,16 +15,19 @@
 namespace uniserver::edge {
 
 struct LatencyModel {
-  Seconds target_latency{Seconds::from_ms(200.0)};
-  Seconds cloud_rtt{Seconds::from_ms(100.0)};
+  /// End-to-end latency target of the interactive service.
+  static constexpr Seconds kTargetLatency = Seconds::from_ms(200.0);
+  /// Round trip to a cloud data-center: half the budget.
+  static constexpr Seconds kCloudRtt = Seconds::from_ms(100.0);
+
   Seconds edge_rtt{Seconds::from_ms(5.0)};
 
   /// Compute budget left after the network round trip.
   Seconds compute_budget_cloud() const {
-    return Seconds{target_latency.value - cloud_rtt.value};
+    return Seconds{kTargetLatency.value - kCloudRtt.value};
   }
   Seconds compute_budget_edge() const {
-    return Seconds{target_latency.value - edge_rtt.value};
+    return Seconds{kTargetLatency.value - edge_rtt.value};
   }
 
   /// How much slower the edge node may run while meeting the target,
@@ -32,17 +35,16 @@ struct LatencyModel {
   double allowed_freq_ratio() const;
 };
 
+/// Voltage ratio of the V-f curve extrapolated at f -> 0 (retention
+/// floor).
+inline constexpr double kVFloorRatio = 0.4;
+
 /// Affine V-f operating curve: the minimum stable voltage ratio for a
 /// frequency ratio. Calibrated so 50% frequency runs at 70% voltage
 /// (the paper's example point).
-struct VfCurve {
-  /// Voltage ratio extrapolated at f -> 0 (retention floor).
-  double v_floor_ratio{0.4};
-
-  double voltage_ratio_for(double freq_ratio) const {
-    return v_floor_ratio + (1.0 - v_floor_ratio) * freq_ratio;
-  }
-};
+inline double voltage_ratio_for(double freq_ratio) {
+  return kVFloorRatio + (1.0 - kVFloorRatio) * freq_ratio;
+}
 
 /// Savings of a DVFS point vs nominal (f=1, v=1).
 struct DvfsSavings {
@@ -59,7 +61,7 @@ struct DvfsSavings {
 };
 
 /// The DVFS point an edge deployment can run at given the latency slack.
-DvfsSavings edge_savings(const LatencyModel& latency, const VfCurve& curve);
+DvfsSavings edge_savings(const LatencyModel& latency);
 
 /// A specific DVFS point's savings (used for the paper's 50%/30% quote).
 DvfsSavings savings_at(double freq_ratio, double voltage_ratio);

@@ -371,18 +371,17 @@ DifferentialOutcome run_differential(const ScenarioConfig& config,
 }
 
 std::vector<FuzzEvent> shrink_scenario(const ScenarioConfig& config,
-                                       const std::vector<FuzzEvent>& events,
-                                       int max_runs) {
+                                       const std::vector<FuzzEvent>& events) {
   std::vector<FuzzEvent> current = events;
   int runs = 1;
   metrics().shrink_runs.add();
   if (!run_scenario(config, current).violated()) return current;
 
   std::size_t chunk = std::max<std::size_t>(1, current.size() / 2);
-  while (runs < max_runs && !current.empty()) {
+  while (runs < kShrinkBudget && !current.empty()) {
     bool removed = false;
     std::size_t start = 0;
-    while (start < current.size() && runs < max_runs) {
+    while (start < current.size() && runs < kShrinkBudget) {
       std::vector<FuzzEvent> candidate;
       candidate.reserve(current.size());
       for (std::size_t i = 0; i < current.size(); ++i) {
@@ -426,8 +425,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         result.events = generate_scenario(scenario, stream);
         result.outcome = run_scenario(scenario, result.events);
         if (result.outcome.violated()) {
-          result.reproducer = shrink_scenario(scenario, result.events,
-                                              config.shrink_budget);
+          result.reproducer = shrink_scenario(scenario, result.events);
         }
         return result;
       });

@@ -91,12 +91,14 @@ struct DifferentialOutcome {
 DifferentialOutcome run_differential(const ScenarioConfig& config,
                                      const std::vector<FuzzEvent>& events);
 
+/// Re-executions a shrink may spend on one violating case.
+inline constexpr int kShrinkBudget = 200;
+
 /// Greedy ddmin shrink: returns the smallest event subset found that
-/// still violates an invariant, spending at most `max_runs`
+/// still violates an invariant, spending at most `kShrinkBudget`
 /// re-executions. Returns `events` unchanged if they do not violate.
 std::vector<FuzzEvent> shrink_scenario(const ScenarioConfig& config,
-                                       const std::vector<FuzzEvent>& events,
-                                       int max_runs = 200);
+                                       const std::vector<FuzzEvent>& events);
 
 struct CampaignConfig {
   std::uint64_t seed{1};
@@ -104,8 +106,6 @@ struct CampaignConfig {
   /// Template for every case; each case gets its own `stack_seed` and
   /// event list from a private forked substream.
   ScenarioConfig scenario{};
-  /// Shrink budget (re-executions) per violating case.
-  int shrink_budget{200};
 };
 
 struct CaseResult {

@@ -9,9 +9,9 @@ double RaidrBinning::weak_row_fraction(Seconds long_interval,
                                        Celsius temp) const {
   // P(row weak) = 1 - P(every cell retains past guard * interval).
   const double p_cell = dimm_.bit_error_probability(
-      Seconds{long_interval.value * config_.profiling_guard}, temp);
+      Seconds{long_interval.value * kProfilingGuard}, temp);
   if (p_cell <= 0.0) return 0.0;
-  const double cells = static_cast<double>(config_.cells_per_row);
+  const double cells = static_cast<double>(kCellsPerRow);
   // log1p keeps precision for the tiny per-cell probabilities.
   const double p_row_strong = std::exp(cells * std::log1p(-p_cell));
   return std::clamp(1.0 - p_row_strong, 0.0, 1.0);
@@ -29,16 +29,14 @@ RaidrResult RaidrBinning::evaluate(Seconds long_interval,
   // guard, by construction, every cell weaker than guard*interval sits
   // in the fast bin, so residual errors are the fast bin's own (same
   // as nominal: effectively zero).
-  result.expected_errors =
-      dimm_.expected_errors(config_.fast_interval, temp);
+  result.expected_errors = dimm_.expected_errors(kFastInterval, temp);
 
   // Refresh energy per unit time scales with refresh frequency: the
-  // fast rows refresh every fast_interval, the rest every long_interval.
+  // fast rows refresh every kFastInterval, the rest every long_interval.
   const double fast_share = result.weak_row_fraction;
   const double nominal_rate = 1.0 / dimm_.spec().nominal_refresh.value;
-  const double rate =
-      fast_share / config_.fast_interval.value +
-      (1.0 - fast_share) / long_interval.value;
+  const double rate = fast_share / kFastInterval.value +
+                      (1.0 - fast_share) / long_interval.value;
   result.refresh_power_ratio = rate / nominal_rate;
 
   const double refresh_fraction = dimm_.refresh_power_fraction_nominal();

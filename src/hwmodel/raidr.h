@@ -22,16 +22,6 @@
 
 namespace uniserver::hw {
 
-struct RaidrConfig {
-  /// Cells per DRAM row (8 KB row -> 65536 cells).
-  std::uint64_t cells_per_row{65536};
-  /// The fast bin's interval (weak rows), normally the nominal 64 ms.
-  Seconds fast_interval{Seconds::from_ms(64.0)};
-  /// Profiling guard: rows within this factor of the long interval's
-  /// retention requirement are conservatively placed in the fast bin.
-  double profiling_guard{2.0};
-};
-
 /// One evaluated binning configuration.
 struct RaidrResult {
   Seconds long_interval{Seconds{0.0}};
@@ -48,11 +38,18 @@ struct RaidrResult {
 
 class RaidrBinning {
  public:
-  RaidrBinning(const DimmModel& dimm, const RaidrConfig& config)
-      : dimm_(dimm), config_(config) {}
+  /// Cells per DRAM row (8 KB row -> 65536 cells).
+  static constexpr std::uint64_t kCellsPerRow = 65536;
+  /// The fast bin's interval (weak rows): the nominal 64 ms.
+  static constexpr Seconds kFastInterval = Seconds::from_ms(64.0);
+  /// Profiling guard: rows within this factor of the long interval's
+  /// retention requirement are conservatively placed in the fast bin.
+  static constexpr double kProfilingGuard = 2.0;
+
+  explicit RaidrBinning(const DimmModel& dimm) : dimm_(dimm) {}
 
   /// Fraction of rows whose weakest cell retains for less than
-  /// `interval * profiling_guard` at `temp` (must stay in the fast bin).
+  /// `interval * kProfilingGuard` at `temp` (must stay in the fast bin).
   double weak_row_fraction(Seconds long_interval, Celsius temp) const;
 
   /// Evaluates a two-bin configuration at the given long interval.
@@ -64,7 +61,6 @@ class RaidrBinning {
 
  private:
   const DimmModel& dimm_;
-  RaidrConfig config_;
 };
 
 }  // namespace uniserver::hw

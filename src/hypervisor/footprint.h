@@ -10,31 +10,33 @@
 
 #include <cstddef>
 
-namespace uniserver::hv {
+namespace uniserver::hv::footprint {
 
-struct FootprintModel {
-  double base_mb{200.0};        ///< host kernel + KVM module + QEMU core
-  double per_vm_mb{24.0};       ///< per-VM device model and vCPU state
-  double per_guest_fraction{0.012};  ///< page tables etc. vs guest RAM
-  double host_os_mb{4096.0};    ///< host OS utilization outside the HV
+/// Host kernel + KVM module + QEMU core (MB).
+inline constexpr double kBaseMb = 200.0;
+/// Per-VM device model and vCPU state (MB).
+inline constexpr double kPerVmMb = 24.0;
+/// Page tables etc. as a fraction of guest RAM.
+inline constexpr double kPerGuestFraction = 0.012;
+/// Host OS utilization outside the hypervisor (MB).
+inline constexpr double kHostOsMb = 4096.0;
 
-  /// Hypervisor-owned megabytes for `vm_count` VMs holding
-  /// `total_vm_mb` of guest-resident memory.
-  double hypervisor_mb(std::size_t vm_count, double total_vm_mb) const {
-    return base_mb + per_vm_mb * static_cast<double>(vm_count) +
-           per_guest_fraction * total_vm_mb;
-  }
+/// Hypervisor-owned megabytes for `vm_count` VMs holding
+/// `total_vm_mb` of guest-resident memory.
+inline double hypervisor_mb(std::size_t vm_count, double total_vm_mb) {
+  return kBaseMb + kPerVmMb * static_cast<double>(vm_count) +
+         kPerGuestFraction * total_vm_mb;
+}
 
-  /// Total utilized memory on the node.
-  double total_utilized_mb(std::size_t vm_count, double total_vm_mb) const {
-    return host_os_mb + total_vm_mb + hypervisor_mb(vm_count, total_vm_mb);
-  }
+/// Total utilized memory on the node.
+inline double total_utilized_mb(std::size_t vm_count, double total_vm_mb) {
+  return kHostOsMb + total_vm_mb + hypervisor_mb(vm_count, total_vm_mb);
+}
 
-  /// The Figure 3 red line: hypervisor share of total utilized memory.
-  double hypervisor_share(std::size_t vm_count, double total_vm_mb) const {
-    const double total = total_utilized_mb(vm_count, total_vm_mb);
-    return total <= 0.0 ? 0.0 : hypervisor_mb(vm_count, total_vm_mb) / total;
-  }
-};
+/// The Figure 3 red line: hypervisor share of total utilized memory.
+inline double hypervisor_share(std::size_t vm_count, double total_vm_mb) {
+  const double total = total_utilized_mb(vm_count, total_vm_mb);
+  return total <= 0.0 ? 0.0 : hypervisor_mb(vm_count, total_vm_mb) / total;
+}
 
-}  // namespace uniserver::hv
+}  // namespace uniserver::hv::footprint

@@ -91,8 +91,8 @@ void Hypervisor::reconfigure_domains() {
   if (config_.use_reliable_domain) {
     // Reserve room for the hypervisor plus headroom for critical VMs.
     const double need =
-        footprint_.hypervisor_mb(
-            vms_.size(), total_utilized_mb() - footprint_.host_os_mb) +
+        footprint::hypervisor_mb(
+            vms_.size(), total_utilized_mb() - footprint::kHostOsMb) +
         totals_.critical_mb + 256.0;
     double covered = 0.0;
     while (leading < node_.memory().channels() && covered < need) {
@@ -151,15 +151,15 @@ int Hypervisor::isolated_channels() const {
 }
 
 double Hypervisor::hypervisor_footprint_mb() const {
-  return footprint_.hypervisor_mb(vms_.size(), totals_.memory_mb);
+  return footprint::hypervisor_mb(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::total_utilized_mb() const {
-  return footprint_.total_utilized_mb(vms_.size(), totals_.memory_mb);
+  return footprint::total_utilized_mb(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::hypervisor_share() const {
-  return footprint_.hypervisor_share(vms_.size(), totals_.memory_mb);
+  return footprint::hypervisor_share(vms_.size(), totals_.memory_mb);
 }
 
 double Hypervisor::hv_fatality_probability() const {

@@ -184,7 +184,6 @@ class Hypervisor {
   double hypervisor_footprint_mb() const;
   double total_utilized_mb() const;
   double hypervisor_share() const;
-  const FootprintModel& footprint_model() const { return footprint_; }
   const HvStats& stats() const { return stats_; }
 
   /// Aggregate electrical signature of the resident VMs (weighted by
@@ -227,7 +226,6 @@ class Hypervisor {
   const HvConfig config_;
   Rng rng_;
   daemons::HealthLog healthlog_;
-  FootprintModel footprint_;
   std::map<std::uint64_t, Vm> vms_;
   VmTotals totals_;
   /// Indexed by core / channel.

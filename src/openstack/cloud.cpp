@@ -242,8 +242,7 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
     stats_.total_energy_kwh += kwh;
     stats_.migration_energy_kwh += kwh;
   };
-  cb.commit = [this](const MigrationTicket& t, bool post_copy) -> bool {
-    (void)post_copy;  // books move the same way; the ticket keeps the flag
+  cb.commit = [this](const MigrationTicket& t) -> bool {
     const auto it = active_.find(t.vm_id);
     if (it == active_.end() || it->second.node != t.source) return false;
     const auto& vms = t.source->hypervisor().vms();

@@ -191,7 +191,7 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
         t.downtime = MigrationModel::kPostcopySwitch;
         ++stats_.postcopy_fallbacks;
         drop_reservation(t);
-        if (!callbacks_.commit || !callbacks_.commit(t, true)) {
+        if (!callbacks_.commit || !callbacks_.commit(t)) {
           cancel(t, now, false);
           return;
         }
@@ -212,7 +212,7 @@ void MigrationOrchestrator::on_timer(MigrationTicket& t, Seconds now) {
       if (callbacks_.copy_traffic) callbacks_.copy_traffic(t.copying_mb);
       t.copying_mb = 0.0;
       drop_reservation(t);
-      if (!callbacks_.commit || !callbacks_.commit(t, false)) {
+      if (!callbacks_.commit || !callbacks_.commit(t)) {
         cancel(t, now, false);
         return;
       }

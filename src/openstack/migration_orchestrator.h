@@ -120,10 +120,10 @@ class MigrationOrchestrator {
 
   struct Callbacks {
     /// Commit the cutover: move the VM's books from source to dest.
-    /// `post_copy` marks the early post-copy ownership switch. Return
-    /// false if the move is impossible (capacity changed under the
-    /// reservation) — the ticket is then cancelled.
-    std::function<bool(const MigrationTicket&, bool post_copy)> commit;
+    /// The ticket's `post_copy` marks the early post-copy ownership
+    /// switch. Return false if the move is impossible (capacity changed
+    /// under the reservation) — the ticket is then cancelled.
+    std::function<bool(const MigrationTicket&)> commit;
     /// A post-copy VM lost its source before the drain finished: its
     /// unpulled pages are gone and the VM (running on dest) dies.
     std::function<void(const MigrationTicket&)> lose_postcopy;

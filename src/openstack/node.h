@@ -34,6 +34,7 @@ class ComputeNode {
 
   const std::string& name() const { return name_; }
   hw::ServerNode& server() { return *server_; }
+  const hw::ServerNode& server() const { return *server_; }
   hv::Hypervisor& hypervisor() { return *hypervisor_; }
   const hv::Hypervisor& hypervisor() const { return *hypervisor_; }
 

@@ -88,12 +88,11 @@ hv::Vm vm_from_request(const trace::VmRequest& request) {
   return vm;
 }
 
-bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical,
-                    double reliability_floor) {
+bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical) {
   if (!node.up()) return false;
   if (vm.vcpus > node.free_vcpus()) return false;
   if (vm.memory_mb > node.free_memory_mb()) return false;
-  if (critical && node.metrics().reliability < reliability_floor) {
+  if (critical && node.metrics().reliability < kCriticalReliabilityFloor) {
     return false;
   }
   return true;
@@ -132,7 +131,7 @@ bool ReferenceScheduler::feasible(std::size_t slot, const hv::Vm& vm,
   if (constraint.allowed != nullptr && !(*constraint.allowed)[slot]) {
     return false;
   }
-  return passes_filters(*node, vm, critical, critical_reliability_floor);
+  return passes_filters(*node, vm, critical);
 }
 
 ComputeNode* ReferenceScheduler::pick(const hv::Vm& vm, bool critical,

@@ -61,11 +61,13 @@ struct PlacementConstraint {
   const std::vector<std::uint8_t>* allowed{nullptr};
 };
 
+/// Reliability floor for critical placements.
+inline constexpr double kCriticalReliabilityFloor = 0.98;
+
 /// Capacity/state filter shared by all policies and both engines;
-/// critical VMs are additionally filtered to nodes above the
-/// reliability floor.
-bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical,
-                    double reliability_floor);
+/// critical VMs are additionally filtered to nodes at or above
+/// `kCriticalReliabilityFloor`.
+bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical);
 
 /// Policy weight from the node's published metrics (higher wins; ties
 /// break toward the lower fleet slot). Shared by both engines so their
@@ -102,9 +104,6 @@ class PlacementEngine {
 
   /// Fleet-wide metric refresh (utilization / reliability moved).
   virtual void refresh_weights() = 0;
-
-  /// Reliability floor for critical placements.
-  double critical_reliability_floor{0.98};
 
  protected:
   SchedulerPolicy policy_;

@@ -61,7 +61,7 @@ bool IndexedScheduler::may_satisfy(const Aggregate& agg, const hv::Vm& vm,
                                    bool critical) const {
   if (agg.max_free_vcpus < vm.vcpus) return false;
   if (agg.max_free_memory_mb < vm.memory_mb) return false;
-  if (critical && agg.max_reliability < critical_reliability_floor) {
+  if (critical && agg.max_reliability < kCriticalReliabilityFloor) {
     return false;
   }
   return true;
@@ -75,7 +75,7 @@ bool IndexedScheduler::leaf_feasible(
   if (constraint.allowed != nullptr && !(*constraint.allowed)[slot]) {
     return false;
   }
-  return passes_filters(*node, vm, critical, critical_reliability_floor);
+  return passes_filters(*node, vm, critical);
 }
 
 void IndexedScheduler::rebuild_tree() {

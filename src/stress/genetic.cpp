@@ -73,7 +73,7 @@ GaResult GeneticVirusSearch::run(Rng& rng) const {
 
   auto tournament_pick = [&](Rng& r) -> const std::vector<double>& {
     std::size_t winner = r.uniform_u64(population.size());
-    for (int k = 1; k < config_.tournament; ++k) {
+    for (int k = 1; k < kTournament; ++k) {
       const std::size_t challenger = r.uniform_u64(population.size());
       if (scores[challenger] > scores[winner]) winner = challenger;
     }
@@ -98,16 +98,15 @@ GaResult GeneticVirusSearch::run(Rng& rng) const {
 
     while (next.size() < population.size()) {
       std::vector<double> child = tournament_pick(rng);
-      if (rng.bernoulli(config_.crossover_rate)) {
+      if (rng.bernoulli(kCrossoverRate)) {
         const auto& other = tournament_pick(rng);
         const auto cut = static_cast<std::size_t>(
             rng.uniform_u64(kGenes - 1) + 1);
         for (std::size_t g = cut; g < child.size(); ++g) child[g] = other[g];
       }
       for (auto& gene : child) {
-        if (rng.bernoulli(config_.mutation_rate)) {
-          gene = std::clamp(gene + rng.normal(0.0, config_.mutation_sigma),
-                            0.0, 1.0);
+        if (rng.bernoulli(kMutationRate)) {
+          gene = std::clamp(gene + rng.normal(0.0, kMutationSigma), 0.0, 1.0);
         }
       }
       next.push_back(std::move(child));

@@ -19,10 +19,6 @@ namespace uniserver::stress {
 struct GaConfig {
   int population{32};
   int generations{40};
-  double crossover_rate{0.8};
-  double mutation_rate{0.15};
-  double mutation_sigma{0.12};
-  int tournament{3};
   int elites{2};
 };
 
@@ -36,6 +32,15 @@ struct GaResult {
 
 class GeneticVirusSearch {
  public:
+  /// Chance that a child takes a one-point crossover with a second
+  /// parent.
+  static constexpr double kCrossoverRate = 0.8;
+  /// Per-gene mutation chance, and the sigma of its normal step.
+  static constexpr double kMutationRate = 0.15;
+  static constexpr double kMutationSigma = 0.12;
+  /// Genomes drawn per tournament selection.
+  static constexpr int kTournament = 3;
+
   GeneticVirusSearch(const hw::Chip& chip, GaConfig config = {});
 
   /// Fitness of a candidate: the chip's system crash voltage under the

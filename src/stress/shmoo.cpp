@@ -26,20 +26,18 @@ CoreWorkloadResult ShmooCharacterizer::characterize_core(
     const Volt vcrash = core_model.crash_voltage_run(w, freq, rng);
 
     ShmooRun shmoo;
-    double offset = config_.step_percent;
-    for (; offset <= config_.max_offset_percent;
-         offset += config_.step_percent) {
+    double offset = kStepPercent;
+    for (; offset <= kMaxOffsetPercent; offset += kStepPercent) {
       const Volt v = hw::apply_undervolt_percent(vnom, offset);
       if (v <= vcrash) break;  // this step crashes
-      const std::uint64_t errors = chip.cache().sample_errors(
-          v, vcrash, w, config_.step_duration, rng);
+      const std::uint64_t errors =
+          chip.cache().sample_errors(v, vcrash, w, kStepDuration, rng);
       if (errors > 0 && shmoo.ecc_onset_offset_percent < 0.0) {
         shmoo.ecc_onset_offset_percent = offset;
       }
       shmoo.ecc_errors += errors;
     }
-    shmoo.crash_offset_percent =
-        std::min(offset, config_.max_offset_percent);
+    shmoo.crash_offset_percent = std::min(offset, kMaxOffsetPercent);
     result.runs.push_back(shmoo);
   }
 

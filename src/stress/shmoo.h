@@ -19,12 +19,6 @@
 namespace uniserver::stress {
 
 struct ShmooConfig {
-  /// Undervolt step as a percent of nominal voltage.
-  double step_percent{0.2};
-  /// Give up below this offset (a part this good does not exist).
-  double max_offset_percent{30.0};
-  /// Workload run time per voltage step.
-  Seconds step_duration{Seconds{10.0}};
   /// Consecutive runs per (core, workload) pair (paper uses 3).
   int runs{3};
 };
@@ -60,6 +54,13 @@ struct WorkloadSummary {
 
 class ShmooCharacterizer {
  public:
+  /// Undervolt step as a percent of nominal voltage.
+  static constexpr double kStepPercent = 0.2;
+  /// Give up below this offset (a part this good does not exist).
+  static constexpr double kMaxOffsetPercent = 30.0;
+  /// Workload run time per voltage step.
+  static constexpr Seconds kStepDuration{10.0};
+
   explicit ShmooCharacterizer(ShmooConfig config = {}) : config_(config) {}
 
   const ShmooConfig& config() const { return config_; }

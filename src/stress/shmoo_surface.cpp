@@ -82,7 +82,7 @@ ShmooSurface characterize_surface(const hw::Chip& chip,
       if (v > crash) {
         // MARGINAL when the cache ECC canary fires during the dwell.
         const std::uint64_t errors = chip.cache().sample_errors(
-            v, crash, w, config.dwell, streams[row * cols + col]);
+            v, crash, w, kSurfaceDwell, streams[row * cols + col]);
         cell = errors > 0 ? ShmooCell::kMarginal : ShmooCell::kPass;
       }
       surface.cells[row * cols + col] = cell;

@@ -46,8 +46,10 @@ struct SurfaceConfig {
   double offset_step{1.0};
   double offset_stop{30.0};
   std::vector<double> freq_ratios{0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-  Seconds dwell{Seconds{10.0}};
 };
+
+/// Workload run time per surface cell.
+inline constexpr Seconds kSurfaceDwell{10.0};
 
 /// Characterizes the full V-F surface of a chip under one workload.
 ShmooSurface characterize_surface(const hw::Chip& chip,

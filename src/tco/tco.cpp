@@ -7,21 +7,20 @@ TcoBreakdown TcoModel::compute(const DatacenterSpec& spec) const {
   const double servers = static_cast<double>(spec.servers);
 
   breakdown.server_capex =
-      Dollar{servers * spec.server_capex.value / spec.server_lifetime_years};
+      Dollar{servers * spec.server_capex.value / kServerLifetimeYears};
 
   const double provisioned_watts =
       servers * spec.server_avg_power.value * spec.pue;
-  breakdown.infra_capex =
-      Dollar{provisioned_watts * spec.infra_capex_per_watt.value /
-             spec.infra_lifetime_years};
+  breakdown.infra_capex = Dollar{
+      provisioned_watts * spec.infra_capex_per_watt.value / kInfraLifetimeYears};
 
   const double kwh_per_year =
       servers * spec.server_avg_power.value * spec.pue * 8760.0 / 1000.0;
   breakdown.energy_opex =
       Dollar{kwh_per_year * spec.electricity_per_kwh.value};
 
-  breakdown.maintenance_opex = Dollar{servers * spec.server_capex.value *
-                                      spec.maintenance_fraction};
+  breakdown.maintenance_opex =
+      Dollar{servers * spec.server_capex.value * kMaintenanceFraction};
   return breakdown;
 }
 

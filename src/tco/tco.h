@@ -30,10 +30,6 @@ struct DatacenterSpec {
   Dollar electricity_per_kwh{Dollar{0.10}};
   /// Facility capex per provisioned watt (power + cooling).
   Dollar infra_capex_per_watt{Dollar{10.0}};
-  double server_lifetime_years{4.0};
-  double infra_lifetime_years{12.0};
-  /// Yearly maintenance as a fraction of server capex.
-  double maintenance_fraction{0.05};
 };
 
 /// Yearly TCO breakdown (all values per year, whole deployment).
@@ -66,6 +62,12 @@ struct EeImprovement {
 
 class TcoModel {
  public:
+  /// Amortization periods of server and facility capex.
+  static constexpr double kServerLifetimeYears = 4.0;
+  static constexpr double kInfraLifetimeYears = 12.0;
+  /// Yearly maintenance as a fraction of server capex.
+  static constexpr double kMaintenanceFraction = 0.05;
+
   /// Yearly TCO of a deployment.
   TcoBreakdown compute(const DatacenterSpec& spec) const;
 

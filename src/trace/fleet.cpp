@@ -35,7 +35,7 @@ DiurnalConfig derive_diurnal(const FleetTraceConfig& config) {
   const double mean_rate_per_s =
       static_cast<double>(config.vms) / (hours * 3600.0);
   diurnal.base.mean_lifetime = Seconds{
-      std::max(1.0, config.target_utilization * fleet_vcpus /
+      std::max(1.0, FleetTraceGenerator::kTargetUtilization * fleet_vcpus /
                         std::max(1e-12, mean_rate_per_s * kMeanVcpusPerVm))};
   return diurnal;
 }

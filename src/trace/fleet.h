@@ -34,8 +34,6 @@ struct FleetTraceConfig {
   double peak_factor{1.8};
   double trough_factor{0.2};
   double peak_hour{14.0};
-  /// Steady-state committed-vCPU fraction the lifetimes aim for.
-  double target_utilization{0.70};
   /// SLA mix (passed through to ArrivalConfig).
   double best_effort_share{0.3};
   double critical_share{0.2};
@@ -43,6 +41,9 @@ struct FleetTraceConfig {
 
 class FleetTraceGenerator {
  public:
+  /// Steady-state committed-vCPU fraction the lifetimes aim for.
+  static constexpr double kTargetUtilization = 0.70;
+
   FleetTraceGenerator(const FleetTraceConfig& config, std::uint64_t seed);
 
   /// Next request, arrival-ordered with dense ids 1..vms;

@@ -9,8 +9,7 @@
 
 namespace uniserver::trace {
 
-LdbcWorkload::LdbcWorkload(const LdbcConfig& config, std::uint64_t seed)
-    : config_(config) {
+LdbcWorkload::LdbcWorkload(std::uint64_t seed) {
   Rng rng(seed);
   phase_a_ = rng.uniform(0.0, 2.0 * std::numbers::pi);
   phase_b_ = rng.uniform(0.0, 2.0 * std::numbers::pi);
@@ -24,17 +23,13 @@ double LdbcWorkload::wobble(Seconds t) const {
 }
 
 double LdbcWorkload::memory_mb(Seconds t) const {
-  const double progress =
-      config_.warmup.value <= 0.0
-          ? 1.0
-          : std::clamp(t.value / config_.warmup.value, 0.0, 1.0);
+  const double progress = std::clamp(t.value / kWarmup.value, 0.0, 1.0);
   // Smoothstep ramp: the graph loads fast at first, then the page cache
   // fills asymptotically.
   const double ramp = progress * progress * (3.0 - 2.0 * progress);
   const double plateau =
-      config_.base_memory_mb +
-      (config_.plateau_memory_mb - config_.base_memory_mb) * ramp;
-  return plateau * (1.0 + config_.fluctuation * wobble(t) * ramp);
+      kBaseMemoryMb + (kPlateauMemoryMb - kBaseMemoryMb) * ramp;
+  return plateau * (1.0 + kFluctuation * wobble(t) * ramp);
 }
 
 hw::WorkloadSignature LdbcWorkload::signature() const {

@@ -16,18 +16,18 @@
 
 namespace uniserver::trace {
 
-struct LdbcConfig {
-  double base_memory_mb{512.0};    ///< guest OS + empty database
-  double plateau_memory_mb{6144.0};///< graph fully loaded + page cache
-  Seconds warmup{Seconds{600.0}};  ///< graph load / cache warm time
-  double fluctuation{0.04};        ///< relative request-driven wobble
-};
-
 class LdbcWorkload {
  public:
-  LdbcWorkload(const LdbcConfig& config, std::uint64_t seed);
+  /// Guest OS + empty database (MB).
+  static constexpr double kBaseMemoryMb = 512.0;
+  /// Graph fully loaded + page cache (MB).
+  static constexpr double kPlateauMemoryMb = 6144.0;
+  /// Graph load / cache warm time.
+  static constexpr Seconds kWarmup{600.0};
+  /// Relative request-driven wobble.
+  static constexpr double kFluctuation = 0.04;
 
-  const LdbcConfig& config() const { return config_; }
+  explicit LdbcWorkload(std::uint64_t seed);
 
   /// VM-resident memory at time t since the VM started (megabytes).
   /// Deterministic ramp/plateau plus seeded per-VM wobble.
@@ -40,7 +40,6 @@ class LdbcWorkload {
   /// Smooth deterministic wobble built from seeded harmonics.
   double wobble(Seconds t) const;
 
-  LdbcConfig config_;
   double phase_a_;
   double phase_b_;
 };

@@ -149,8 +149,7 @@ TEST(BenchRoster, ListMatchesSourcesOnDisk) {
 // F3: the footprint claim at the experiment's operating point.
 TEST(PaperInvariants, Figure3FootprintBound) {
   // 4 VMs x ~6 GB plateau (the LDBC experiment).
-  hv::FootprintModel model;
-  EXPECT_LT(model.hypervisor_share(4, 4.0 * 6144.0), 0.07);
+  EXPECT_LT(hv::footprint::hypervisor_share(4, 4.0 * 6144.0), 0.07);
 }
 
 }  // namespace

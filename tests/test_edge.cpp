@@ -12,9 +12,9 @@ TEST(LatencyModel, BudgetsFollowRtt) {
 }
 
 TEST(LatencyModel, PaperExampleHalfBudgetInNetwork) {
-  LatencyModel latency;
-  EXPECT_NEAR(latency.cloud_rtt.value / latency.target_latency.value, 0.5,
-              1e-9);
+  EXPECT_NEAR(
+      LatencyModel::kCloudRtt.value / LatencyModel::kTargetLatency.value, 0.5,
+      1e-9);
 }
 
 TEST(LatencyModel, FreqRatioFromSlack) {
@@ -25,7 +25,7 @@ TEST(LatencyModel, FreqRatioFromSlack) {
 
 TEST(LatencyModel, FreqRatioClamps) {
   LatencyModel tight;
-  tight.edge_rtt = tight.cloud_rtt;  // no slack
+  tight.edge_rtt = LatencyModel::kCloudRtt;  // no slack
   EXPECT_DOUBLE_EQ(tight.allowed_freq_ratio(), 1.0);
   LatencyModel impossible;
   impossible.edge_rtt = Seconds::from_ms(250.0);  // over budget
@@ -33,10 +33,9 @@ TEST(LatencyModel, FreqRatioClamps) {
 }
 
 TEST(VfCurveTest, PaperAnchor) {
-  const VfCurve curve;
   // 50% frequency -> 70% voltage ("30% less voltage").
-  EXPECT_NEAR(curve.voltage_ratio_for(0.5), 0.7, 1e-9);
-  EXPECT_NEAR(curve.voltage_ratio_for(1.0), 1.0, 1e-9);
+  EXPECT_NEAR(voltage_ratio_for(0.5), 0.7, 1e-9);
+  EXPECT_NEAR(voltage_ratio_for(1.0), 1.0, 1e-9);
 }
 
 TEST(DvfsSavingsTest, PaperQuote) {
@@ -53,11 +52,10 @@ TEST(DvfsSavingsTest, NominalIsZeroSaving) {
 }
 
 TEST(DvfsSavingsTest, SavingsMonotoneAlongCurve) {
-  const VfCurve curve;
   double prev_power = -1.0;
   double prev_energy = -1.0;
   for (double fr = 1.0; fr >= 0.3; fr -= 0.05) {
-    const DvfsSavings savings = savings_at(fr, curve.voltage_ratio_for(fr));
+    const DvfsSavings savings = savings_at(fr, voltage_ratio_for(fr));
     EXPECT_GT(savings.power_saving(), prev_power);
     EXPECT_GT(savings.energy_saving(), prev_energy);
     prev_power = savings.power_saving();
@@ -66,7 +64,7 @@ TEST(DvfsSavingsTest, SavingsMonotoneAlongCurve) {
 }
 
 TEST(EdgeSavingsTest, DerivedPointNearPaperExample) {
-  const DvfsSavings savings = edge_savings(LatencyModel{}, VfCurve{});
+  const DvfsSavings savings = edge_savings(LatencyModel{});
   EXPECT_NEAR(savings.freq_ratio, 0.513, 0.01);
   EXPECT_NEAR(savings.power_saving(), 0.75, 0.03);
   EXPECT_NEAR(savings.energy_saving(), 0.50, 0.03);

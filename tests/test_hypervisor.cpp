@@ -41,21 +41,20 @@ Vm make_vm(std::uint64_t id, int vcpus = 2, double memory_mb = 4096.0,
 }
 
 TEST(FootprintModelTest, ShareStaysBelowSevenPercent) {
-  const FootprintModel model;
   // Any plausible population: 0-8 VMs at 512 MB .. 16 GB resident each.
   for (std::size_t vms : {0u, 1u, 2u, 4u, 8u}) {
     for (double per_vm_mb : {512.0, 2048.0, 6144.0, 16384.0}) {
       const double vm_mb = per_vm_mb * static_cast<double>(vms);
-      EXPECT_LT(model.hypervisor_share(vms, vm_mb), 0.07)
+      EXPECT_LT(footprint::hypervisor_share(vms, vm_mb), 0.07)
           << vms << " VMs, " << vm_mb << " MB";
     }
   }
 }
 
 TEST(FootprintModelTest, FootprintGrowsWithGuests) {
-  const FootprintModel model;
-  EXPECT_GT(model.hypervisor_mb(4, 16384.0), model.hypervisor_mb(1, 2048.0));
-  EXPECT_GT(model.total_utilized_mb(4, 16384.0), 16384.0);
+  EXPECT_GT(footprint::hypervisor_mb(4, 16384.0),
+            footprint::hypervisor_mb(1, 2048.0));
+  EXPECT_GT(footprint::total_utilized_mb(4, 16384.0), 16384.0);
 }
 
 TEST(HypervisorDomains, PinsMinimalChannels) {
@@ -391,11 +390,10 @@ void expect_layout_rule(const hw::ServerNode& node,
   const int channels = node.memory().channels();
   int leading = 0;
   if (hypervisor.config().use_reliable_domain) {
-    const FootprintModel& footprint = hypervisor.footprint_model();
     const double need =
-        footprint.hypervisor_mb(
+        footprint::hypervisor_mb(
             hypervisor.vm_count(),
-            hypervisor.total_utilized_mb() - footprint.host_os_mb) +
+            hypervisor.total_utilized_mb() - footprint::kHostOsMb) +
         hypervisor.vm_totals().critical_mb + 256.0;
     double covered = 0.0;
     while (leading < channels && covered < need) {

@@ -66,7 +66,7 @@ struct DirectHarness {
           static_cast<std::uint64_t>(i) + 1));
     }
     MigrationOrchestrator::Callbacks cb;
-    cb.commit = [this](const MigrationTicket& t, bool) {
+    cb.commit = [this](const MigrationTicket& t) {
       if (fail_commits) return false;
       const auto& vms = t.source->hypervisor().vms();
       const auto it = vms.find(t.vm_id);

@@ -44,7 +44,7 @@ TEST_P(SeedSweep, RaidrBeatsOrMatchesUniformAtEqualErrors) {
   // at the fast bin's (nominal), while saving almost as much power as
   // uniform relaxation to that interval.
   const hw::DimmModel dimm(hw::DimmSpec{}, GetParam());
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const Celsius t{30.0};
   for (const Seconds interval : {1_s, 2_s, 5_s}) {
     const auto result = binning.evaluate(interval, t);

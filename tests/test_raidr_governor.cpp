@@ -21,7 +21,7 @@ hw::DimmSpec pinned_dimm() {
 
 TEST(Raidr, WeakRowFractionMonotoneInInterval) {
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const Celsius t{30.0};
   double previous = -1.0;
   for (const Seconds interval : {1_s, 2_s, 5_s, 10_s, 30_s}) {
@@ -37,13 +37,13 @@ TEST(Raidr, WeakTailIsTinyAtModerateIntervals) {
   // RAIDR's premise: almost no row needs the fast bin even at seconds-
   // scale intervals.
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   EXPECT_LT(binning.weak_row_fraction(2_s, Celsius{30.0}), 1e-3);
 }
 
 TEST(Raidr, PowerSavingApproachesFullRefreshShare) {
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const auto result = binning.evaluate(5_s, Celsius{30.0});
   const double share = dimm.refresh_power_fraction_nominal();
   // Nearly the whole refresh share is saved (tiny fast bin remains).
@@ -54,7 +54,7 @@ TEST(Raidr, PowerSavingApproachesFullRefreshShare) {
 
 TEST(Raidr, ResidualErrorsMatchNominal) {
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const auto result = binning.evaluate(5_s, Celsius{30.0});
   // Binned refresh keeps the error rate at the fast bin's (≈ nominal ≈
   // zero) instead of the uniform-relaxation rate.
@@ -64,14 +64,14 @@ TEST(Raidr, ResidualErrorsMatchNominal) {
 
 TEST(Raidr, HotterTempGrowsFastBin) {
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   EXPECT_GT(binning.weak_row_fraction(5_s, Celsius{70.0}),
             binning.weak_row_fraction(5_s, Celsius{30.0}));
 }
 
 TEST(Raidr, SweepReturnsOnePerInterval) {
   const hw::DimmModel dimm(pinned_dimm(), 1);
-  const hw::RaidrBinning binning(dimm, hw::RaidrConfig{});
+  const hw::RaidrBinning binning(dimm);
   const auto results =
       binning.sweep({1_s, 2_s, 5_s}, Celsius{30.0});
   ASSERT_EQ(results.size(), 3u);

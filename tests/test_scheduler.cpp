@@ -8,8 +8,6 @@
 namespace uniserver::osk {
 namespace {
 
-constexpr double kFloor = 0.98;
-
 hw::NodeSpec node_spec() {
   hw::NodeSpec spec;
   spec.chip = hw::arm_soc_spec();
@@ -60,20 +58,20 @@ TEST(SchedulerFilters, CapacityChecks) {
   Fleet fleet;
   hv::Vm too_big = small_vm();
   too_big.vcpus = 100;
-  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], too_big, false, kFloor));
+  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], too_big, false));
   hv::Vm too_fat = small_vm();
   too_fat.memory_mb = 1e9;
-  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], too_fat, false, kFloor));
-  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), false, kFloor));
+  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], too_fat, false));
+  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), false));
 }
 
 TEST(SchedulerFilters, CriticalNeedsReliableNode) {
   Fleet fleet;
   fleet.ptrs[0]->set_reliability(0.5);
-  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], small_vm(), true, kFloor));
-  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), false, kFloor));
+  EXPECT_FALSE(passes_filters(*fleet.ptrs[0], small_vm(), true));
+  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), false));
   fleet.ptrs[0]->set_reliability(0.999);
-  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), true, kFloor));
+  EXPECT_TRUE(passes_filters(*fleet.ptrs[0], small_vm(), true));
 }
 
 TEST_P(EngineTest, FirstFitPicksFirstFeasible) {

@@ -115,8 +115,7 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
         if (target == nullptr) {
           // Rejection completeness: no node may pass the filters.
           for (ComputeNode* node : ptrs) {
-            EXPECT_FALSE(passes_filters(
-                *node, vm, critical, indexed.critical_reliability_floor))
+            EXPECT_FALSE(passes_filters(*node, vm, critical))
                 << "rejected vm " << vm.id << " though " << node->name()
                 << " was feasible";
           }

@@ -12,16 +12,18 @@ namespace uniserver::trace {
 namespace {
 
 TEST(Ldbc, MemoryRampsToPlateau) {
-  LdbcConfig config;
-  const LdbcWorkload workload(config, 1);
-  EXPECT_NEAR(workload.memory_mb(Seconds{0.0}), config.base_memory_mb, 1.0);
-  const double late = workload.memory_mb(Seconds{3.0 * config.warmup.value});
-  EXPECT_NEAR(late, config.plateau_memory_mb,
-              config.plateau_memory_mb * config.fluctuation * 1.5);
+  const LdbcWorkload workload(1);
+  EXPECT_NEAR(workload.memory_mb(Seconds{0.0}), LdbcWorkload::kBaseMemoryMb,
+              1.0);
+  const double late =
+      workload.memory_mb(Seconds{3.0 * LdbcWorkload::kWarmup.value});
+  EXPECT_NEAR(late, LdbcWorkload::kPlateauMemoryMb,
+              LdbcWorkload::kPlateauMemoryMb * LdbcWorkload::kFluctuation *
+                  1.5);
   // Monotone-ish growth through warmup (sampled coarsely).
   double previous = 0.0;
-  for (double t = 0.0; t <= config.warmup.value * 0.8;
-       t += config.warmup.value / 8.0) {
+  for (double t = 0.0; t <= LdbcWorkload::kWarmup.value * 0.8;
+       t += LdbcWorkload::kWarmup.value / 8.0) {
     const double mb = workload.memory_mb(Seconds{t});
     EXPECT_GE(mb, previous * 0.98);
     previous = mb;
@@ -29,15 +31,15 @@ TEST(Ldbc, MemoryRampsToPlateau) {
 }
 
 TEST(Ldbc, DeterministicPerSeed) {
-  const LdbcWorkload a(LdbcConfig{}, 7);
-  const LdbcWorkload b(LdbcConfig{}, 7);
-  const LdbcWorkload c(LdbcConfig{}, 8);
+  const LdbcWorkload a(7);
+  const LdbcWorkload b(7);
+  const LdbcWorkload c(8);
   EXPECT_DOUBLE_EQ(a.memory_mb(Seconds{500.0}), b.memory_mb(Seconds{500.0}));
   EXPECT_NE(a.memory_mb(Seconds{500.0}), c.memory_mb(Seconds{500.0}));
 }
 
 TEST(Ldbc, SignatureIsLdbcProfile) {
-  const LdbcWorkload workload(LdbcConfig{}, 4);
+  const LdbcWorkload workload(4);
   EXPECT_EQ(workload.signature().name, "ldbc-snb");
 }
 
@@ -190,8 +192,8 @@ TEST(FleetTrace, DerivedLifetimeTargetsSteadyStateUtilization) {
                                base.mean_lifetime.value * mean_vcpus;
   const double fleet_vcpus =
       static_cast<double>(config.nodes * config.vcpus_per_node);
-  EXPECT_NEAR(offered_vcpus / fleet_vcpus, config.target_utilization,
-              0.05);
+  EXPECT_NEAR(offered_vcpus / fleet_vcpus,
+              FleetTraceGenerator::kTargetUtilization, 0.05);
   EXPECT_DOUBLE_EQ(generator.horizon().value, config.days * 86400.0);
 }
 
