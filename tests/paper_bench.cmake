@@ -37,21 +37,17 @@ if(NOT golden_files STREQUAL written)
 endif()
 
 set(mismatched "")
-set(checks "${GOLDEN_DIR}/stdout.txt|${WORK_DIR}/stdout.txt")
-foreach(f IN LISTS written)
-  list(APPEND checks "${GOLDEN_DIR}/${f}|${cwd}/${f}")
-endforeach()
-foreach(check IN LISTS checks)
-  string(REPLACE "|" ";" check "${check}")
-  list(GET check 0 golden)
-  list(GET check 1 fresh)
+function(expect_same golden fresh)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${fresh}"
     RESULT_VARIABLE differs)
   if(NOT differs EQUAL 0)
-    list(APPEND mismatched "${fresh} differs from ${golden}")
+    set(mismatched "${mismatched}\n  ${fresh} differs from ${golden}" PARENT_SCOPE)
   endif()
+endfunction()
+expect_same("${GOLDEN_DIR}/stdout.txt" "${WORK_DIR}/stdout.txt")
+foreach(f IN LISTS written)
+  expect_same("${GOLDEN_DIR}/${f}" "${cwd}/${f}")
 endforeach()
 if(mismatched)
-  string(REPLACE ";" "\n  " mismatched "${mismatched}")
-  message(FATAL_ERROR "paper bench output changed:\n  ${mismatched}")
+  message(FATAL_ERROR "paper bench output changed:${mismatched}")
 endif()
