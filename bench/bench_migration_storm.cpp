@@ -83,11 +83,7 @@ int main(int argc, char** argv) {
       options.events = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const auto jobs = par::parse_jobs(argv[++i]);
-      if (!jobs) {
-        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
-                     par::kMaxJobs);
-        return 2;
-      }
+      if (!jobs) return 2;
       options.jobs = *jobs;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       options.out = argv[++i];

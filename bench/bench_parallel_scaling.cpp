@@ -85,11 +85,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const auto extra = par::parse_jobs(argv[++i]);
-      if (!extra) {
-        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
-                     par::kMaxJobs);
-        return 2;
-      }
+      if (!extra) return 2;
       jobs.push_back(*extra);
     }
   }

@@ -24,7 +24,6 @@
 #include <optional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fnv.h"
@@ -59,7 +58,7 @@ std::vector<std::unique_ptr<osk::ComputeNode>> build_fleet(int count) {
   auto nodes = par::parallel_map<std::unique_ptr<osk::ComputeNode>>(
       static_cast<std::size_t>(count), [&](std::size_t i) {
         auto node = std::make_unique<osk::ComputeNode>(
-            "node-" + std::to_string(i), spec, hv::HvConfig{},
+            "node-" + std::to_string(i), i, spec, hv::HvConfig{},
             streams[i].next());
         // Deterministic reliability spread in [0.90, 1.00] so the
         // reliability-aware policy has a real ordering to index and the
@@ -119,11 +118,6 @@ WorkloadRun run_workload(osk::SchedulerEngine kind,
   auto engine = osk::make_placement_engine(kind, policy);
   engine->bind(ptrs);
 
-  std::unordered_map<const osk::ComputeNode*, int> slot_of;
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    slot_of[ptrs[i]] = static_cast<int>(i);
-  }
-
   trace::FleetTraceGenerator stream(trace_config, kFleetSeed + 1);
   std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
       departures;
@@ -159,7 +153,7 @@ WorkloadRun run_workload(osk::SchedulerEngine kind,
 
     int slot = -1;
     if (target != nullptr) {
-      slot = slot_of[target];
+      slot = static_cast<int>(target->slot());
       if (!target->place_vm(vm)) {
         std::fprintf(stderr, "pick promised capacity that placement "
                              "refused (vm %llu)\n",
@@ -199,11 +193,7 @@ int main(int argc, char** argv) {
       options.vms = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const auto jobs = par::parse_jobs(argv[++i]);
-      if (!jobs) {
-        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
-                     par::kMaxJobs);
-        return 2;
-      }
+      if (!jobs) return 2;
       options.jobs = *jobs;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       options.out = argv[++i];

@@ -14,11 +14,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const auto jobs = par::parse_jobs(argv[++i]);
-      if (!jobs) {
-        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
-                     par::kMaxJobs);
-        return 2;
-      }
+      if (!jobs) return 2;
       par::set_default_jobs(*jobs);
     }
   }

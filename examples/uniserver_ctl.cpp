@@ -429,11 +429,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       const auto jobs = par::parse_jobs(argv[++i]);
-      if (!jobs) {
-        std::fprintf(stderr, "--jobs takes a worker count 0..%u\n",
-                     par::kMaxJobs);
-        return 2;
-      }
+      if (!jobs) return 2;
       par::set_default_jobs(*jobs);
       continue;
     }

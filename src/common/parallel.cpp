@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -181,14 +182,16 @@ unsigned default_jobs() {
 }
 
 std::optional<unsigned> parse_jobs(const char* text) {
-  if (text == nullptr || *text == '\0') return std::nullopt;
+  // Stops at the first non-digit or once the count passes the bound,
+  // so jobs * 10 + 9 never wraps.
   unsigned jobs = 0;
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return std::nullopt;
+  const char* c = text;
+  for (; c != nullptr && *c >= '0' && *c <= '9' && jobs <= kMaxJobs; ++c) {
     jobs = jobs * 10 + static_cast<unsigned>(*c - '0');
-    if (jobs > kMaxJobs) return std::nullopt;
   }
-  return jobs;
+  if (c != text && *c == '\0' && jobs <= kMaxJobs) return jobs;
+  std::fprintf(stderr, "--jobs takes a worker count 0..%u\n", kMaxJobs);
+  return std::nullopt;
 }
 
 void set_default_jobs(unsigned jobs) {

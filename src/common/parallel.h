@@ -42,7 +42,8 @@ inline constexpr unsigned kMaxJobs = 256;
 
 /// Parses a `--jobs` value: decimal digits only, at most kMaxJobs (0
 /// means `hardware_jobs()`). Signs, spaces, other text and larger
-/// values give nullopt.
+/// values give nullopt after printing "--jobs takes a worker count
+/// 0..256" to stderr; the caller then exits with status 2.
 std::optional<unsigned> parse_jobs(const char* text);
 
 /// Sets the default worker count; 0 means `hardware_jobs()`. The

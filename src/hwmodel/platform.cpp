@@ -224,12 +224,11 @@ SensorReadings ServerNode::read_sensors(const RunResult& run,
                                         Rng& rng) const {
   SensorReadings sensors;
   sensors.package_power =
-      Watt{run.chip_power.value + rng.normal(0.0, spec_.sensor_power_noise_w)};
+      Watt{run.chip_power.value + rng.normal(0.0, kSensorPowerNoiseW)};
   sensors.memory_power =
-      Watt{memory_.power().value + rng.normal(0.0, spec_.sensor_power_noise_w)};
+      Watt{memory_.power().value + rng.normal(0.0, kSensorPowerNoiseW)};
   sensors.temperature =
-      Celsius{run.junction_temp.value +
-              rng.normal(0.0, spec_.sensor_temp_noise_c)};
+      Celsius{run.junction_temp.value + rng.normal(0.0, kSensorTempNoiseC)};
   sensors.vdd = eop_.vdd;
   sensors.freq = eop_.freq;
   return sensors;

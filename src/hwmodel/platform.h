@@ -30,9 +30,6 @@ struct NodeSpec {
   /// system crash point at partial load is set by a strong core — the
   /// per-core heterogeneity exploit of paper §3.A.
   bool strong_cores_first{false};
-  /// Gaussian noise of the on-board sensors.
-  double sensor_power_noise_w{0.2};
-  double sensor_temp_noise_c{0.5};
 };
 
 /// Node-level run outcome.
@@ -136,6 +133,9 @@ class ServerNode {
   /// the memory system's current power, so a channel pinned since the
   /// run is seen by the sensors.
   SensorReadings read_sensors(const RunResult& run, Rng& rng) const;
+  /// Gaussian noise (standard deviation) of the on-board sensors.
+  static constexpr double kSensorPowerNoiseW = 0.2;
+  static constexpr double kSensorTempNoiseC = 0.5;
 
   /// Steady-state node power (chip + memory) at the current EOP.
   Watt node_power(const WorkloadSignature& w, int active_cores) const;

@@ -91,9 +91,7 @@ void Hypervisor::reconfigure_domains() {
   if (config_.use_reliable_domain) {
     // Reserve room for the hypervisor plus headroom for critical VMs.
     const double need =
-        footprint::hypervisor_mb(
-            vms_.size(), total_utilized_mb() - footprint::kHostOsMb) +
-        totals_.critical_mb + 256.0;
+        hypervisor_footprint_mb() + totals_.critical_mb + 256.0;
     double covered = 0.0;
     while (leading < node_.memory().channels() && covered < need) {
       covered += node_.channel_capacity_mb(leading);
@@ -354,7 +352,6 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
       ++report.dram_errors_into_hv;
       hypervisor_corrupted(report);
     } else if (roll < hv_relaxed_mb + vm_relaxed_mb) {
-      ++report.dram_errors_into_vms;
       // Pick the victim VM weighted by resident memory.
       double target = rng_.uniform() * std::max(vm_relaxed_mb, 1e-9);
       std::uint64_t victim = 0;

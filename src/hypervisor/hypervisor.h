@@ -89,7 +89,6 @@ struct TickReport {
   /// Uncorrectable decay events on relaxed channels.
   std::uint64_t dram_errors_relaxed{0};
   std::uint64_t dram_errors_into_hv{0};
-  std::uint64_t dram_errors_into_vms{0};
   std::vector<std::uint64_t> vms_killed;
   /// VMs that absorbed an SDC and survived (guest-level tolerance) —
   /// the per-VM exposure stream the cloud's VmMonitor consumes.

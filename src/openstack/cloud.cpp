@@ -151,9 +151,7 @@ Cloud::Cloud(const CloudConfig& config,
   if (config_.serve.enabled) {
     serve_ = std::make_unique<serve::ServeLayer>(config_.serve);
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    slot_index_[nodes_[i].get()] = static_cast<int>(i);
-  }
+  // bind() rejects a fleet whose slots are out of order.
   engine_->bind(node_ptrs());
   wire_monitoring();
 }
@@ -167,7 +165,8 @@ std::unique_ptr<Cloud> Cloud::make_uniform(const CloudConfig& config,
   nodes.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     nodes.push_back(std::make_unique<ComputeNode>(
-        "node-" + std::to_string(i), node_spec, hv_config, rng.next()));
+        "node-" + std::to_string(i), static_cast<std::size_t>(i), node_spec,
+        hv_config, rng.next()));
   }
   return std::make_unique<Cloud>(config, std::move(nodes));
 }
@@ -292,9 +291,7 @@ void Cloud::wire_monitoring() {
 }
 
 int Cloud::rack_of(const ComputeNode* node) const {
-  const auto it = slot_index_.find(node);
-  if (it == slot_index_.end()) return 0;
-  return it->second / static_cast<int>(rack_size());
+  return static_cast<int>(node->slot() / rack_size());
 }
 
 std::vector<Watt> Cloud::rack_power() const {
@@ -311,11 +308,7 @@ std::vector<Watt> Cloud::rack_power() const {
 
 void Cloud::record_decision(std::uint64_t vm_id, const ComputeNode* target,
                             bool evacuation) {
-  int slot = -1;
-  if (target != nullptr) {
-    const auto it = slot_index_.find(target);
-    if (it != slot_index_.end()) slot = it->second;
-  }
+  const int slot = target == nullptr ? -1 : static_cast<int>(target->slot());
   placement_digest_ = fnv::mix_u64(placement_digest_, vm_id);
   placement_digest_ = fnv::mix_u64(
       placement_digest_, static_cast<std::uint64_t>(

@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fnv.h"
@@ -112,6 +111,8 @@ class Cloud {
   /// Node-layer books published as counters (see publish_books()).
   static constexpr std::size_t kNodeBooks = 16;
 
+  /// Throws std::invalid_argument unless nodes[i]->slot() == i for
+  /// every i.
   Cloud(const CloudConfig& config,
         std::vector<std::unique_ptr<ComputeNode>> nodes);
 
@@ -191,7 +192,7 @@ class Cloud {
   /// serving layer is disabled.
   void inject_request_burst(Seconds at, std::uint64_t count);
 
-  /// Rack index of a node (grouping is by construction order).
+  /// Rack index of a node: its slot / nodes_per_rack.
   int rack_of(const ComputeNode* node) const;
   /// Aggregate current power draw of every rack, indexed by rack, in
   /// one pass over the fleet (what rack power admission checks).
@@ -266,8 +267,6 @@ class Cloud {
   CloudConfig config_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::unique_ptr<PlacementEngine> engine_;
-  /// Fleet slot by node pointer: O(1) rack_of and decision logging.
-  std::unordered_map<const ComputeNode*, int> slot_index_;
   LogFailurePredictor predictor_;
   VmMonitor monitor_;
   MigrationOrchestrator orchestrator_;

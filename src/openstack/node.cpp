@@ -4,9 +4,11 @@
 
 namespace uniserver::osk {
 
-ComputeNode::ComputeNode(std::string name, const hw::NodeSpec& spec,
+ComputeNode::ComputeNode(std::string name, std::size_t slot,
+                         const hw::NodeSpec& spec,
                          const hv::HvConfig& hv_config, std::uint64_t seed)
     : name_(std::move(name)),
+      slot_(slot),
       server_(std::make_unique<hw::ServerNode>(spec, seed)),
       hypervisor_(std::make_unique<hv::Hypervisor>(*server_, hv_config,
                                                    Rng(seed).fork(7).next())) {}
@@ -17,17 +19,19 @@ void ComputeNode::set_reliability(double reliability) {
   metrics_.reliability = std::clamp(reliability, 0.0, 1.0);
 }
 
-bool ComputeNode::place_vm(const hv::Vm& vm) {
-  if (!up_) return false;
-  if (vm.vcpus > free_vcpus()) return false;
-  if (vm.memory_mb > free_memory_mb()) return false;
-  return hypervisor_->create_vm(vm);
-}
-
-bool ComputeNode::reserve(int vcpus, double memory_mb) {
+bool ComputeNode::fits(int vcpus, double memory_mb) const {
   if (!up_) return false;
   if (vcpus > free_vcpus()) return false;
   if (memory_mb > free_memory_mb()) return false;
+  return true;
+}
+
+bool ComputeNode::place_vm(const hv::Vm& vm) {
+  return fits(vm.vcpus, vm.memory_mb) && hypervisor_->create_vm(vm);
+}
+
+bool ComputeNode::reserve(int vcpus, double memory_mb) {
+  if (!fits(vcpus, memory_mb)) return false;
   reserved_vcpus_ += vcpus;
   reserved_memory_mb_ += memory_mb;
   return true;

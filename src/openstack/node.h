@@ -4,6 +4,7 @@
 // (§2: "an additional node reliability metric is added").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,7 +26,9 @@ struct NodeMetrics {
 
 class ComputeNode {
  public:
-  ComputeNode(std::string name, const hw::NodeSpec& spec,
+  /// `slot` is the node's fixed index in its fleet: the Cloud and the
+  /// placement engines require fleet[i]->slot() == i.
+  ComputeNode(std::string name, std::size_t slot, const hw::NodeSpec& spec,
               const hv::HvConfig& hv_config, std::uint64_t seed);
 
   // Owns hardware and hypervisor; movable only via pointer semantics.
@@ -33,6 +36,7 @@ class ComputeNode {
   ComputeNode& operator=(const ComputeNode&) = delete;
 
   const std::string& name() const { return name_; }
+  std::size_t slot() const { return slot_; }
   hw::ServerNode& server() { return *server_; }
   const hw::ServerNode& server() const { return *server_; }
   hv::Hypervisor& hypervisor() { return *hypervisor_; }
@@ -88,6 +92,10 @@ class ComputeNode {
   /// No-op until margins are set. Returns true if the EOP changed.
   bool apply_sla_aware_eop(double backoff_percent);
 
+  /// True when the node is up and `vcpus` / `memory_mb` fit its free
+  /// (unreserved) capacity; placement, reservation and the filters use it.
+  bool fits(int vcpus, double memory_mb) const;
+
   /// Places a VM (returns false when filtered out by capacity or state).
   bool place_vm(const hv::Vm& vm);
   bool remove_vm(std::uint64_t id) { return hypervisor_->destroy_vm(id); }
@@ -117,6 +125,7 @@ class ComputeNode {
 
  private:
   std::string name_;
+  const std::size_t slot_;
   std::unique_ptr<hw::ServerNode> server_;
   std::unique_ptr<hv::Hypervisor> hypervisor_;
   bool up_{true};

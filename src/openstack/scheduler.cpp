@@ -1,26 +1,32 @@
 #include "openstack/scheduler.h"
 
 #include <limits>
+#include <stdexcept>
 
 #include "openstack/scheduler_index.h"
 #include "telemetry/telemetry.h"
 
 namespace uniserver::osk {
 
-namespace {
-struct SchedulerMetrics {
-  telemetry::Counter& picks = telemetry::counter(
-      "cloud.sched.picks", "picks", "Placement queries answered");
-  telemetry::Counter& scan_nodes = telemetry::counter(
-      "cloud.sched.pick_scan_nodes", "nodes",
-      "Candidate nodes examined across placement queries");
-};
-
-SchedulerMetrics& metrics() {
-  static SchedulerMetrics m;
+PickMetrics& pick_metrics() {
+  static PickMetrics m{
+      telemetry::counter("cloud.sched.picks", "picks",
+                         "Placement queries answered"),
+      telemetry::counter("cloud.sched.pick_scan_nodes", "nodes",
+                         "Candidate nodes examined across placement queries"),
+  };
   return m;
 }
-}  // namespace
+
+void PlacementEngine::require_slot_order(
+    const std::vector<ComputeNode*>& nodes) {
+  for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
+    if (nodes[slot]->slot() != slot) {
+      throw std::invalid_argument(nodes[slot]->name() +
+                                  " is out of slot order");
+    }
+  }
+}
 
 const char* to_string(SchedulerPolicy policy) {
   switch (policy) {
@@ -89,13 +95,20 @@ hv::Vm vm_from_request(const trace::VmRequest& request) {
 }
 
 bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical) {
-  if (!node.up()) return false;
-  if (vm.vcpus > node.free_vcpus()) return false;
-  if (vm.memory_mb > node.free_memory_mb()) return false;
+  if (!node.fits(vm.vcpus, vm.memory_mb)) return false;
   if (critical && node.metrics().reliability < kCriticalReliabilityFloor) {
     return false;
   }
   return true;
+}
+
+bool pick_feasible(const ComputeNode& node, const hv::Vm& vm, bool critical,
+                   const PlacementConstraint& constraint) {
+  if (&node == constraint.exclude) return false;
+  if (constraint.allowed != nullptr && !(*constraint.allowed)[node.slot()]) {
+    return false;
+  }
+  return passes_filters(node, vm, critical);
 }
 
 double policy_weight(SchedulerPolicy policy, const ComputeNode& node) {
@@ -119,34 +132,24 @@ double policy_weight(SchedulerPolicy policy, const ComputeNode& node) {
 }
 
 void ReferenceScheduler::bind(std::vector<ComputeNode*> nodes) {
+  require_slot_order(nodes);
   nodes_ = std::move(nodes);
   round_robin_cursor_ = 0;
 }
 
-bool ReferenceScheduler::feasible(std::size_t slot, const hv::Vm& vm,
-                                  bool critical,
-                                  const PlacementConstraint& constraint) const {
-  const ComputeNode* node = nodes_[slot];
-  if (node == constraint.exclude) return false;
-  if (constraint.allowed != nullptr && !(*constraint.allowed)[slot]) {
-    return false;
-  }
-  return passes_filters(*node, vm, critical);
-}
-
 ComputeNode* ReferenceScheduler::pick(const hv::Vm& vm, bool critical,
                                       const PlacementConstraint& constraint) {
-  metrics().picks.add();
+  pick_metrics().picks.add();
   if (nodes_.empty()) return nullptr;
 
   if (policy_ == SchedulerPolicy::kFirstFit) {
     for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-      if (feasible(slot, vm, critical, constraint)) {
-        metrics().scan_nodes.add(slot + 1);
+      if (pick_feasible(*nodes_[slot], vm, critical, constraint)) {
+        pick_metrics().scan_nodes.add(slot + 1);
         return nodes_[slot];
       }
     }
-    metrics().scan_nodes.add(nodes_.size());
+    pick_metrics().scan_nodes.add(nodes_.size());
     return nullptr;
   }
 
@@ -154,21 +157,21 @@ ComputeNode* ReferenceScheduler::pick(const hv::Vm& vm, bool critical,
     for (std::size_t step = 0; step < nodes_.size(); ++step) {
       const std::size_t slot =
           (round_robin_cursor_ + step) % nodes_.size();
-      if (feasible(slot, vm, critical, constraint)) {
+      if (pick_feasible(*nodes_[slot], vm, critical, constraint)) {
         round_robin_cursor_ = (slot + 1) % nodes_.size();
-        metrics().scan_nodes.add(step + 1);
+        pick_metrics().scan_nodes.add(step + 1);
         return nodes_[slot];
       }
     }
-    metrics().scan_nodes.add(nodes_.size());
+    pick_metrics().scan_nodes.add(nodes_.size());
     return nullptr;
   }
-  metrics().scan_nodes.add(nodes_.size());
+  pick_metrics().scan_nodes.add(nodes_.size());
 
   ComputeNode* best = nullptr;
   double best_weight = -std::numeric_limits<double>::infinity();
   for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    if (!feasible(slot, vm, critical, constraint)) continue;
+    if (!pick_feasible(*nodes_[slot], vm, critical, constraint)) continue;
     const double weight = policy_weight(policy_, *nodes_[slot]);
     if (weight > best_weight) {
       best = nodes_[slot];

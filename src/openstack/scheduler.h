@@ -25,6 +25,7 @@
 
 #include "hypervisor/vm.h"
 #include "openstack/node.h"
+#include "telemetry/metrics.h"
 #include "trace/arrivals.h"
 
 namespace uniserver::osk {
@@ -57,7 +58,7 @@ struct PlacementConstraint {
   /// Node excluded from this pick (live-migration source).
   const ComputeNode* exclude{nullptr};
   /// Optional per-slot admission mask (rack power capping); nullptr
-  /// admits every slot. Indexed by fleet slot, same order as bind().
+  /// admits every slot. Indexed by fleet slot (`ComputeNode::slot()`).
   const std::vector<std::uint8_t>* allowed{nullptr};
 };
 
@@ -69,10 +70,23 @@ inline constexpr double kCriticalReliabilityFloor = 0.98;
 /// `kCriticalReliabilityFloor`.
 bool passes_filters(const ComputeNode& node, const hv::Vm& vm, bool critical);
 
+/// Both engines' exact per-node pick test, so their decisions match:
+/// not the excluded node, slot admitted by the mask, passes_filters.
+bool pick_feasible(const ComputeNode& node, const hv::Vm& vm, bool critical,
+                   const PlacementConstraint& constraint);
+
 /// Policy weight from the node's published metrics (higher wins; ties
 /// break toward the lower fleet slot). Shared by both engines so their
 /// floating-point ranking is bit-identical.
 double policy_weight(SchedulerPolicy policy, const ComputeNode& node);
+
+/// The counters every answered pick books, whichever engine answers it:
+/// `cloud.sched.picks` and `cloud.sched.pick_scan_nodes`.
+struct PickMetrics {
+  telemetry::Counter& picks;
+  telemetry::Counter& scan_nodes;
+};
+PickMetrics& pick_metrics();
 
 /// Placement-engine contract. The engine binds to a fleet once (slot i
 /// == nodes[i], stable for the engine's lifetime) and answers picks
@@ -92,20 +106,25 @@ class PlacementEngine {
 
   SchedulerPolicy policy() const { return policy_; }
 
-  /// (Re)binds the engine to a fleet; resets any cursor state.
+  /// (Re)binds the engine to a fleet; resets any cursor state. Throws
+  /// std::invalid_argument unless nodes[i]->slot() == i for every i.
   virtual void bind(std::vector<ComputeNode*> nodes) = 0;
 
   /// Picks a target node (nullptr if every node is filtered out).
   virtual ComputeNode* pick(const hv::Vm& vm, bool critical,
                             const PlacementConstraint& constraint = {}) = 0;
 
-  /// Capacity or up/down state of one bound node changed.
+  /// Capacity or up/down state of one bound node changed. No-op for a
+  /// node that is not bound at its slot.
   virtual void node_changed(const ComputeNode* node) = 0;
 
   /// Fleet-wide metric refresh (utilization / reliability moved).
   virtual void refresh_weights() = 0;
 
  protected:
+  /// The slot check every bind() runs on its input fleet.
+  static void require_slot_order(const std::vector<ComputeNode*>& nodes);
+
   SchedulerPolicy policy_;
 };
 
@@ -124,9 +143,6 @@ class ReferenceScheduler final : public PlacementEngine {
   void refresh_weights() override {}
 
  private:
-  bool feasible(std::size_t slot, const hv::Vm& vm, bool critical,
-                const PlacementConstraint& constraint) const;
-
   std::vector<ComputeNode*> nodes_;
   std::size_t round_robin_cursor_{0};
 };

@@ -9,11 +9,7 @@ namespace uniserver::osk {
 
 namespace {
 struct IndexMetrics {
-  telemetry::Counter& picks = telemetry::counter(
-      "cloud.sched.picks", "picks", "Placement queries answered");
-  telemetry::Counter& scan_nodes = telemetry::counter(
-      "cloud.sched.pick_scan_nodes", "nodes",
-      "Candidate nodes examined across placement queries");
+  PickMetrics& pick = pick_metrics();
   telemetry::Counter& updates = telemetry::counter(
       "cloud.sched.index_updates", "updates",
       "Incremental capacity-index leaf updates (one node changed)");
@@ -67,17 +63,6 @@ bool IndexedScheduler::may_satisfy(const Aggregate& agg, const hv::Vm& vm,
   return true;
 }
 
-bool IndexedScheduler::leaf_feasible(
-    std::uint32_t slot, const hv::Vm& vm, bool critical,
-    const PlacementConstraint& constraint) const {
-  const ComputeNode* node = nodes_[slot];
-  if (node == constraint.exclude) return false;
-  if (constraint.allowed != nullptr && !(*constraint.allowed)[slot]) {
-    return false;
-  }
-  return passes_filters(*node, vm, critical);
-}
-
 void IndexedScheduler::rebuild_tree() {
   for (std::size_t pos = 0; pos < cap_; ++pos) {
     tree_[cap_ + pos] =
@@ -99,17 +84,15 @@ void IndexedScheduler::update_position(std::size_t pos) {
 }
 
 void IndexedScheduler::bind(std::vector<ComputeNode*> nodes) {
+  require_slot_order(nodes);
   nodes_ = std::move(nodes);
   round_robin_cursor_ = 0;
   const std::size_t n = nodes_.size();
 
-  slot_of_.clear();
-  slot_of_.reserve(n);
   perm_.resize(n);
   rank_.resize(n);
   weights_.assign(n, 0.0);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    slot_of_[nodes_[slot]] = static_cast<std::uint32_t>(slot);
     perm_[slot] = static_cast<std::uint32_t>(slot);
     rank_[slot] = static_cast<std::uint32_t>(slot);
   }
@@ -151,9 +134,9 @@ void IndexedScheduler::refresh_weights() {
 }
 
 void IndexedScheduler::node_changed(const ComputeNode* node) {
-  const auto it = slot_of_.find(node);
-  if (it == slot_of_.end()) return;
-  update_position(rank_[it->second]);
+  const std::size_t slot = node->slot();
+  if (slot >= nodes_.size() || nodes_[slot] != node) return;
+  update_position(rank_[slot]);
 }
 
 long IndexedScheduler::find_first(std::size_t t, std::size_t t_lo,
@@ -166,7 +149,7 @@ long IndexedScheduler::find_first(std::size_t t, std::size_t t_lo,
   if (!may_satisfy(tree_[t], vm, critical)) return -1;
   if (t_hi - t_lo == 1) {
     ++scanned;
-    return leaf_feasible(perm_[t_lo], vm, critical, constraint)
+    return pick_feasible(*nodes_[perm_[t_lo]], vm, critical, constraint)
                ? static_cast<long>(t_lo)
                : -1;
   }
@@ -180,7 +163,7 @@ long IndexedScheduler::find_first(std::size_t t, std::size_t t_lo,
 
 ComputeNode* IndexedScheduler::pick(const hv::Vm& vm, bool critical,
                                     const PlacementConstraint& constraint) {
-  metrics().picks.add();
+  metrics().pick.picks.add();
   if (nodes_.empty()) return nullptr;
   const std::size_t n = nodes_.size();
   std::uint64_t scanned = 0;
@@ -196,7 +179,7 @@ ComputeNode* IndexedScheduler::pick(const hv::Vm& vm, bool critical,
   } else {
     pos = find_first(1, 0, cap_, 0, n, vm, critical, constraint, scanned);
   }
-  metrics().scan_nodes.add(scanned);
+  metrics().pick.scan_nodes.add(scanned);
   if (pos < 0) return nullptr;
 
   const std::uint32_t slot = perm_[static_cast<std::size_t>(pos)];
@@ -223,9 +206,8 @@ std::string IndexedScheduler::self_check() const {
       err << "perm/rank not inverse at slot " << slot;
       return err.str();
     }
-    const auto it = slot_of_.find(nodes_[slot]);
-    if (it == slot_of_.end() || it->second != slot) {
-      err << "slot_of_ stale for slot " << slot;
+    if (nodes_[slot]->slot() != slot) {
+      err << nodes_[slot]->name() << " is bound off its slot " << slot;
       return err.str();
     }
   }

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "openstack/scheduler.h"
@@ -43,10 +42,10 @@ class IndexedScheduler final : public PlacementEngine {
   void refresh_weights() override;
 
   /// Audits the whole index against live node state: every leaf
-  /// aggregate, every internal max, the permutation/rank inverse pair
-  /// and the weight sort order. Returns "" when consistent, else a
-  /// human-readable description of the first inconsistency. Used by the
-  /// property-based suite after every mutation.
+  /// aggregate, every internal max, the permutation/rank inverse pair,
+  /// each bound node's slot and the weight sort order. Returns "" when
+  /// consistent, else a description of the first inconsistency. The
+  /// property-based suite runs it after every mutation.
   std::string self_check() const;
 
  private:
@@ -65,10 +64,6 @@ class IndexedScheduler final : public PlacementEngine {
   /// nodes, so leaves are re-checked exactly).
   bool may_satisfy(const Aggregate& agg, const hv::Vm& vm,
                    bool critical) const;
-  /// Exact leaf re-check — identical predicate to the reference scan.
-  bool leaf_feasible(std::uint32_t slot, const hv::Vm& vm, bool critical,
-                     const PlacementConstraint& constraint) const;
-
   /// Recomputes every leaf from node state and rebuilds the internal
   /// levels bottom-up. O(n).
   void rebuild_tree();
@@ -82,7 +77,6 @@ class IndexedScheduler final : public PlacementEngine {
                   std::uint64_t& scanned) const;
 
   std::vector<ComputeNode*> nodes_;
-  std::unordered_map<const ComputeNode*, std::uint32_t> slot_of_;
   /// Tree position -> fleet slot. Identity for positional policies;
   /// (weight desc, slot asc) for weighted ones.
   std::vector<std::uint32_t> perm_;

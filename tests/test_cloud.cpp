@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "hwmodel/chip_spec.h"
 #include "stress/profiles.h"
@@ -38,6 +39,23 @@ CloudConfig config_with(SchedulerPolicy policy, bool migration = true) {
   config.proactive_migration = migration;
   config.tick = 60_s;
   return config;
+}
+
+TEST(Cloud, RejectsAFleetWhoseSlotsAreOutOfOrder) {
+  for (const SchedulerEngine engine :
+       {SchedulerEngine::kIndexed, SchedulerEngine::kReference}) {
+    std::vector<std::unique_ptr<ComputeNode>> nodes;
+    for (const std::size_t slot : {0u, 2u, 1u}) {
+      nodes.push_back(std::make_unique<ComputeNode>(
+          "node-" + std::to_string(slot), slot, node_spec(), hv::HvConfig{},
+          slot + 1));
+    }
+    CloudConfig config;
+    config.engine = engine;
+    EXPECT_THROW(std::make_unique<Cloud>(config, std::move(nodes)),
+                 std::invalid_argument)
+        << to_string(engine);
+  }
 }
 
 TEST(Cloud, AcceptsAndCompletesRequests) {

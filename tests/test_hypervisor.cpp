@@ -77,6 +77,19 @@ TEST(HypervisorDomains, PinsMinimalChannels) {
   EXPECT_EQ(relaxed.reliable_channels(), 0);
 }
 
+TEST(HypervisorDomains, OneChannelCoversAnExactNeed) {
+  // The need is the footprint 200 + 24 + 0.012 * 7,620 = 315.44 MB
+  // plus the critical guest and 256 MB of headroom: 8,191.44 MB, inside
+  // one 8,192 MB channel. Charging the per-guest fraction on the
+  // footprint too would read 8,195.2 MB and pin a second channel.
+  hw::ServerNode node(node_spec(), 1);
+  Hypervisor hypervisor(node, HvConfig{}, 1);
+  ASSERT_EQ(node.channel_capacity_mb(0), 8192.0);
+  ASSERT_TRUE(hypervisor.create_vm(make_vm(1, 1, 7620.0, true)));
+  EXPECT_NEAR(hypervisor.hypervisor_footprint_mb(), 315.44, 1e-9);
+  EXPECT_EQ(node.reliable_channels(), 1);
+}
+
 TEST(HypervisorDomains, CapacityAccounting) {
   hw::ServerNode node(node_spec(), 1);
   const double total =
@@ -390,11 +403,8 @@ void expect_layout_rule(const hw::ServerNode& node,
   const int channels = node.memory().channels();
   int leading = 0;
   if (hypervisor.config().use_reliable_domain) {
-    const double need =
-        footprint::hypervisor_mb(
-            hypervisor.vm_count(),
-            hypervisor.total_utilized_mb() - footprint::kHostOsMb) +
-        hypervisor.vm_totals().critical_mb + 256.0;
+    const double need = hypervisor.hypervisor_footprint_mb() +
+                        hypervisor.vm_totals().critical_mb + 256.0;
     double covered = 0.0;
     while (leading < channels && covered < need) {
       covered += node.channel_capacity_mb(leading);
@@ -487,7 +497,7 @@ TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
   HvConfig config;
   config.guest_sdc_survival = 0.5;
   config.core_isolation_threshold_per_hour = 10.0;
-  osk::ComputeNode node("node-0", node_spec(), config, 21);
+  osk::ComputeNode node("node-0", 0, node_spec(), config, 21);
   hw::ServerNode& server = node.server();
   std::uint64_t triggers = 0;
   node.hypervisor().healthlog().subscribe_recharacterize(

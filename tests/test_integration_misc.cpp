@@ -207,7 +207,8 @@ TEST(CloudTelemetry, CountersAreTheBooks) {
     node_config.vm_checkpointing = i % 4 == 2;
     node_config.selective_protection = i % 4 != 3;
     nodes.push_back(std::make_unique<osk::ComputeNode>(
-        "node-" + std::to_string(i), node_spec, node_config, seeds.next()));
+        "node-" + std::to_string(i), static_cast<std::size_t>(i), node_spec,
+        node_config, seeds.next()));
   }
   auto cloud = std::make_unique<osk::Cloud>(config, std::move(nodes));
   int slot = 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "hwmodel/chip_spec.h"
 #include "openstack/cloud.h"
@@ -29,7 +30,7 @@ hv::Vm make_vm(std::uint64_t id, int vcpus = 2) {
 }
 
 TEST(ComputeNodeTest, CapacityViews) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   EXPECT_EQ(node.total_vcpus(), 8);
   EXPECT_EQ(node.used_vcpus(), 0);
   EXPECT_NEAR(node.memory_capacity_mb(), 4.0 * 8192.0, 1.0);
@@ -51,7 +52,7 @@ TEST(ComputeNodeTest, CapacityViews) {
 TEST(ComputeNodeTest, EmptiedNodeCommitsNoMemory) {
   // Adding and then subtracting these sizes in double arithmetic leaves
   // a residue of about -4.5e-13 MB; an emptied node must read zero.
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   const double sizes_mb[] = {512.3, 1024.7, 3000.9};
   for (std::uint64_t id = 1; id <= 3; ++id) {
     hv::Vm vm = make_vm(id, 1);
@@ -64,15 +65,37 @@ TEST(ComputeNodeTest, EmptiedNodeCommitsNoMemory) {
 }
 
 TEST(ComputeNodeTest, PlacementFiltersCapacity) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   EXPECT_FALSE(node.place_vm(make_vm(1, 9)));
   hv::Vm fat = make_vm(2, 1);
   fat.memory_mb = 1e9;
   EXPECT_FALSE(node.place_vm(fat));
 }
 
+TEST(ComputeNodeTest, FitsExactlyFullCapacityAroundAHeldReservation) {
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
+  ASSERT_TRUE(node.place_vm(make_vm(1, 3)));
+  ASSERT_TRUE(node.reserve(2, 1024.0));
+  const int vcpus = node.free_vcpus();
+  const double memory_mb = node.free_memory_mb();
+  EXPECT_EQ(vcpus, 3);
+  EXPECT_TRUE(node.fits(vcpus, memory_mb));
+  EXPECT_FALSE(node.fits(vcpus + 1, memory_mb));
+  EXPECT_FALSE(node.fits(vcpus, std::nextafter(memory_mb, 1e12)));
+  // A reservation of exactly the rest leaves nothing that fits.
+  ASSERT_TRUE(node.reserve(vcpus, memory_mb));
+  EXPECT_TRUE(node.fits(0, 0.0));
+  EXPECT_FALSE(node.fits(1, 0.0));
+  EXPECT_FALSE(node.fits(0, 1.0));
+  node.unreserve(2, 1024.0);
+  EXPECT_TRUE(node.fits(2, 1024.0));
+  EXPECT_FALSE(node.fits(3, 1024.0));
+  node.force_crash();
+  EXPECT_FALSE(node.fits(0, 0.0));
+}
+
 TEST(ComputeNodeTest, MetricsTrackUtilizationAndAvailability) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 4));
   node.tick(0_s, 60_s);
   EXPECT_NEAR(node.metrics().utilization, 0.5, 1e-9);
@@ -81,7 +104,7 @@ TEST(ComputeNodeTest, MetricsTrackUtilizationAndAvailability) {
 }
 
 TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 4));
   // Force a crash by dropping the voltage absurdly low.
   hw::Eop eop = node.server().eop();
@@ -117,8 +140,8 @@ TEST(ComputeNodeTest, OrganicCrashLeavesTheSameBooksAsForceCrash) {
   // reservation: one crashes organically (tick past the crash margin),
   // the other is force-crashed. Both must drop every VM, reservation
   // and committed capacity, and stay down for the same repair time.
-  ComputeNode organic("n0", node_spec(), hv::HvConfig{}, 1);
-  ComputeNode forced("n1", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode organic("n0", 0, node_spec(), hv::HvConfig{}, 1);
+  ComputeNode forced("n1", 1, node_spec(), hv::HvConfig{}, 1);
   for (ComputeNode* node : {&organic, &forced}) {
     ASSERT_TRUE(node->place_vm(make_vm(1, 2)));
     ASSERT_TRUE(node->place_vm(make_vm(2, 3)));
@@ -157,7 +180,7 @@ TEST(ComputeNodeTest, OrganicCrashLeavesTheSameBooksAsForceCrash) {
 }
 
 TEST(ComputeNodeTest, ForceCrashLosesResidentsAndIsIdempotent) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 2));
   node.place_vm(make_vm(2, 2));
   const auto lost = node.force_crash();
@@ -301,7 +324,7 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
 }
 
 TEST(ComputeNodeTest, ReliabilityClamped) {
-  ComputeNode node("n0", node_spec(), hv::HvConfig{}, 1);
+  ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   node.set_reliability(5.0);
   EXPECT_DOUBLE_EQ(node.metrics().reliability, 1.0);
   node.set_reliability(-3.0);

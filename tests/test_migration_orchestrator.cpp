@@ -62,8 +62,8 @@ struct DirectHarness {
   DirectHarness(int node_count, const MigrationModel& model) {
     for (int i = 0; i < node_count; ++i) {
       nodes.push_back(std::make_unique<ComputeNode>(
-          "n" + std::to_string(i), node_spec(), hv::HvConfig{},
-          static_cast<std::uint64_t>(i) + 1));
+          "n" + std::to_string(i), static_cast<std::size_t>(i), node_spec(),
+          hv::HvConfig{}, static_cast<std::uint64_t>(i) + 1));
     }
     MigrationOrchestrator::Callbacks cb;
     cb.commit = [this](const MigrationTicket& t) {

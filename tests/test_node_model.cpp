@@ -106,15 +106,14 @@ SensorReadings reference_sensors(const ServerNode& node,
   const Eop& eop = node.eop();
   const auto op = node.chip().power().steady_state(eop.vdd, eop.freq,
                                                    w.activity, active_cores);
-  const NodeSpec& spec = node.spec();
   SensorReadings sensors;
   sensors.package_power =
-      Watt{op.power.value + rng.normal(0.0, spec.sensor_power_noise_w)};
+      Watt{op.power.value + rng.normal(0.0, ServerNode::kSensorPowerNoiseW)};
   sensors.memory_power =
       Watt{node.memory().dimm_power_sum().value +
-           rng.normal(0.0, spec.sensor_power_noise_w)};
+           rng.normal(0.0, ServerNode::kSensorPowerNoiseW)};
   sensors.temperature =
-      Celsius{op.temp.value + rng.normal(0.0, spec.sensor_temp_noise_c)};
+      Celsius{op.temp.value + rng.normal(0.0, ServerNode::kSensorTempNoiseC)};
   sensors.vdd = eop.vdd;
   sensors.freq = eop.freq;
   return sensors;

@@ -66,6 +66,11 @@ TEST(Parallel, ParseJobsAcceptsOnlyDecimalCountsUpToTheBound) {
     EXPECT_EQ(par::parse_jobs(text), std::nullopt) << '"' << text << '"';
   }
   EXPECT_EQ(par::parse_jobs(nullptr), std::nullopt);
+  // A rejected value names the accepted range on stderr.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(par::parse_jobs("257"), std::nullopt);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "--jobs takes a worker count 0..256\n");
 }
 
 TEST(Parallel, SetDefaultJobsRejectsCountsAboveTheBound) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hwmodel/chip_spec.h"
 #include "openstack/scheduler_index.h"
 
@@ -18,7 +20,8 @@ struct Fleet {
   Fleet() {
     for (int i = 0; i < 3; ++i) {
       nodes.push_back(std::make_unique<ComputeNode>(
-          "node-" + std::to_string(i), node_spec(), hv::HvConfig{},
+          "node-" + std::to_string(i), static_cast<std::size_t>(i),
+          node_spec(), hv::HvConfig{},
           static_cast<std::uint64_t>(i + 1)));
     }
     for (auto& node : nodes) ptrs.push_back(node.get());
@@ -154,6 +157,23 @@ TEST_P(EngineTest, DownNodeIsSkippedAndReappearsAfterReboot) {
   fleet.ptrs[0]->reboot();
   engine->node_changed(fleet.ptrs[0]);
   EXPECT_EQ(engine->pick(small_vm(2), false), fleet.ptrs[0]);
+}
+
+TEST_P(EngineTest, BindRejectsAFleetOutOfSlotOrder) {
+  auto engine = make_placement_engine(GetParam(), SchedulerPolicy::kFirstFit);
+  EXPECT_THROW(engine->bind({fleet.ptrs[1], fleet.ptrs[0], fleet.ptrs[2]}),
+               std::invalid_argument);
+  EXPECT_THROW(engine->bind({fleet.ptrs[1]}), std::invalid_argument);
+}
+
+TEST(IndexedScheduler, NodeChangedIgnoresANodeNotBoundAtItsSlot) {
+  Fleet fleet;
+  IndexedScheduler engine(SchedulerPolicy::kFirstFit);
+  engine.bind({fleet.ptrs[0]});
+  ASSERT_TRUE(fleet.ptrs[2]->place_vm(small_vm(7)));
+  engine.node_changed(fleet.ptrs[2]);
+  EXPECT_EQ(engine.self_check(), "");
+  EXPECT_EQ(engine.pick(small_vm(8), false), fleet.ptrs[0]);
 }
 
 TEST(IndexedScheduler, SelfCheckPassesThroughMutations) {

@@ -57,7 +57,8 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
   std::vector<ComputeNode*> ptrs;
   for (int i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<ComputeNode>(
-        "node-" + std::to_string(i), node_spec(), hv::HvConfig{},
+        "node-" + std::to_string(i), static_cast<std::size_t>(i),
+        node_spec(), hv::HvConfig{},
         static_cast<std::uint64_t>(i + 1)));
     ptrs.push_back(nodes.back().get());
   }
