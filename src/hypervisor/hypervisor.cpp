@@ -185,6 +185,7 @@ void Hypervisor::hypervisor_corrupted(TickReport& report) {
     report.hypervisor_fatal = true;
     ++stats_.hv_fatal_events;
   } else if (protection_enabled_) {
+    ++report.protection_saves;
     ++stats_.protection_saves;
   }
   // Fatal, saved, or absorbed by a non-crucial object: disposed.
@@ -291,6 +292,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
         !health.isolated && usable_cores() > 1) {
       health.isolated = true;
       ++retired_cores_;
+      ++report.cores_retired;
       telemetry::trace(now, "hv", "core_retired",
                        {{"core", std::to_string(core)}});
     }
@@ -314,6 +316,7 @@ TickReport Hypervisor::tick(Seconds now, Seconds window) {
     if (per_hour > config_.channel_isolation_threshold_per_hour &&
         !health.isolated) {
       health.isolated = true;
+      ++report.channels_isolated;
       node_.pin_channel_reliable(c, true);
       telemetry::trace(now, "hv", "channel_isolated",
                        {{"channel", std::to_string(c)}});

@@ -89,6 +89,11 @@ struct TickReport {
   /// Uncorrectable decay events on relaxed channels.
   std::uint64_t dram_errors_relaxed{0};
   std::uint64_t dram_errors_into_hv{0};
+  /// Crucial-object hits absorbed by selective protection.
+  std::uint64_t protection_saves{0};
+  /// Cores retired and channels isolated for error pressure this tick.
+  std::uint64_t cores_retired{0};
+  std::uint64_t channels_isolated{0};
   std::vector<std::uint64_t> vms_killed;
   /// VMs that absorbed an SDC and survived (guest-level tolerance) —
   /// the per-VM exposure stream the cloud's VmMonitor consumes.
@@ -140,6 +145,7 @@ class Hypervisor {
 
   const HvConfig& config() const { return config_; }
   daemons::HealthLog& healthlog() { return healthlog_; }
+  const daemons::HealthLog& healthlog() const { return healthlog_; }
 
   // -- VM lifecycle ---------------------------------------------------
   bool create_vm(const Vm& vm);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include "telemetry/telemetry.h"
@@ -67,7 +68,7 @@ struct CloudMetrics {
       "cloud.mig.transferred_mb", "mb",
       "Cumulative migration copy traffic this run");
   // The node layers' counters, in the order publish_books() sums them.
-  std::array<telemetry::Counter*, Cloud::kNodeBooks> node_books{
+  std::array<telemetry::Counter*, kNodeBooks> node_books{
       &telemetry::counter("hv.ticks", "ticks", "Hypervisor control-loop ticks"),
       &telemetry::counter("hv.cache_ecc_masked", "events",
                           "Correctable cache errors masked from guests"),
@@ -153,6 +154,12 @@ Cloud::Cloud(const CloudConfig& config,
   }
   // bind() rejects a fleet whose slots are out of order.
   engine_->bind(node_ptrs());
+  // The one walk of the node books; node ticks and the HealthLog
+  // streams grow the sums from here on.
+  for (const auto& node : nodes_) {
+    const NodeBooks books = node->books();
+    for (std::size_t i = 0; i < kNodeBooks; ++i) node_books_[i] += books[i];
+  }
   wire_monitoring();
 }
 
@@ -203,6 +210,14 @@ CloudStats Cloud::stats() const {
   stats.migration_transferred_mb = books.transferred_mb;
   stats.migration_downtime_s = books.downtime_s;
   stats.postcopy_migrations = books.postcopy_completed;
+  // Availability moves only in a node tick, so this reads what the last
+  // run left.
+  double availability = 0.0;
+  for (const auto& node : nodes_) {
+    availability += node->metrics().availability;
+  }
+  stats.mean_node_availability =
+      nodes_.empty() ? 1.0 : availability / static_cast<double>(nodes_.size());
   return stats;
 }
 
@@ -281,12 +296,19 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
 void Cloud::wire_monitoring() {
   // Every node's HealthLog error stream feeds the cloud-level failure
   // predictor (the paper's extended monitoring interface, §2(iv)).
+  // The same streams grow the HealthLog books: the log is written
+  // outside a tick too (an injected error burst).
   predictor_.resize(nodes_.size());
   for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    nodes_[slot]->hypervisor().healthlog().subscribe_errors(
-        [this, slot](const daemons::ErrorEvent& event) {
-          predictor_.observe(slot, event);
-        });
+    daemons::HealthLog& log = nodes_[slot]->hypervisor().healthlog();
+    log.subscribe_errors([this, slot](const daemons::ErrorEvent& event) {
+      ++node_books_[event.severity == daemons::Severity::kCorrectable
+                        ? kCorrectableBook
+                        : kUncorrectableBook];
+      predictor_.observe(slot, event);
+    });
+    log.subscribe_recharacterize(
+        [this](Seconds) { ++node_books_[kRecharacterizeBook]; });
   }
 }
 
@@ -447,12 +469,10 @@ void Cloud::tick_nodes(Seconds window) {
   for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
     const std::unique_ptr<ComputeNode>& node = nodes_[slot];
     const bool was_up = node->up();
-    const ComputeNode::NodeTick result = node->tick(now_, window);
+    const ComputeNode::NodeTick result =
+        node->tick(now_, window, node_books_);
     const hv::TickReport& report = result.report;
-    if (result.crashed || !result.vms_lost.empty() ||
-        was_up != node->up()) {
-      engine_->node_changed(node.get());
-    }
+    if (result.changed) engine_->node_changed(node.get());
     stats_.total_energy_kwh += report.energy.kwh();
     // Fine-grained VM monitoring: this tick's survivable-SDC hits,
     // attributed per VM.
@@ -485,14 +505,27 @@ void Cloud::tick_nodes(Seconds window) {
 }
 
 void Cloud::update_reliability() {
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    nodes_[slot]->set_reliability(1.0 - predictor_.risk(slot, now_));
+  // A slot without history scores 0, so its reliability is exactly
+  // 1 - (1 - exp(-0)) = 1.0: only the slots with history, and those
+  // whose history was reset since the last pass, can move.
+  const std::vector<std::size_t>& risky = predictor_.risky_slots();
+  reassess_.clear();
+  std::set_union(assessed_.begin(), assessed_.end(), risky.begin(),
+                 risky.end(), std::back_inserter(reassess_));
+  for (const std::size_t slot : reassess_) {
+    ComputeNode* node = nodes_[slot].get();
+    const double was = node->metrics().reliability;
+    node->set_reliability(1.0 - predictor_.risk(slot, now_));
+    if (node->metrics().reliability != was) engine_->node_changed(node);
   }
+  assessed_ = risky;
 }
 
 void Cloud::proactive_evacuation() {
   if (!config_.proactive_migration) return;
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+  // Only a slot with history can reach the evacuation score; the
+  // predictor lists them in ascending slot order.
+  for (const std::size_t slot : predictor_.risky_slots()) {
     const std::unique_ptr<ComputeNode>& source = nodes_[slot];
     if (!source->up()) continue;
     if (!predictor_.should_evacuate(slot, now_)) continue;
@@ -609,15 +642,23 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
                 Seconds horizon) {
   std::size_t next_arrival = 0;
   // Arrival order, ties broken by id; stable, so requests that share
-  // both keep their given order.
-  std::vector<trace::VmRequest> sorted = requests;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const trace::VmRequest& a, const trace::VmRequest& b) {
-                     if (a.arrival.value != b.arrival.value) {
-                       return a.arrival.value < b.arrival.value;
-                     }
-                     return a.id < b.id;
-                   });
+  // both keep their given order. A batch already in that order is read
+  // in place: a stable sort of it is the identity.
+  const auto earlier = [](const trace::VmRequest& a,
+                          const trace::VmRequest& b) {
+    if (a.arrival.value != b.arrival.value) {
+      return a.arrival.value < b.arrival.value;
+    }
+    return a.id < b.id;
+  };
+  std::vector<trace::VmRequest> copy;
+  const std::vector<trace::VmRequest>* batch = &requests;
+  if (!std::is_sorted(requests.begin(), requests.end(), earlier)) {
+    copy = requests;
+    std::stable_sort(copy.begin(), copy.end(), earlier);
+    batch = &copy;
+  }
+  const std::vector<trace::VmRequest>& sorted = *batch;
 
   while (now_.value < horizon.value) {
     const Seconds window = config_.tick;
@@ -637,9 +678,9 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
     }
     tick_nodes(window);
     update_reliability();
-    // One fleet-wide metrics refresh per control-loop tick: reliability
-    // and utilization just moved on every node, so the indexed engine
-    // re-sorts its weight ordering here (and only here).
+    // One weight refresh per control-loop tick: the indexed engine
+    // re-weighs the nodes whose utilization, capacity or reliability
+    // was signalled since the last one, and re-orders only those.
     engine_->refresh_weights();
     // Crash cancellations from tick_nodes landed before any timer fires
     // (cancel-first), so a cutover racing a crash resolves the same way
@@ -651,12 +692,6 @@ void Cloud::run(const std::vector<trace::VmRequest>& requests,
     if (serve_) serve_->advance(now_, window);
   }
 
-  double availability = 0.0;
-  for (const auto& node : nodes_) {
-    availability += node->metrics().availability;
-  }
-  stats_.mean_node_availability =
-      nodes_.empty() ? 1.0 : availability / static_cast<double>(nodes_.size());
   publish_books();
 }
 
@@ -693,28 +728,10 @@ void Cloud::publish_books() {
 
   // Node books only grow (HealthLog::clear keeps the totals; isolation
   // is never undone): a fleet sum grows by what the nodes booked since.
-  std::array<std::uint64_t, kNodeBooks> sums{};
-  for (const auto& node : nodes_) {
-    hv::Hypervisor& hv = node->hypervisor();
-    const hv::HvStats& s = hv.stats();
-    const daemons::HealthLog& log = hv.healthlog();
-    std::size_t i = 0;
-    // One monitoring vector per tick: `ticks` is also the vector book.
-    for (const std::uint64_t book :
-         {s.ticks, s.cache_ecc_masked, s.dram_ecc_masked, s.cpu_sdcs,
-          s.dram_errors_relaxed, s.vm_kills, s.vm_restores, s.fatal_ticks,
-          s.protection_saves, s.node_crashes,
-          static_cast<std::uint64_t>(hv.retired_cores()),
-          static_cast<std::uint64_t>(hv.isolated_channels()), s.ticks,
-          log.total_correctable(), log.total_uncorrectable(),
-          log.recharacterize_triggers()}) {
-      sums[i++] += book;
-    }
-  }
   for (std::size_t i = 0; i < kNodeBooks; ++i) {
-    m.node_books[i]->add(sums[i] - published_nodes_[i]);
+    m.node_books[i]->add(node_books_[i] - published_nodes_[i]);
   }
-  published_nodes_ = sums;
+  published_nodes_ = node_books_;
 
   if (!serve_) return;
   ServeMetrics& sm = serve_metrics();

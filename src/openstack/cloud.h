@@ -93,6 +93,7 @@ struct CloudStats {
   /// later cancelled (`transferred_mb`).
   double migration_transferred_mb{0.0};
   double migration_downtime_s{0.0};  ///< `downtime_s`
+  /// Fleet mean of the nodes' availability, computed by Cloud::stats().
   double mean_node_availability{1.0};
 
   /// Fraction of accepted VMs that ran to natural completion or were
@@ -108,9 +109,6 @@ struct CloudStats {
 
 class Cloud {
  public:
-  /// Node-layer books published as counters (see publish_books()).
-  static constexpr std::size_t kNodeBooks = 16;
-
   /// Throws std::invalid_argument unless nodes[i]->slot() == i for
   /// every i.
   Cloud(const CloudConfig& config,
@@ -135,7 +133,8 @@ class Cloud {
   void run(const std::vector<trace::VmRequest>& requests, Seconds horizon);
 
   /// The run's books. The migration fields are the orchestrator's
-  /// (MigrationStats), which owns them.
+  /// (MigrationStats), which owns them; mean_node_availability is one
+  /// walk of the fleet, made here rather than on every run.
   CloudStats stats() const;
   std::vector<ComputeNode*> node_ptrs();
   /// Read-only fleet view for invariant oracles and monitoring.
@@ -145,6 +144,14 @@ class Cloud {
   /// windowed error hits and susceptibility scores, used to order
   /// evacuations most-susceptible-first.
   const VmMonitor& monitor() const { return monitor_; }
+  /// The log-based failure predictor fed by every node's HealthLog.
+  const LogFailurePredictor& predictor() const { return predictor_; }
+  /// The placement engine (read-only: differential tests).
+  const PlacementEngine& placement_engine() const { return *engine_; }
+  /// Running fleet sums of the node books: seeded by one walk of
+  /// ComputeNode::books() at construction, then grown by each node tick
+  /// and by the HealthLogs' event streams.
+  const NodeBooks& node_books() const { return node_books_; }
 
   // -- fault-injection interface (uniserver-fuzz) ---------------------
   // Deterministic hooks the scenario fuzzer drives. Both keep the
@@ -237,7 +244,10 @@ class Cloud {
   void handle_arrival(const trace::VmRequest& request);
   void handle_departures();
   void tick_nodes(Seconds window);
+  /// Sets each node's reliability from the predictor, visiting only the
+  /// slots with predictor history and those reset since the last pass.
   void update_reliability();
+  /// Evacuates the up nodes the predictor expects to fail.
   void proactive_evacuation();
   /// Submits one migration ticket per resident VM (susceptibility
   /// order), excluding `banned` nodes from the pick. Returns how many
@@ -261,7 +271,8 @@ class Cloud {
   /// counter and sets the run-state gauges (`cloud.energy_kwh`, the
   /// `cloud.mig.*` gauges, `serve.queue_depth`). The layers and the
   /// nodes count each event once, in their books; this is the only
-  /// writer of those counters and gauges.
+  /// writer of those counters and gauges. The node books come from the
+  /// running sums in node_books_, so no node is visited.
   void publish_books();
 
   CloudConfig config_;
@@ -279,12 +290,17 @@ class Cloud {
   std::vector<PlacementDecision> placements_;
   std::uint64_t placement_digest_{fnv::kOffset};
   Seconds now_{Seconds{0.0}};
-  /// The books as of the last publish_books(); the node books as fleet
-  /// sums, in publish_books() order.
+  /// Running fleet sums of the node books (see node_books()).
+  NodeBooks node_books_{};
+  /// The slots that had predictor history at the last
+  /// update_reliability(), and that pass's scratch list.
+  std::vector<std::size_t> assessed_;
+  std::vector<std::size_t> reassess_;
+  /// The books as of the last publish_books().
   CloudStats published_;
   MigrationStats published_migrations_;
   serve::ServeStats published_serve_;
-  std::array<std::uint64_t, kNodeBooks> published_nodes_{};
+  NodeBooks published_nodes_{};
 };
 
 }  // namespace uniserver::osk

@@ -1,5 +1,6 @@
 #include "openstack/failure_predictor.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace uniserver::osk {
@@ -14,6 +15,10 @@ double LogFailurePredictor::decayed(const NodeState& state,
 void LogFailurePredictor::observe(std::size_t slot,
                                   const daemons::ErrorEvent& event) {
   NodeState& state = nodes_.at(slot);
+  if (!state.risky) {
+    state.risky = true;
+    risky_.insert(std::lower_bound(risky_.begin(), risky_.end(), slot), slot);
+  }
   state.score = decayed(state, event.timestamp);
   state.last_update = event.timestamp;
   switch (event.severity) {
@@ -45,7 +50,11 @@ bool LogFailurePredictor::should_evacuate(std::size_t slot,
 }
 
 void LogFailurePredictor::reset(std::size_t slot) {
-  nodes_.at(slot) = NodeState{};
+  NodeState& state = nodes_.at(slot);
+  if (state.risky) {
+    risky_.erase(std::lower_bound(risky_.begin(), risky_.end(), slot));
+  }
+  state = NodeState{};
 }
 
 }  // namespace uniserver::osk

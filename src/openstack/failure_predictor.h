@@ -29,7 +29,8 @@ class LogFailurePredictor {
   static constexpr double kWeightCrash = 200.0;
 
   struct Config {
-    /// Score above which a node is considered failing soon.
+    /// Score above which a node is considered failing soon. Positive:
+    /// a slot without history scores 0 and is never evacuated.
     double evacuation_score{30.0};
     /// Score-to-risk conversion scale (risk = 1 - exp(-score/scale)).
     double risk_scale{100.0};
@@ -59,16 +60,23 @@ class LogFailurePredictor {
   /// Forgets a node's history (after repair/reboot).
   void reset(std::size_t slot);
 
+  /// The slots with history since their last reset, ascending. Only
+  /// these can score above 0; every other slot's risk is exactly 0.
+  const std::vector<std::size_t>& risky_slots() const { return risky_; }
+
  private:
   struct NodeState {
     double score{0.0};
     Seconds last_update{Seconds{0.0}};
+    /// The slot is in risky_.
+    bool risky{false};
   };
 
   double decayed(const NodeState& state, Seconds now) const;
 
   Config config_;
   std::vector<NodeState> nodes_;
+  std::vector<std::size_t> risky_;
 };
 
 }  // namespace uniserver::osk

@@ -42,8 +42,12 @@ void ComputeNode::unreserve(int vcpus, double memory_mb) {
   reserved_memory_mb_ = std::max(0.0, reserved_memory_mb_ - memory_mb);
 }
 
-ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
+ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window,
+                                         NodeBooks& books) {
   NodeTick result;
+  const bool was_up = up_;
+  const int cores_were = total_vcpus();
+  const double utilization_was = metrics_.utilization;
   if (!up_) {
     down_time_ += window;
     repair_remaining_ -= window;
@@ -60,6 +64,22 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
                              resident.end());
     }
     metrics_.energy_kwh += report.energy.kwh();
+    // Added here, from the report in hand: a copy returned in NodeTick
+    // and summed by the caller cost the cloud's tick loop more than the
+    // fleet walk it replaces.
+    books[0] += 1;
+    books[1] += report.cache_ecc_masked;
+    books[2] += report.dram_ecc_masked;
+    books[3] += report.cpu_sdcs;
+    books[4] += report.dram_errors_relaxed;
+    books[5] += report.vms_killed.size();
+    books[6] += report.vms_restored.size();
+    books[7] += report.hypervisor_fatal ? 1 : 0;
+    books[8] += report.protection_saves;
+    books[9] += report.node_crash ? 1 : 0;
+    books[10] += report.cores_retired;
+    books[11] += report.channels_isolated;
+    books[12] += 1;  // one monitoring vector per tick
   }
 
   // The hypervisor ticks exactly the windows the node is up.
@@ -70,7 +90,31 @@ ComputeNode::NodeTick ComputeNode::tick(Seconds now, Seconds window) {
       total_vcpus() <= 0
           ? 0.0
           : static_cast<double>(used_vcpus()) / total_vcpus();
+  result.changed = result.crashed || !result.vms_lost.empty() ||
+                   up_ != was_up || total_vcpus() != cores_were ||
+                   metrics_.utilization != utilization_was;
   return result;
+}
+
+NodeBooks ComputeNode::books() const {
+  const hv::HvStats& s = hypervisor_->stats();
+  const daemons::HealthLog& log = hypervisor_->healthlog();
+  return {s.ticks,
+          s.cache_ecc_masked,
+          s.dram_ecc_masked,
+          s.cpu_sdcs,
+          s.dram_errors_relaxed,
+          s.vm_kills,
+          s.vm_restores,
+          s.fatal_ticks,
+          s.protection_saves,
+          s.node_crashes,
+          static_cast<std::uint64_t>(hypervisor_->retired_cores()),
+          static_cast<std::uint64_t>(hypervisor_->isolated_channels()),
+          s.ticks,
+          log.total_correctable(),
+          log.total_uncorrectable(),
+          log.recharacterize_triggers()};
 }
 
 bool ComputeNode::apply_sla_aware_eop(double backoff_percent) {

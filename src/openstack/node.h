@@ -4,6 +4,7 @@
 // (§2: "an additional node reliability metric is added").
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -23,6 +24,21 @@ struct NodeMetrics {
   double energy_kwh{0.0};    ///< cumulative energy
   double reliability{1.0};   ///< 1 - smoothed failure-risk estimate
 };
+
+/// The node-layer books a cloud publishes as fleet sums, in the order
+/// of its counters: hypervisor ticks, cache ECC masked, DRAM ECC masked,
+/// CPU SDCs, relaxed-channel DRAM errors, VM kills, VM restores, fatal
+/// ticks, protection saves, node crashes, retired cores, isolated
+/// channels, monitoring vectors (one per tick), then the HealthLog's
+/// correctable, uncorrectable and re-characterization totals.
+inline constexpr std::size_t kNodeBooks = 16;
+using NodeBooks = std::array<std::uint64_t, kNodeBooks>;
+/// Positions of the HealthLog totals. The log is also written outside
+/// a tick (an injected error burst), so a cloud counts these three from
+/// the log's own event stream, and tick() leaves them alone.
+inline constexpr std::size_t kCorrectableBook = 13;
+inline constexpr std::size_t kUncorrectableBook = 14;
+inline constexpr std::size_t kRecharacterizeBook = 15;
 
 class ComputeNode {
  public:
@@ -108,14 +124,23 @@ class ComputeNode {
     std::vector<std::uint64_t> vms_lost;
     /// The hypervisor's report; all zero for a node that is down.
     hv::TickReport report;
+    /// Up state, usable cores or utilization moved, or VMs were lost:
+    /// the node's placement-index entry must be signalled.
+    bool changed{false};
   };
 
   /// Advances the node by one window. A down node consumes the window
-  /// as repair time and counts it against availability.
-  NodeTick tick(Seconds now, Seconds window);
+  /// as repair time and counts it against availability. Adds what the
+  /// tick booked to `books`, the HealthLog totals excepted: a cloud
+  /// passes its running fleet sums, in slot order.
+  NodeTick tick(Seconds now, Seconds window, NodeBooks& books);
 
   /// Repair/reboot completes: VMs are gone, node is schedulable again.
   void reboot();
+
+  /// The node's books now: HvStats tallies since boot, retired cores,
+  /// isolated channels and the HealthLog totals (see NodeBooks).
+  NodeBooks books() const;
 
   /// Hard-fails an up node now: an injected power loss, and the crash
   /// branch of tick(). All resident VMs are destroyed and their ids

@@ -90,12 +90,13 @@ PickMetrics& pick_metrics();
 
 /// Placement-engine contract. The engine binds to a fleet once (slot i
 /// == nodes[i], stable for the engine's lifetime) and answers picks
-/// against its view of node state. Callers must signal state changes:
-/// `node_changed` after any capacity/state mutation of one node
-/// (allocate, release, crash, reboot), `refresh_weights` after a
-/// fleet-wide metrics update (the cloud control-loop tick). Between
-/// those signals node metrics are contractually stable, which is what
-/// lets the indexed engine cache its weight ordering.
+/// against its view of node state. Callers must signal every change to
+/// a bound node's capacity, up state, utilization or reliability with
+/// `node_changed` (allocate, release, reserve, crash, reboot, core
+/// retirement, a metrics move), and call `refresh_weights` at the
+/// control-loop tick, which re-weighs only the signalled nodes. A node
+/// nobody signalled keeps its cached weight, which is what lets the
+/// indexed engine keep its weight ordering between ticks.
 class PlacementEngine {
  public:
   explicit PlacementEngine(SchedulerPolicy policy) : policy_(policy) {}
@@ -114,11 +115,12 @@ class PlacementEngine {
   virtual ComputeNode* pick(const hv::Vm& vm, bool critical,
                             const PlacementConstraint& constraint = {}) = 0;
 
-  /// Capacity or up/down state of one bound node changed. No-op for a
-  /// node that is not bound at its slot.
+  /// Capacity, up state, utilization or reliability of one bound node
+  /// changed. No-op for a node that is not bound at its slot.
   virtual void node_changed(const ComputeNode* node) = 0;
 
-  /// Fleet-wide metric refresh (utilization / reliability moved).
+  /// Re-weighs the nodes signalled since the last refresh (the cloud
+  /// control-loop tick).
   virtual void refresh_weights() = 0;
 
  protected:

@@ -15,9 +15,15 @@
 //                  feasible leaf in permutation order IS the reference
 //                  strict-> argmax with its earliest-slot tie-break.
 //
-// Weights come from node metrics, which the placement contract says
-// only move at refresh_weights() boundaries (the cloud control-loop
-// tick), so the cached permutation never goes stale between refreshes.
+// The contract: every change to a bound node's capacity, up state,
+// utilization or reliability is signalled with node_changed(), which
+// rewrites that node's leaf at once and marks its slot dirty.
+// refresh_weights() re-weighs only the dirty slots and moves each to
+// its (weight desc, slot asc) place, rewriting rank_ and the leaves
+// only over the positions that moved, plus their ancestors. bind()'s
+// sort-and-build is the one full pass (a refresh that a quarter of the
+// fleet signalled reuses it), so a freshly bound engine over the same
+// nodes is the oracle the incremental index must equal.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +47,16 @@ class IndexedScheduler final : public PlacementEngine {
   void node_changed(const ComputeNode* node) override;
   void refresh_weights() override;
 
+  /// The node pick() would return now, without counting a pick or
+  /// moving the round-robin cursor.
+  ComputeNode* peek(const hv::Vm& vm, bool critical,
+                    const PlacementConstraint& constraint = {}) const;
+
+  /// Compares the permutation, ranks, weights and every tree node with
+  /// `other`'s. Returns "" when equal, else the first difference; the
+  /// differential suites compare against a freshly bound engine.
+  std::string differs_from(const IndexedScheduler& other) const;
+
   /// Audits the whole index against live node state: every leaf
   /// aggregate, every internal max, the permutation/rank inverse pair,
   /// each bound node's slot and the weight sort order. Returns "" when
@@ -58,6 +74,7 @@ class IndexedScheduler final : public PlacementEngine {
   };
 
   static Aggregate combine(const Aggregate& a, const Aggregate& b);
+  static bool same(const Aggregate& a, const Aggregate& b);
   Aggregate leaf_aggregate(std::uint32_t slot) const;
   /// True when some node in the subtree *might* satisfy the request
   /// (necessary, not sufficient: the maxima may live on different
@@ -67,8 +84,25 @@ class IndexedScheduler final : public PlacementEngine {
   /// Recomputes every leaf from node state and rebuilds the internal
   /// levels bottom-up. O(n).
   void rebuild_tree();
+  /// Re-weighs every slot, sorts perm_, rewrites rank_ and rebuilds the
+  /// tree: bind(), and a refresh that most of the fleet signalled.
+  void sort_and_build();
   /// Recomputes one leaf and its root path. O(log n).
   void update_position(std::size_t pos);
+  /// Recombines the ancestors of the leaves at positions [lo, hi].
+  void update_ancestors(std::size_t lo, std::size_t hi);
+  /// refresh_weights() re-sorts the whole permutation when at least
+  /// 1/kFullSortDivisor of the fleet was signalled since the last one.
+  static constexpr std::size_t kFullSortDivisor = 4;
+  /// (weight desc, slot asc): the first feasible leaf in this order is
+  /// exactly the reference's strict-> argmax with its first-slot
+  /// tie-break.
+  static bool ahead(double weight_a, std::uint32_t a, double weight_b,
+                    std::uint32_t b);
+  /// First feasible tree position in the policy's search order, or -1.
+  long locate(const hv::Vm& vm, bool critical,
+              const PlacementConstraint& constraint,
+              std::uint64_t& scanned) const;
   /// First feasible tree position in [lo, hi), or -1. `scanned`
   /// accumulates the number of leaves exactly evaluated.
   long find_first(std::size_t t, std::size_t t_lo, std::size_t t_hi,
@@ -84,6 +118,19 @@ class IndexedScheduler final : public PlacementEngine {
   std::vector<std::uint32_t> rank_;
   /// Cached policy weight per fleet slot (weighted policies only).
   std::vector<double> weights_;
+  /// Slots signalled since the last refresh (weighted policies only),
+  /// each listed once; dirty_flag_ marks the listed ones.
+  std::vector<std::uint32_t> dirty_;
+  std::vector<std::uint8_t> dirty_flag_;
+  /// refresh_weights() scratch: the re-weighed slots that move, and the
+  /// other slots of the span they move within.
+  struct Entry {
+    std::uint32_t slot;
+    double weight;
+    Aggregate leaf;
+  };
+  std::vector<Entry> moved_;
+  std::vector<Entry> kept_;
   /// Leaf capacity (power of two >= fleet size); tree_ is 1-based with
   /// leaves at [cap_, cap_ + n).
   std::size_t cap_{1};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace uniserver::osk {
 namespace {
 
@@ -95,6 +97,24 @@ TEST(LogFailurePredictor, ResetForgetsHistory) {
   ASSERT_GT(predictor.score(0, Seconds{0.0}), 0.0);
   predictor.reset(0);
   EXPECT_DOUBLE_EQ(predictor.score(0, Seconds{0.0}), 0.0);
+}
+
+TEST(LogFailurePredictor, RiskySlotsAreTheObservedOnesAscending) {
+  LogFailurePredictor predictor;
+  predictor.resize(10);
+  EXPECT_TRUE(predictor.risky_slots().empty());
+  for (const std::size_t slot : {5u, 2u, 5u, 9u}) {
+    predictor.observe(slot, event_at(0.0, daemons::Severity::kCorrectable));
+  }
+  EXPECT_EQ(predictor.risky_slots(), (std::vector<std::size_t>{2, 5, 9}));
+  predictor.reset(5);
+  predictor.reset(3);
+  EXPECT_EQ(predictor.risky_slots(), (std::vector<std::size_t>{2, 9}));
+  // Every slot off the list has risk exactly 0, so reliability 1.0.
+  for (std::size_t slot = 0; slot < 10; ++slot) {
+    if (slot == 2 || slot == 9) continue;
+    EXPECT_EQ(1.0 - predictor.risk(slot, Seconds{60.0}), 1.0) << slot;
+  }
 }
 
 TEST(LogFailurePredictor, NodesAreIndependent) {

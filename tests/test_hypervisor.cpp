@@ -524,6 +524,9 @@ TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
   };
   const auto before = readings();
   std::uint64_t masked = 0, hits = 0, kills = 0, crashes = 0;
+  // What the ticks add up, from a node that had booked nothing.
+  osk::NodeBooks booked{};
+  ASSERT_EQ(node.books(), booked);
   for (int i = 0; i < 180; ++i) {
     if (i == 179) {
       // Past the margin: the last tick crashes the node.
@@ -531,7 +534,7 @@ TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
       node.hypervisor().apply_eop(eop);
     }
     const osk::ComputeNode::NodeTick tick =
-        node.tick(Seconds{60.0 * i}, 60_s);
+        node.tick(Seconds{60.0 * i}, 60_s, booked);
     masked += tick.report.cache_ecc_masked;
     hits += tick.report.vms_hit.size();
     kills += tick.report.vms_killed.size();
@@ -549,6 +552,12 @@ TEST(NodeTickTelemetry, LeavesTheProcessRegistryUnchanged) {
   EXPECT_GT(kills, 0u);
   EXPECT_GT(crashes, 0u);
   EXPECT_EQ(after, before);
+  // The ticks added every node book but the HealthLog totals, which a
+  // cloud counts from the log's event stream.
+  const osk::NodeBooks books = node.books();
+  for (std::size_t i = 0; i < osk::kNodeBooks; ++i) {
+    EXPECT_EQ(booked[i], i < osk::kCorrectableBook ? books[i] : 0u) << i;
+  }
 }
 
 TEST(CommissioningTrace, RecordsNoHealthLogEvent) {

@@ -97,7 +97,8 @@ TEST(ComputeNodeTest, FitsExactlyFullCapacityAroundAHeldReservation) {
 TEST(ComputeNodeTest, MetricsTrackUtilizationAndAvailability) {
   ComputeNode node("n0", 0, node_spec(), hv::HvConfig{}, 1);
   node.place_vm(make_vm(1, 4));
-  node.tick(0_s, 60_s);
+  NodeBooks books{};
+  node.tick(0_s, 60_s, books);
   EXPECT_NEAR(node.metrics().utilization, 0.5, 1e-9);
   EXPECT_NEAR(node.metrics().availability, 1.0, 1e-9);
   EXPECT_GT(node.metrics().energy_kwh, 0.0);
@@ -111,7 +112,8 @@ TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
   eop.vdd = Volt{node.server().spec().chip.vdd_nominal.value * 0.5};
   node.hypervisor().apply_eop(eop);
 
-  const auto result = node.tick(0_s, 60_s);
+  NodeBooks books{};
+  const auto result = node.tick(0_s, 60_s, books);
   EXPECT_TRUE(result.crashed);
   EXPECT_EQ(result.vms_lost.size(), 1u);
   EXPECT_FALSE(node.up());
@@ -126,7 +128,7 @@ TEST(ComputeNodeTest, CrashLosesVmsAndRepairs) {
   int ticks_down = 0;
   double t = 60.0;
   while (!node.up()) {
-    node.tick(Seconds{t}, 60_s);
+    node.tick(Seconds{t}, 60_s, books);
     t += 60.0;
     ++ticks_down;
   }
@@ -152,14 +154,15 @@ TEST(ComputeNodeTest, OrganicCrashLeavesTheSameBooksAsForceCrash) {
   deep.vdd = Volt{organic.server().spec().chip.vdd_nominal.value * 0.5};
   organic.hypervisor().apply_eop(deep);
 
-  const auto result = organic.tick(0_s, 60_s);
+  NodeBooks books{};
+  const auto result = organic.tick(0_s, 60_s, books);
   ASSERT_TRUE(result.crashed);
   EXPECT_EQ(result.vms_lost, forced.force_crash());
 
-  const auto repair_ticks = [](ComputeNode& node) {
+  const auto repair_ticks = [&books](ComputeNode& node) {
     int ticks = 0;
     for (double t = 60.0; !node.up() && ticks < 100; t += 60.0) {
-      node.tick(Seconds{t}, 60_s);
+      node.tick(Seconds{t}, 60_s, books);
       ++ticks;
     }
     return ticks;
@@ -191,8 +194,9 @@ TEST(ComputeNodeTest, ForceCrashLosesResidentsAndIsIdempotent) {
   EXPECT_TRUE(node.force_crash().empty());
   // The node repairs on the usual schedule afterwards.
   double t = 0.0;
+  NodeBooks books{};
   while (!node.up() && t < 3600.0) {
-    node.tick(Seconds{t}, 60_s);
+    node.tick(Seconds{t}, 60_s, books);
     t += 60.0;
   }
   EXPECT_TRUE(node.up());

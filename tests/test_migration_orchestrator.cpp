@@ -314,8 +314,9 @@ TEST(MigrationOrchestrator, DestCrashBeforeCutoverKeepsVmOnSource) {
   // After repair the destination has its full capacity back: a stale
   // double-unreserve would have corrupted the books.
   double t = 60.0;
+  osk::NodeBooks books{};
   while (!h.node(1)->up() && t < 3600.0) {
-    h.node(1)->tick(Seconds{t}, 60_s);
+    h.node(1)->tick(Seconds{t}, 60_s, books);
     t += 60.0;
   }
   ASSERT_TRUE(h.node(1)->up());

@@ -95,7 +95,8 @@ TEST_P(EngineTest, LeastLoadedSpreads) {
   hv::Vm busy = small_vm(10);
   busy.vcpus = 6;
   ASSERT_TRUE(fleet.ptrs[0]->place_vm(busy));
-  for (auto* node : fleet.ptrs) node->tick(Seconds{0.0}, Seconds{1.0});
+  NodeBooks books{};
+  for (auto* node : fleet.ptrs) node->tick(Seconds{0.0}, Seconds{1.0}, books);
   auto engine = make(SchedulerPolicy::kLeastLoaded);
   EXPECT_NE(engine->pick(small_vm(11), false), fleet.ptrs[0]);
 }
@@ -112,7 +113,8 @@ TEST_P(EngineTest, EnergyAwareConsolidates) {
   hv::Vm busy = small_vm(10);
   busy.vcpus = 4;
   ASSERT_TRUE(fleet.ptrs[1]->place_vm(busy));
-  for (auto* node : fleet.ptrs) node->tick(Seconds{0.0}, Seconds{1.0});
+  NodeBooks books{};
+  for (auto* node : fleet.ptrs) node->tick(Seconds{0.0}, Seconds{1.0}, books);
   auto engine = make(SchedulerPolicy::kEnergyAware);
   EXPECT_EQ(engine->pick(small_vm(11), false), fleet.ptrs[1]);
 }
@@ -185,6 +187,7 @@ TEST(IndexedScheduler, SelfCheckPassesThroughMutations) {
   engine.node_changed(fleet.ptrs[1]);
   EXPECT_EQ(engine.self_check(), "");
   fleet.ptrs[2]->set_reliability(0.3);
+  engine.node_changed(fleet.ptrs[2]);
   engine.refresh_weights();
   EXPECT_EQ(engine.self_check(), "");
 }

@@ -72,6 +72,7 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
   std::vector<Resident> resident;
   std::uint64_t next_id = 1;
   double now = 0.0;
+  NodeBooks books{};
 
   auto signal = [&](ComputeNode* node) {
     indexed.node_changed(node);
@@ -169,13 +170,14 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
       }
       default: {  // control-loop tick: metrics move, then weight refresh
         for (ComputeNode* node : ptrs) {
-          const auto tick = node->tick(Seconds{now}, Seconds{60.0});
+          const auto tick = node->tick(Seconds{now}, Seconds{60.0}, books);
           drop_lost(tick.vms_lost);
           signal(node);
         }
         now += 60.0;
         for (ComputeNode* node : ptrs) {
           node->set_reliability(rng.uniform(0.9, 1.0));
+          signal(node);
         }
         indexed.refresh_weights();
         reference.refresh_weights();
