@@ -33,7 +33,6 @@ int main() {
     workloads.emplace_back(rng.next());
     hv::Vm vm;
     vm.id = vm_id;
-    vm.name = "ldbc-vm-" + std::to_string(vm_id);
     vm.vcpus = 2;
     vm.memory_mb = trace::LdbcWorkload::kBaseMemoryMb;
     vm.workload = workloads.back().signature();

@@ -98,6 +98,14 @@ int main(int argc, char** argv) {
   }
   if (options.jobs == 0 || options.jobs == 1) options.jobs = 4;
 
+  // Open --out before the run: an unwritable path fails at once
+  // instead of silently writing nothing after the whole run.
+  std::FILE* json = std::fopen(options.out.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", options.out.c_str());
+    return 2;
+  }
+
   std::printf("storm campaign: %d cases, %d nodes, %d events each\n",
               options.cases, options.nodes, options.events);
 
@@ -145,39 +153,36 @@ int main(int argc, char** argv) {
                  identical ? "identical" : "DIVERGED"});
   table.print();
 
-  std::FILE* json = std::fopen(options.out.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"migration_storm\",\n"
-                 "  \"nodes\": %d,\n"
-                 "  \"cases\": %d,\n"
-                 "  \"events\": %d,\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"wall_s\": %.3f,\n"
-                 "  \"migrations\": %llu,\n"
-                 "  \"migrations_per_s\": %.1f,\n"
-                 "  \"migrations_started\": %llu,\n"
-                 "  \"migrations_cancelled\": %llu,\n"
-                 "  \"postcopy_fallbacks\": %llu,\n"
-                 "  \"transferred_mb\": %.1f,\n"
-                 "  \"mean_downtime_ms\": %.3f,\n"
-                 "  \"oracles_green\": %s,\n"
-                 "  \"identical\": %s\n"
-                 "}\n",
-                 options.nodes, options.cases, options.events,
-                 options.smoke ? "true" : "false", parallel.wall_s,
-                 static_cast<unsigned long long>(migrations),
-                 migrations_per_s,
-                 static_cast<unsigned long long>(started),
-                 static_cast<unsigned long long>(cancelled),
-                 static_cast<unsigned long long>(postcopy),
-                 transferred_mb, mean_downtime_ms,
-                 oracles_green ? "true" : "false",
-                 identical ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", options.out.c_str());
-  }
+  std::fprintf(json,
+               "{\n"
+               "  \"bench\": \"migration_storm\",\n"
+               "  \"nodes\": %d,\n"
+               "  \"cases\": %d,\n"
+               "  \"events\": %d,\n"
+               "  \"smoke\": %s,\n"
+               "  \"wall_s\": %.3f,\n"
+               "  \"migrations\": %llu,\n"
+               "  \"migrations_per_s\": %.1f,\n"
+               "  \"migrations_started\": %llu,\n"
+               "  \"migrations_cancelled\": %llu,\n"
+               "  \"postcopy_fallbacks\": %llu,\n"
+               "  \"transferred_mb\": %.1f,\n"
+               "  \"mean_downtime_ms\": %.3f,\n"
+               "  \"oracles_green\": %s,\n"
+               "  \"identical\": %s\n"
+               "}\n",
+               options.nodes, options.cases, options.events,
+               options.smoke ? "true" : "false", parallel.wall_s,
+               static_cast<unsigned long long>(migrations),
+               migrations_per_s,
+               static_cast<unsigned long long>(started),
+               static_cast<unsigned long long>(cancelled),
+               static_cast<unsigned long long>(postcopy),
+               transferred_mb, mean_downtime_ms,
+               oracles_green ? "true" : "false",
+               identical ? "true" : "false");
+  std::fclose(json);
+  std::printf("wrote %s\n", options.out.c_str());
 
   if (!oracles_green) {
     std::printf("\nFAIL: invariant oracle violated during the storm\n");

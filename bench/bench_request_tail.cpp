@@ -181,6 +181,14 @@ int main(int argc, char** argv) {
   }
   if (options.jobs == 0 || options.jobs == 1) options.jobs = 4;
 
+  // Open --out before the run: an unwritable path fails at once
+  // instead of silently writing nothing after the whole run.
+  std::FILE* json = std::fopen(options.out.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", options.out.c_str());
+    return 2;
+  }
+
   std::printf("request-tail sweep: %zu guard levels, %d nodes, %.1f h\n",
               kGuards.size(), options.nodes, options.hours);
 
@@ -240,44 +248,41 @@ int main(int argc, char** argv) {
               books ? "balanced" : "OUT OF BALANCE", options.jobs,
               identical ? "identical" : "DIVERGED");
 
-  std::FILE* json = std::fopen(options.out.c_str(), "w");
-  if (json != nullptr) {
+  std::fprintf(json,
+               "{\n"
+               "  \"bench\": \"request_tail\",\n"
+               "  \"nodes\": %d,\n"
+               "  \"hours\": %.1f,\n"
+               "  \"levels\": %zu,\n"
+               "  \"smoke\": %s,\n"
+               "  \"wall_s\": %.3f,\n"
+               "  \"requests\": %llu,\n"
+               "  \"requests_per_s\": %.1f,\n"
+               "  \"pareto_monotone\": %s,\n"
+               "  \"books_balanced\": %s,\n"
+               "  \"identical\": %s",
+               options.nodes, options.hours, kGuards.size(),
+               options.smoke ? "true" : "false", parallel.wall_s,
+               static_cast<unsigned long long>(requests), requests_per_s,
+               monotone ? "true" : "false", books ? "true" : "false",
+               identical ? "true" : "false");
+  for (std::size_t i = 0; i < parallel.levels.size(); ++i) {
+    const LevelResult& level = parallel.levels[i];
     std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"request_tail\",\n"
-                 "  \"nodes\": %d,\n"
-                 "  \"hours\": %.1f,\n"
-                 "  \"levels\": %zu,\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"wall_s\": %.3f,\n"
-                 "  \"requests\": %llu,\n"
-                 "  \"requests_per_s\": %.1f,\n"
-                 "  \"pareto_monotone\": %s,\n"
-                 "  \"books_balanced\": %s,\n"
-                 "  \"identical\": %s",
-                 options.nodes, options.hours, kGuards.size(),
-                 options.smoke ? "true" : "false", parallel.wall_s,
-                 static_cast<unsigned long long>(requests), requests_per_s,
-                 monotone ? "true" : "false", books ? "true" : "false",
-                 identical ? "true" : "false");
-    for (std::size_t i = 0; i < parallel.levels.size(); ++i) {
-      const LevelResult& level = parallel.levels[i];
-      std::fprintf(json,
-                   ",\n"
-                   "  \"l%zu_guard\": %.1f,\n"
-                   "  \"l%zu_energy_kwh\": %.6f,\n"
-                   "  \"l%zu_p99_ms\": %.3f,\n"
-                   "  \"l%zu_p999_ms\": %.3f,\n"
-                   "  \"l%zu_slo_violations\": %llu",
-                   i, level.guard, i, level.energy_kwh, i, level.p99_ms, i,
-                   level.p999_ms, i,
-                   static_cast<unsigned long long>(
-                       level.stats.slo_violations));
-    }
-    std::fprintf(json, "\n}\n");
-    std::fclose(json);
-    std::printf("wrote %s\n", options.out.c_str());
+                 ",\n"
+                 "  \"l%zu_guard\": %.1f,\n"
+                 "  \"l%zu_energy_kwh\": %.6f,\n"
+                 "  \"l%zu_p99_ms\": %.3f,\n"
+                 "  \"l%zu_p999_ms\": %.3f,\n"
+                 "  \"l%zu_slo_violations\": %llu",
+                 i, level.guard, i, level.energy_kwh, i, level.p99_ms, i,
+                 level.p999_ms, i,
+                 static_cast<unsigned long long>(
+                     level.stats.slo_violations));
   }
+  std::fprintf(json, "\n}\n");
+  std::fclose(json);
+  std::printf("wrote %s\n", options.out.c_str());
 
   if (!books) {
     std::printf("\nFAIL: serving-layer books out of balance\n");

@@ -207,6 +207,14 @@ int main(int argc, char** argv) {
   }
   par::set_default_jobs(options.jobs);
 
+  // Open --out before the run: an unwritable path fails at once
+  // instead of silently writing nothing after the whole run.
+  std::FILE* json = std::fopen(options.out.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", options.out.c_str());
+    return 2;
+  }
+
   trace::FleetTraceConfig trace_config;
   trace_config.nodes = options.nodes;
   trace_config.vms = options.vms;
@@ -274,29 +282,26 @@ int main(int argc, char** argv) {
   std::printf("prefix decision digests: %s\n",
               prefix_same ? "identical" : "DIVERGED");
 
-  std::FILE* json = std::fopen(options.out.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"scheduler_scale\",\n"
-                 "  \"nodes\": %d,\n"
-                 "  \"vms\": %llu,\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"indexed_ops_per_s\": %.1f,\n"
-                 "  \"reference_ops_per_s\": %.1f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"indexed_p99_us\": %.3f,\n"
-                 "  \"reference_p99_us\": %.3f,\n"
-                 "  \"identical\": %s\n"
-                 "}\n",
-                 options.nodes,
-                 static_cast<unsigned long long>(options.vms),
-                 options.smoke ? "true" : "false", indexed.ops_per_s(),
-                 reference.ops_per_s(), speedup, indexed.p99_us,
-                 reference.p99_us, identical ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", options.out.c_str());
-  }
+  std::fprintf(json,
+               "{\n"
+               "  \"bench\": \"scheduler_scale\",\n"
+               "  \"nodes\": %d,\n"
+               "  \"vms\": %llu,\n"
+               "  \"smoke\": %s,\n"
+               "  \"indexed_ops_per_s\": %.1f,\n"
+               "  \"reference_ops_per_s\": %.1f,\n"
+               "  \"speedup\": %.3f,\n"
+               "  \"indexed_p99_us\": %.3f,\n"
+               "  \"reference_p99_us\": %.3f,\n"
+               "  \"identical\": %s\n"
+               "}\n",
+               options.nodes,
+               static_cast<unsigned long long>(options.vms),
+               options.smoke ? "true" : "false", indexed.ops_per_s(),
+               reference.ops_per_s(), speedup, indexed.p99_us,
+               reference.p99_us, identical ? "true" : "false");
+  std::fclose(json);
+  std::printf("wrote %s\n", options.out.c_str());
   par::set_default_jobs(0);
 
   if (!identical) {

@@ -32,7 +32,6 @@ int main() {
   core::UniServerNode node(config, 9);
   hv::Vm vm;
   vm.id = 1;
-  vm.name = "service";
   vm.vcpus = 6;
   vm.memory_mb = 8192.0;
   vm.workload = stress::ldbc_profile();

@@ -47,7 +47,6 @@ int main() {
   // 4. Host a VM and run for an hour of simulated time.
   hv::Vm vm;
   vm.id = 1;
-  vm.name = "graph-db";
   vm.vcpus = 4;
   vm.memory_mb = 6144.0;
   vm.workload = stress::ldbc_profile();

@@ -18,18 +18,6 @@ telemetry::Gauge& protection_overhead() {
 }
 }  // namespace
 
-const char* to_string(VmState state) {
-  switch (state) {
-    case VmState::kRunning:
-      return "running";
-    case VmState::kKilled:
-      return "killed";
-    case VmState::kMigratedOut:
-      return "migrated-out";
-  }
-  return "?";
-}
-
 Hypervisor::Hypervisor(hw::ServerNode& node, const HvConfig& config,
                        std::uint64_t seed)
     : node_(node),

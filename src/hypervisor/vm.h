@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 #include "hwmodel/workload_signature.h"
@@ -12,8 +11,6 @@ namespace uniserver::hv {
 /// Per-VM QoS requirements (the node-level reflection of the SLA the
 /// cloud layer negotiated).
 struct VmRequirements {
-  /// Acceptable probability of a fatal VM event per hour of runtime.
-  double crash_risk_budget_per_hour{1e-3};
   /// Critical VMs are placed on reliable resources and never scheduled
   /// onto cores flagged by the HealthLog.
   bool critical{false};
@@ -25,7 +22,6 @@ struct VmRequirements {
 /// records once, at admission.
 struct Vm {
   std::uint64_t id{0};
-  std::string name;
   int vcpus{1};
   /// Resident memory.
   double memory_mb{1024.0};
@@ -33,10 +29,5 @@ struct Vm {
   VmRequirements requirements{};
   Seconds started_at{Seconds{0.0}};
 };
-
-/// Lifecycle states used in kill/restart accounting.
-enum class VmState { kRunning, kKilled, kMigratedOut };
-
-const char* to_string(VmState state);
 
 }  // namespace uniserver::hv

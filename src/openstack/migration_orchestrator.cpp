@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "telemetry/telemetry.h"
 
@@ -99,7 +100,7 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
                           .priority = priority,
                           .source_rack = rack_of_source,
                           .dest_rack = rack_of_dest,
-                          .submit_seq = next_seq_++,
+                          .submit_seq = stats_.submitted,
                           .reserved_vcpus = vcpus,
                           .reserved_memory_mb = memory_mb,
                           .submitted_at = now};
@@ -115,21 +116,19 @@ bool MigrationOrchestrator::submit(std::uint64_t vm_id, ComputeNode* source,
 }
 
 void MigrationOrchestrator::start_ready(Seconds now) {
-  // Snapshot the queue: starting a ticket consumes link slots, so the
-  // capacity check for later entries sees the updated occupancy. Blocked
-  // tickets do not hold back later ones whose links are free (no
-  // cross-link head-of-line blocking) — the scan order itself is what
-  // keeps admissions deterministic.
-  const std::vector<std::tuple<int, std::uint64_t, std::uint64_t>> order(
-      queue_.begin(), queue_.end());
-  for (const auto& entry : order) {
-    const std::uint64_t vm_id = std::get<2>(entry);
-    const auto it = tickets_.find(vm_id);
-    if (it == tickets_.end()) continue;
-    MigrationTicket& t = it->second;
-    if (t.phase != MigrationPhase::kQueued) continue;
-    if (!links_have_capacity(t)) continue;
-    queue_.erase(entry);
+  // One walk in queue order: starting a ticket consumes link slots, so
+  // the capacity check for later entries sees the updated occupancy.
+  // Blocked tickets do not hold back later ones whose links are free
+  // (no cross-link head-of-line blocking) — the scan order itself is
+  // what keeps admissions deterministic. Starting never inserts into
+  // the queue, so erasing as we go visits every entry once.
+  for (auto entry = queue_.begin(); entry != queue_.end();) {
+    MigrationTicket& t = tickets_.at(std::get<2>(*entry));
+    if (!links_have_capacity(t)) {
+      ++entry;
+      continue;
+    }
+    entry = queue_.erase(entry);
     start(t, now);
   }
 }
@@ -147,20 +146,13 @@ void MigrationOrchestrator::start(MigrationTicket& t, Seconds now) {
 }
 
 void MigrationOrchestrator::schedule(MigrationTicket& t, Seconds at) {
-  t.timer_seq = next_seq_++;
-  messages_.push(Message{at.value, t.timer_seq, t.vm_id});
+  const std::uint64_t vm = t.vm_id;
+  t.timer = timers_.schedule_at(
+      at, [this, vm] { on_timer(tickets_.at(vm), timers_.now()); });
 }
 
 void MigrationOrchestrator::advance(Seconds now) {
-  while (!messages_.empty() && messages_.top().at <= now.value) {
-    const Message msg = messages_.top();
-    messages_.pop();
-    const auto it = tickets_.find(msg.vm_id);
-    if (it == tickets_.end() || it->second.timer_seq != msg.seq) {
-      continue;  // superseded by a later transition or a cancellation
-    }
-    on_timer(it->second, Seconds{msg.at});
-  }
+  timers_.run_until(now);
   start_ready(now);
 }
 
@@ -265,6 +257,7 @@ void MigrationOrchestrator::cancel(MigrationTicket& t, Seconds now,
   if (t.phase == MigrationPhase::kQueued) {
     queue_.erase({static_cast<int>(t.priority), t.submit_seq, t.vm_id});
   } else {
+    timers_.cancel(t.timer);
     release_links(t);
   }
   if (vm_lost && callbacks_.lose_postcopy) callbacks_.lose_postcopy(t);

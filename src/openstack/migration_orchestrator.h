@@ -29,26 +29,27 @@
 // of completing for free.
 //
 // Determinism: the orchestrator is a pure function of the submit/
-// cancel/advance call sequence. Internal messages are ordered by
-// (time, sequence number) exactly like the DES, consume no randomness,
-// and the queue drains in (priority, submit order). Crash
-// cancellations are processed before timer messages of the same
-// control-loop step (cancel-first semantics), so a cutover racing a
-// crash resolves identically for any `--jobs`. See docs/MIGRATION.md.
+// cancel/advance call sequence. Each ticket's timer (round completion,
+// pause, drain) is an event on the orchestrator's own sim::Simulator,
+// so timers fire in (time, schedule order) like every other DES event
+// and consume no randomness; cancelling a ticket cancels its timer.
+// The queue drains in (priority, submit order). Crash cancellations
+// are processed before the timers of the same control-loop step
+// (cancel-first semantics), so a cutover racing a crash resolves
+// identically for any `--jobs`. See docs/MIGRATION.md.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <set>
-#include <vector>
+#include <tuple>
 
-#include "common/annotations.h"
 #include "common/units.h"
 #include "openstack/migration.h"
 #include "openstack/node.h"
+#include "sim/simulator.h"
 
 namespace uniserver::osk {
 
@@ -80,12 +81,12 @@ struct MigrationTicket {
   /// Rack links the copy occupies once admitted.
   int source_rack{0};
   int dest_rack{0};
-  /// Submit order: the FIFO tie-break inside a priority class.
+  /// Submit order (tickets submitted before this one): the FIFO
+  /// tie-break inside a priority class.
   std::uint64_t submit_seq{0};
-  /// Sequence number of the ticket's one live timer message; only
-  /// schedule() writes it. A queued ticket has no timer yet, so it
-  /// starts at `submit_seq`, which no message carries.
-  std::uint64_t timer_seq{submit_seq};
+  /// The ticket's one pending timer; only schedule() writes it. A
+  /// queued ticket has none yet.
+  sim::EventId timer{0};
   /// Capacity held on `dest` from submit until cutover/cancel.
   int reserved_vcpus{0};
   double reserved_memory_mb{0.0};
@@ -143,6 +144,9 @@ class MigrationOrchestrator {
                                    MigrationModel::kBandwidthMbPerS));
 
   MigrationOrchestrator(const MigrationModel& model, Callbacks callbacks);
+  // Pending timers capture `this`.
+  MigrationOrchestrator(const MigrationOrchestrator&) = delete;
+  MigrationOrchestrator& operator=(const MigrationOrchestrator&) = delete;
 
   /// Enqueues a migration and reserves destination capacity. False if
   /// the VM is already in flight or the reservation does not fit.
@@ -164,8 +168,8 @@ class MigrationOrchestrator {
   /// tickets whose *source* died lose the VM (`lose_postcopy`).
   void on_node_down(ComputeNode* node, Seconds now);
 
-  /// Processes every internal message with time <= now: round
-  /// completions, convergence checks, cutovers, drains, queue admits.
+  /// Fires every timer due at or before `now` (round completions,
+  /// convergence checks, cutovers, drains), then admits queued tickets.
   void advance(Seconds now);
 
   const MigrationStats& stats() const { return stats_; }
@@ -181,16 +185,6 @@ class MigrationOrchestrator {
   }
 
  private:
-  struct Message {
-    double at{0.0};
-    std::uint64_t seq{0};
-    std::uint64_t vm_id{0};
-    bool operator>(const Message& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
-  };
-
   bool links_have_capacity(const MigrationTicket& t) const;
   void occupy_links(const MigrationTicket& t);
   void release_links(const MigrationTicket& t);
@@ -209,13 +203,9 @@ class MigrationOrchestrator {
   std::set<std::tuple<int, std::uint64_t, std::uint64_t>> queue_;
   /// Busy stream slots per rack link.
   std::map<int, int> busy_slots_;
-  /// Pending timer messages in (time, seq) order. Pushed only by
-  /// schedule(); uniserver-race enforces both that and the
-  /// single-threaded discipline the annotations document. A message
-  /// whose seq is not its ticket's `timer_seq` is stale and dropped.
-  std::priority_queue<Message, std::vector<Message>, std::greater<>>
-      messages_ US_NOT_GUARDED("single-threaded control plane");
-  std::uint64_t next_seq_ US_NOT_GUARDED("single-threaded control plane"){0};
+  /// The orchestrator's only clock: one pending event per started
+  /// ticket, set by schedule().
+  sim::Simulator timers_;
   MigrationStats stats_;
 };
 

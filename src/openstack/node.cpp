@@ -147,7 +147,7 @@ std::vector<std::uint64_t> ComputeNode::force_crash() {
   for (const auto& [id, vm] : hypervisor_->vms()) lost.push_back(id);
   for (std::uint64_t id : lost) hypervisor_->destroy_vm(id);
   up_ = false;
-  repair_remaining_ = repair_time_;
+  repair_remaining_ = kRepairTime;
   // Inbound-migration reservations die with the node; the
   // orchestrator cancels the matching tickets on notification.
   reserved_vcpus_ = 0;

@@ -145,8 +145,11 @@ class ComputeNode {
   /// Hard-fails an up node now: an injected power loss, and the crash
   /// branch of tick(). All resident VMs are destroyed and their ids
   /// returned so the caller can account the losses; the node then
-  /// serves `repair_time`. Returns empty on a node that is already down.
+  /// serves `kRepairTime`. Returns empty on a node that is already down.
   std::vector<std::uint64_t> force_crash();
+
+  /// Downtime a crashed node serves before it boots again.
+  static constexpr Seconds kRepairTime{300.0};
 
  private:
   std::string name_;
@@ -156,7 +159,6 @@ class ComputeNode {
   bool up_{true};
   Seconds down_time_{Seconds{0.0}};
   Seconds repair_remaining_{Seconds{0.0}};
-  Seconds repair_time_{Seconds{300.0}};
   NodeMetrics metrics_{};
   daemons::SafeMargins margins_{};
   bool has_margins_{false};

@@ -64,28 +64,12 @@ const char* to_string(SchedulerEngine engine) {
 }
 
 hv::VmRequirements requirements_for(trace::SlaClass sla) {
-  hv::VmRequirements requirements;
-  switch (sla) {
-    case trace::SlaClass::kBestEffort:
-      requirements.crash_risk_budget_per_hour = 1e-2;
-      requirements.critical = false;
-      break;
-    case trace::SlaClass::kStandard:
-      requirements.crash_risk_budget_per_hour = 1e-3;
-      requirements.critical = false;
-      break;
-    case trace::SlaClass::kCritical:
-      requirements.crash_risk_budget_per_hour = 1e-5;
-      requirements.critical = true;
-      break;
-  }
-  return requirements;
+  return hv::VmRequirements{.critical = sla == trace::SlaClass::kCritical};
 }
 
 hv::Vm vm_from_request(const trace::VmRequest& request) {
   hv::Vm vm;
   vm.id = request.id;
-  vm.name = "vm-" + std::to_string(request.id);
   vm.vcpus = request.vcpus;
   vm.memory_mb = request.memory_mb;
   vm.workload = request.workload;

@@ -32,7 +32,6 @@ Vm make_vm(std::uint64_t id, int vcpus = 2, double memory_mb = 4096.0,
            bool critical = false) {
   Vm vm;
   vm.id = id;
-  vm.name = "vm-" + std::to_string(id);
   vm.vcpus = vcpus;
   vm.memory_mb = memory_mb;
   vm.workload = stress::ldbc_profile();

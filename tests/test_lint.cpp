@@ -219,28 +219,6 @@ TEST(RaceRng, QuietOnForkedSubstreamDiscipline) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
-TEST(RaceMessage, FiresOncePerSeededViolation) {
-  const RunResult r =
-      run(race("--rules message " + fixture("race/message_violation.cpp")));
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_occurrences(r.output, "[message]"), 7) << r.output;
-  EXPECT_NE(r.output.find("simulated time 'now_'"), std::string::npos);
-  EXPECT_NE(r.output.find("'next_seq_' rewound"), std::string::npos);
-  EXPECT_EQ(count_occurrences(r.output, "generation counter reset"), 2)
-      << r.output;
-  EXPECT_NE(r.output.find("heap push outside schedule()"), std::string::npos);
-  EXPECT_NE(r.output.find("negative delay"), std::string::npos);
-  EXPECT_EQ(count_occurrences(r.output, "timer_seq written outside schedule()"),
-            1)
-      << r.output;
-}
-
-TEST(RaceMessage, QuietOnDisciplinedControlPlane) {
-  const RunResult r =
-      run(race("--rules message " + fixture("race/message_clean.cpp")));
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
 TEST(RaceGuarded, FiresOncePerSeededViolation) {
   const RunResult r =
       run(race("--rules guarded " + fixture("race/guarded_violation.cpp")));
@@ -259,7 +237,7 @@ TEST(RaceGuarded, QuietOnAnnotatedClass) {
 }
 
 TEST(RaceFullTree, RealTreeIsClean) {
-  // The stage-2 clean gate: parallel, rng, message and guarded rules
+  // The stage-2 clean gate: parallel, rng and guarded rules
   // over the whole tree. Every true positive found while building the
   // analyzer is fixed; there is no allowlist to hide behind.
   const RunResult r = run(race("--root " + std::string(kRoot)));

@@ -176,7 +176,7 @@ TEST(ComputeNodeTest, OrganicCrashLeavesTheSameBooksAsForceCrash) {
     EXPECT_EQ(node->reserved_vcpus(), 0);
     EXPECT_DOUBLE_EQ(node->reserved_memory_mb(), 0.0);
     EXPECT_EQ(node->free_vcpus(), node->total_vcpus());
-    // repair_time is 300 s: five 60 s windows down.
+    // kRepairTime is 300 s: five 60 s windows down.
     EXPECT_EQ(repair_ticks(*node), 5);
     EXPECT_TRUE(node->up());
   }

@@ -166,6 +166,17 @@ TEST(PerfSmoke, MigrationStormGreenAndJobsInvariant) {
       << run.json;
 }
 
+TEST(PerfSmoke, MigrationStormFailsOnUnwritableOut) {
+  // A --out under a directory that does not exist must fail loudly,
+  // naming the path, rather than exit 0 with no JSON written.
+  const std::string out =
+      std::string(kMigrationOutPath) + ".no-such-dir/x.json";
+  const SmokeRun run = exec_smoke(kMigrationBenchBin, out.c_str());
+  EXPECT_NE(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find(out), std::string::npos) << run.output;
+  EXPECT_TRUE(run.json.empty());
+}
+
 TEST(PerfSmoke, MigrationStormNoRegressionAgainstBaseline) {
 #ifndef UNISERVER_PERFSMOKE_ENFORCE
   GTEST_SKIP() << "thresholds only enforced on optimized uninstrumented "

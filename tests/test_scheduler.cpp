@@ -205,10 +205,6 @@ TEST(RequestMapping, SlaToRequirements) {
   EXPECT_FALSE(requirements_for(trace::SlaClass::kBestEffort).critical);
   EXPECT_FALSE(requirements_for(trace::SlaClass::kStandard).critical);
   EXPECT_TRUE(requirements_for(trace::SlaClass::kCritical).critical);
-  EXPECT_LT(
-      requirements_for(trace::SlaClass::kCritical).crash_risk_budget_per_hour,
-      requirements_for(trace::SlaClass::kBestEffort)
-          .crash_risk_budget_per_hour);
 }
 
 TEST(RequestMapping, VmFromRequestCopiesFields) {

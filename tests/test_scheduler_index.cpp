@@ -108,7 +108,6 @@ TEST_P(PolicyChurnTest, LockstepChurnHoldsInvariants) {
       case 0: {  // arrival
         hv::Vm vm;
         vm.id = next_id++;
-        vm.name = "churn-" + std::to_string(vm.id);
         vm.vcpus = static_cast<int>(1 + rng.uniform_u64(4));
         vm.memory_mb = rng.uniform(256.0, 4096.0);
         vm.requirements.critical = rng.bernoulli(0.2);

@@ -3,20 +3,18 @@
 // gate every build. One source, two binaries:
 //
 //   uniserver-lint --root .   # stage 1: determinism, telemetry, units
-//   uniserver-race --root .   # stage 2: parallel, rng, message, guarded
+//   uniserver-race --root .   # stage 2: parallel, rng, guarded
 //   uniserver-lint file.cpp   # explicit-path mode (fixture tests)
 //
 // Either binary runs any rule via --rules. Full-tree mode scans src/
 // bench/ examples/ tests/ under the root; the determinism, parallel
-// and rng rules apply everywhere, telemetry + units + guarded apply to
-// src/ only, and the message rule to the message-plane files
-// (src/openstack/migration_orchestrator.*, src/serve/). Explicit-path
-// mode applies every requested rule to every named file, which is what
-// the fixture tests use. --changed-only (tree mode) restricts the scan
-// to files reported by git as modified or untracked, keeping the
-// pre-commit path in milliseconds; --format=github emits findings as
-// workflow error annotations. Exit codes: 0 clean, 1 findings, 2 usage
-// or I/O error.
+// and rng rules apply everywhere, and telemetry + units + guarded apply
+// to src/ only. Explicit-path mode applies every requested rule to
+// every named file, which is what the fixture tests use. --changed-only
+// (tree mode) restricts the scan to files reported by git as modified
+// or untracked, keeping the pre-commit path in milliseconds;
+// --format=github emits findings as workflow error annotations. Exit
+// codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -40,8 +38,7 @@ namespace {
 
 #ifdef UNISERVER_RACE_TOOL
 const char* kToolName = "uniserver-race";
-const std::set<std::string> kDefaultRules = {"parallel", "rng", "message",
-                                             "guarded"};
+const std::set<std::string> kDefaultRules = {"parallel", "rng", "guarded"};
 #else
 const char* kToolName = "uniserver-lint";
 const std::set<std::string> kDefaultRules = {"determinism", "telemetry",
@@ -49,8 +46,7 @@ const std::set<std::string> kDefaultRules = {"determinism", "telemetry",
 #endif
 
 const std::set<std::string> kAllRules = {"determinism", "telemetry", "units",
-                                         "parallel",    "rng",       "message",
-                                         "guarded"};
+                                         "parallel",    "rng",       "guarded"};
 
 struct Options {
   std::string root;
@@ -69,7 +65,7 @@ int usage(const char* argv0) {
          " [--changed-only] [--format=plain|github]"
          " [--no-default-allowlist] [--print-allowlist]\n"
          "rules: determinism, telemetry, units (stage 1); parallel, rng,"
-         " message, guarded (stage 2)\n"
+         " guarded (stage 2)\n"
       << "default for " << kToolName << ": ";
   bool first = true;
   for (const std::string& r : kDefaultRules) {
@@ -123,13 +119,6 @@ bool read_file(const fs::path& path, std::string& out) {
 
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
-}
-
-/// The stage-2 message rule's tree-mode scope: the async migration
-/// control plane and the serving layer (docs/MIGRATION.md contract).
-bool in_message_plane(const std::string& rel) {
-  return starts_with(rel, "src/openstack/migration_orchestrator") ||
-         starts_with(rel, "src/serve/");
 }
 
 /// `git diff --name-only HEAD` + untracked files, as repo-relative
@@ -293,11 +282,9 @@ int main(int argc, char** argv) {
     if (tree_mode) {
       input.rel = slashify(fs::relative(path, root).string());
       input.in_src = input.rel.rfind("src/", 0) == 0;
-      input.message_plane = in_message_plane(input.rel);
     } else {
       input.rel = input.path;
       input.in_src = true;
-      input.message_plane = true;
     }
     rel_of[input.path] = input.rel;
 
@@ -315,9 +302,6 @@ int main(int argc, char** argv) {
     const bool want_rng = opt.rules.count("rng") != 0;
     if (want_parallel || want_rng) {
       check_parallel_regions(input, want_parallel, want_rng, findings);
-    }
-    if (opt.rules.count("message") != 0) {
-      check_message_plane(input, findings);
     }
     if (input.in_src) {
       if (opt.rules.count("units") != 0) check_units(input, findings);

@@ -471,7 +471,6 @@ std::vector<FunctionScope> index_functions(const std::vector<Token>& toks) {
     }
     if (!is_function) continue;
     FunctionScope fn;
-    fn.name = name;
     fn.params_begin = i + 2;
     fn.params_end = pclose;
     fn.body_begin = j;

@@ -77,12 +77,11 @@ struct LambdaExpr {
 /// when the tokens there are not a lambda (array subscript, attribute).
 LambdaExpr parse_lambda(const std::vector<Token>& toks, std::size_t i);
 
-/// A function definition's name and body extent. Lambdas are not
+/// A function definition's parameter and body extent. Lambdas are not
 /// listed here (their bodies nest inside the enclosing function);
 /// TEST(...)-style macro bodies are, which is exactly what the race
 /// rules want — a scope to collect declarations from.
 struct FunctionScope {
-  std::string name;          ///< unqualified, e.g. `schedule`
   std::size_t params_begin{0};
   std::size_t params_end{0}; ///< one past the `)` of the parameter list
   std::size_t body_begin{0}; ///< index of the body `{`

@@ -64,7 +64,6 @@ bool is_rng_method(const std::string& m) {
 struct Lvalue {
   bool resolved{false};
   std::string base;               ///< leftmost identifier of the chain
-  std::string leaf;               ///< rightmost identifier: what is written
   std::size_t base_tok{0};
   std::vector<std::size_t> subscript_tokens;  ///< every token inside []
 };
@@ -95,7 +94,6 @@ Lvalue walk_lvalue(const std::vector<Token>& toks, std::size_t end_idx,
       continue;
     }
     if (is_ident(toks, i)) {
-      if (out.leaf.empty()) out.leaf = toks[i].text;
       if (i > lo && is_punct(toks, i - 1, '.')) {
         i -= 2;
         continue;
@@ -128,7 +126,6 @@ Lvalue walk_lvalue_forward(const std::vector<Token>& toks, std::size_t start,
   if (!is_ident(toks, start)) return out;
   out.resolved = true;
   out.base = toks[start].text;
-  out.leaf = out.base;
   out.base_tok = start;
   std::size_t i = start + 1;
   for (std::size_t guard = 0; guard < 64 && i < hi; ++guard) {
@@ -141,13 +138,11 @@ Lvalue walk_lvalue_forward(const std::vector<Token>& toks, std::size_t start,
       continue;
     }
     if (is_punct(toks, i, '.') && is_ident(toks, i + 1)) {
-      out.leaf = toks[i + 1].text;
       i += 2;
       continue;
     }
     if (is_punct(toks, i, '-') && is_punct(toks, i + 1, '>') &&
         is_ident(toks, i + 2)) {
-      out.leaf = toks[i + 2].text;
       i += 3;
       continue;
     }
@@ -166,8 +161,7 @@ struct WriteSite {
 
 /// Scans (begin, end) for assignments, increments/decrements, and
 /// mutating member calls. Writes through safe (atomic/telemetry/lock)
-/// methods are not reported here — they are filtered by the caller so
-/// the same scan serves both the parallel and message rules.
+/// methods are not reported here — the parallel rule filters them.
 std::vector<WriteSite> collect_writes(const std::vector<Token>& toks,
                                       std::size_t begin, std::size_t end) {
   std::vector<WriteSite> out;
@@ -523,106 +517,6 @@ void check_parallel_regions(const FileInput& file, bool rule_parallel,
                    "' without a per-item index; each item must use its own "
                    "fork_streams substream (src/common/parallel.h)"});
         }
-      }
-    }
-  }
-}
-
-void check_message_plane(const FileInput& file,
-                         std::vector<Finding>& findings) {
-  if (!file.message_plane) return;
-  const std::vector<Token>& toks = file.tokens;
-  const std::vector<FunctionScope> fns = index_functions(toks);
-
-  // Simulated-time names whose mutation bypasses the message heap, and
-  // monotone counters that must never rewind.
-  static const std::set<std::string> kTimeNames = {"now", "now_",
-                                                   "sim_time_", "clock_"};
-  static const std::set<std::string> kSeqNames = {"next_seq_", "submit_seq_"};
-
-  for (const WriteSite& w : collect_writes(toks, 0, toks.size())) {
-    if (!w.lv.resolved) continue;
-    const FunctionScope* fn = enclosing_function(fns, w.at);
-    const std::string fn_name = fn != nullptr ? fn->name : "";
-
-    if (w.method.empty() && kTimeNames.count(w.lv.base) != 0 &&
-        std::string(w.kind) == "assignment" && fn_name != "advance") {
-      findings.push_back(
-          {file.path, toks[w.at].line, "message",
-           "direct mutation of simulated time '" + w.lv.base +
-               "'; time only moves forward through the (time, seq) message "
-               "heap in advance() (docs/MIGRATION.md)"});
-      continue;
-    }
-    if (w.method.empty() && kSeqNames.count(w.lv.base) != 0 &&
-        (std::string(w.kind) == "assignment" ||
-         std::string(w.kind) == "decrement")) {
-      findings.push_back(
-          {file.path, toks[w.at].line, "message",
-           "sequence counter '" + w.lv.base + "' rewound; the (time, seq) "
-           "total order requires monotone sequence numbers "
-           "(docs/MIGRATION.md)"});
-      continue;
-    }
-    if (w.lv.base == "generation_") {
-      const bool reset =
-          (w.method.empty() && std::string(w.kind) == "assignment") ||
-          w.method == "erase" || w.method == "clear";
-      if (reset) {
-        findings.push_back(
-            {file.path, toks[w.at].line, "message",
-             "per-VM generation counter reset; generations must grow "
-             "monotonically so stale in-flight messages stay poisoned "
-             "(docs/STATIC_ANALYSIS.md)"});
-        continue;
-      }
-    }
-    if (w.method.empty() && w.lv.leaf == "timer_seq" &&
-        fn_name != "schedule") {
-      findings.push_back(
-          {file.path, toks[w.at].line, "message",
-           "ticket timer_seq written outside schedule(); it must name the "
-           "message schedule() pushed last, or a stale timer could fire "
-           "(docs/MIGRATION.md)"});
-      continue;
-    }
-    if ((w.method == "push" || w.method == "emplace") &&
-        w.lv.base == "messages_" && fn_name != "schedule") {
-      findings.push_back(
-          {file.path, toks[w.at].line, "message",
-           "messages_ heap push outside schedule(); every message must go "
-           "through schedule() to get (time, seq) ordering and become its "
-           "ticket's live timer (docs/MIGRATION.md)"});
-      continue;
-    }
-  }
-
-  // schedule() with a negative delay: a literal negative offset or a
-  // `now.value - x` argument schedules into the past.
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks, i) || toks[i].text != "schedule" ||
-        !is_punct(toks, i + 1, '(')) {
-      continue;
-    }
-    const std::size_t close = match_forward(toks, i + 1);
-    for (std::size_t k = i + 2; k + 1 < close; ++k) {
-      if (!is_punct(toks, k, '-')) continue;
-      if (is_punct(toks, k + 1, '>') || is_punct(toks, k + 1, '-')) continue;
-      const bool unary_neg =
-          toks[k + 1].kind == TokKind::kNumber &&
-          (toks[k - 1].kind == TokKind::kPunct &&
-           (toks[k - 1].text[0] == '{' || toks[k - 1].text[0] == '(' ||
-            toks[k - 1].text[0] == ','));
-      const bool past_of_now =
-          k >= 3 && is_ident(toks, k - 1) && toks[k - 1].text == "value" &&
-          is_punct(toks, k - 2, '.') && is_ident(toks, k - 3) &&
-          kTimeNames.count(toks[k - 3].text) != 0;
-      if (unary_neg || past_of_now) {
-        findings.push_back(
-            {file.path, toks[k].line, "message",
-             "schedule() with a negative delay; messages must land at or "
-             "after the current simulated time (docs/MIGRATION.md)"});
-        break;
       }
     }
   }

@@ -12,11 +12,6 @@
 //   rng — a shared Rng reaching a parallel body without going through
 //     par::fork_streams is an error, as is drawing from a substream
 //     vector without a per-item index.
-//   message — inside the migration orchestrator and the serve layer:
-//     no direct mutation of simulated time, no schedule() with a
-//     negative delay, no messages_ heap push or ticket timer_seq write
-//     outside schedule(), no rewinding a per-VM generation or the
-//     global sequence counters.
 //   guarded — every data member of a class that holds a std::mutex
 //     must declare its protection: US_GUARDED_BY(that_mutex),
 //     US_NOT_GUARDED("rationale"), or an exempt type (atomic, mutex,
@@ -34,11 +29,6 @@ namespace uniserver::lint {
 /// call sites; each is emitted only when its flag is set.
 void check_parallel_regions(const FileInput& file, bool rule_parallel,
                             bool rule_rng, std::vector<Finding>& findings);
-
-/// The `message` rule. Callers gate it to message-plane files in tree
-/// mode (FileInput::message_plane); explicit-path mode applies it to
-/// every named file, which is what the fixture tests use.
-void check_message_plane(const FileInput& file, std::vector<Finding>& findings);
 
 /// The `guarded` annotation rule (src-only in tree mode, like units).
 void check_guarded(const FileInput& file, std::vector<Finding>& findings);

@@ -31,14 +31,11 @@ struct Finding {
 /// One scanned file: `path` is what findings report, `rel` is the
 /// forward-slash path relative to the repo root used for allowlist
 /// matching, `in_src` gates the src-only rules (telemetry, units,
-/// guarded), `message_plane` gates the stage-2 message rule (race.h) —
-/// the migration orchestrator and serve layer in tree mode, every
-/// named file in explicit-path mode.
+/// guarded).
 struct FileInput {
   std::string path;
   std::string rel;
   bool in_src{false};
-  bool message_plane{false};
   std::vector<Token> tokens;
 };
 
