@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -113,19 +114,34 @@ double Rng::exponential(double lambda) {
 std::uint64_t Rng::poisson(double lambda) {
   assert(lambda >= 0.0);
   if (lambda == 0.0) return 0;
-  if (lambda < 30.0) {
-    const double limit = std::exp(-lambda);
-    double prod = uniform();
-    std::uint64_t n = 0;
-    while (prod > limit) {
-      prod *= uniform();
-      ++n;
-    }
-    return n;
-  }
+  if (lambda < kPoissonNormalFrom) return poisson_knuth(std::exp(-lambda));
   // Normal approximation with continuity correction for large lambda.
   const double draw = normal(lambda, std::sqrt(lambda));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
+}
+
+std::uint64_t Rng::poisson_knuth(double limit) {
+  double prod = uniform();
+  std::uint64_t n = 0;
+  while (prod > limit) {
+    prod *= uniform();
+    ++n;
+  }
+  return n;
+}
+
+std::uint64_t PoissonLimit::draw(Rng& rng, double lambda) {
+  // Only the Knuth range reads a limit. Every other mean (zero, large,
+  // or outside poisson's domain) takes poisson itself.
+  if (!(lambda > 0.0 && lambda < Rng::kPoissonNormalFrom)) {
+    return rng.poisson(lambda);
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(lambda);
+  if (bits != lambda_bits_) {
+    lambda_bits_ = bits;
+    limit_ = std::exp(-lambda);
+  }
+  return rng.poisson_knuth(limit_);
 }
 
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {

@@ -61,7 +61,13 @@ class Rng {
   /// Exponential with rate lambda (> 0).
   double exponential(double lambda);
   /// Poisson with mean lambda (Knuth for small, normal approx for large).
+  /// A zero mean draws nothing.
   std::uint64_t poisson(double lambda);
+  /// Means at or above this take poisson's normal approximation.
+  static constexpr double kPoissonNormalFrom = 30.0;
+  /// Knuth's loop, poisson's path for 0 < lambda < kPoissonNormalFrom,
+  /// given limit = exp(-lambda): the same draws and the same count.
+  std::uint64_t poisson_knuth(double limit);
   /// Binomial(n, p) — exact summation for small n, normal approx otherwise.
   std::uint64_t binomial(std::uint64_t n, double p);
   /// Random index pick from a non-empty weight vector (weights >= 0).
@@ -81,6 +87,19 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
   double spare_{0.0};
   bool has_spare_{false};
+};
+
+/// exp(-lambda) for the last Knuth-range mean drawn at, keyed on the
+/// mean's bits, for a caller whose Poisson mean rarely changes between
+/// draws. draw(rng, lambda) makes the draws and returns the count of
+/// rng.poisson(lambda); only a new mean pays for std::exp.
+class PoissonLimit {
+ public:
+  std::uint64_t draw(Rng& rng, double lambda);
+
+ private:
+  std::uint64_t lambda_bits_{0};  ///< +0.0, whose limit is exactly 1
+  double limit_{1.0};
 };
 
 }  // namespace uniserver

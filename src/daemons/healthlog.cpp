@@ -34,17 +34,24 @@ const char* to_string(Severity severity) {
 }
 
 void HealthLog::record(const InfoVector& vector) {
-  if (vectors_.size() < kVectorCapacity) {
-    vectors_.push_back(vector);
+  latest_ = vector;
+  const double power_w =
+      vector.sensors.package_power.value + vector.sensors.memory_power.value;
+  const Sample sample{vector.timestamp, vector.correctable_errors,
+                      vector.uncorrectable_errors, power_w,
+                      vector.sensors.temperature.value, vector.ipc};
+  if (samples_.size() < kVectorCapacity) {
+    samples_.push_back(sample);
   } else {
-    vectors_[oldest_vector_] = vector;
-    oldest_vector_ = (oldest_vector_ + 1) % kVectorCapacity;
+    samples_[oldest_sample_] = sample;
+    oldest_sample_ = (oldest_sample_ + 1) % kVectorCapacity;
   }
 }
 
 void HealthLog::clear() {
-  vectors_.clear();
-  oldest_vector_ = 0;
+  samples_.clear();
+  oldest_sample_ = 0;
+  latest_ = InfoVector{};
   errors_.clear();
   correctable_through_.clear();
   suffix_minima_.clear();
@@ -105,34 +112,22 @@ void HealthLog::subscribe_recharacterize(RecharacterizeListener listener) {
   recharacterize_listeners_.push_back(std::move(listener));
 }
 
-InfoVector HealthLog::latest() const {
-  if (vectors_.empty()) return InfoVector{};
-  return vector_at(vectors_.size() - 1);
-}
-
-std::vector<InfoVector> HealthLog::vectors() const {
-  std::vector<InfoVector> ordered(vectors_);
-  std::rotate(ordered.begin(),
-              ordered.begin() + static_cast<std::ptrdiff_t>(oldest_vector_),
-              ordered.end());
-  return ordered;
-}
+InfoVector HealthLog::latest() const { return latest_; }
 
 HealthLog::Aggregate HealthLog::aggregate(Seconds since) const {
   Aggregate aggregate;
   double power = 0.0;
   double temp = 0.0;
   double ipc = 0.0;
-  for (std::size_t i = 0; i < vectors_.size(); ++i) {
-    const InfoVector& vector = vector_at(i);
-    if (vector.timestamp < since) continue;
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    const Sample& sample = samples_[(oldest_sample_ + i) % samples_.size()];
+    if (sample.timestamp < since) continue;
     ++aggregate.vectors;
-    aggregate.correctable_errors += vector.correctable_errors;
-    aggregate.uncorrectable_errors += vector.uncorrectable_errors;
-    power += vector.sensors.package_power.value +
-             vector.sensors.memory_power.value;
-    temp += vector.sensors.temperature.value;
-    ipc += vector.ipc;
+    aggregate.correctable_errors += sample.correctable_errors;
+    aggregate.uncorrectable_errors += sample.uncorrectable_errors;
+    power += sample.power_w;
+    temp += sample.temp_c;
+    ipc += sample.ipc;
   }
   if (aggregate.vectors > 0) {
     const auto n = static_cast<double>(aggregate.vectors);

@@ -4,7 +4,11 @@
 // bounded in-memory logfile. Provides the two services the paper
 // specifies: (a) event-driven — subscribers are notified on error
 // events; (b) on-demand — higher layers (Predictor, Hypervisor) query
-// snapshots and windowed aggregates. When the correctable-error rate
+// snapshots and windowed aggregates. The logfile keeps only what those
+// services return: the newest vector in full for the snapshot, and for
+// the aggregate a ring of the six fields it reads (stamp, the two error
+// counts, package plus memory power, temperature, IPC; 48 B a vector,
+// not 104). When the correctable-error rate
 // crosses a threshold, the HealthLog raises the "re-characterize"
 // signal that triggers a new StressLog cycle (§3: "if the number of
 // errors rises above a certain threshold a new stress-test cycle may be
@@ -24,9 +28,9 @@ namespace uniserver::daemons {
 
 class HealthLog {
  public:
-  /// Monitoring vectors retained, a separate and much smaller bound
-  /// than the error log (64 is one hour of 60 s ticks). No decision
-  /// reads the vector history; only latest() and aggregate() do.
+  /// Monitoring vectors the aggregate covers, a separate and much
+  /// smaller bound than the error log (64 is one hour of 60 s ticks).
+  /// No decision reads the vector history; only aggregate() does.
   static constexpr std::size_t kVectorCapacity = 64;
 
   /// Error events retained. They feed the rate window, and through it
@@ -56,8 +60,9 @@ class HealthLog {
   /// Records a periodic monitoring vector.
   void record(const InfoVector& vector);
 
-  /// Daemon restart: the bounded in-memory logfile (vectors and error
-  /// events) is lost and the re-characterization debounce resets.
+  /// Daemon restart: the bounded in-memory logfile (the vector ring, the
+  /// latest vector and the error events) is lost and the
+  /// re-characterization debounce resets.
   /// Subscribers stay wired and the lifetime totals survive — they
   /// model counters persisted outside the daemon process.
   void clear();
@@ -75,8 +80,9 @@ class HealthLog {
   /// On-demand service: most recent vector (default-constructed if none).
   InfoVector latest() const;
 
-  /// On-demand service: aggregate of the retained vectors and events
-  /// stamped at or after `since`.
+  /// On-demand service: aggregate of the last kVectorCapacity vectors
+  /// and the retained events stamped at or after `since`. Sums run
+  /// oldest first.
   Aggregate aggregate(Seconds since) const;
 
   /// Correctable-error rate over the trailing window ending at `now`:
@@ -87,8 +93,6 @@ class HealthLog {
 
   bool threshold_exceeded(Seconds now) const;
 
-  /// The retained vectors, oldest first (a copy of the ring).
-  std::vector<InfoVector> vectors() const;
   const std::deque<ErrorEvent>& errors() const { return errors_; }
   /// Lifetime totals; crash events count as uncorrectable.
   std::uint64_t total_correctable() const { return total_correctable_; }
@@ -96,15 +100,21 @@ class HealthLog {
   std::uint64_t recharacterize_triggers() const { return triggers_; }
 
  private:
-  /// The i-th retained vector, oldest first.
-  const InfoVector& vector_at(std::size_t i) const {
-    return vectors_[(oldest_vector_ + i) % vectors_.size()];
-  }
+  /// What aggregate() reads of one vector.
+  struct Sample {
+    Seconds timestamp;
+    std::uint64_t correctable_errors;
+    std::uint64_t uncorrectable_errors;
+    double power_w;  ///< package + memory power, added in that order
+    double temp_c;
+    double ipc;
+  };
 
-  // Ring of at most kVectorCapacity vectors: it grows until full, then
-  // each record overwrites the oldest, at oldest_vector_.
-  std::vector<InfoVector> vectors_;
-  std::size_t oldest_vector_{0};
+  // Ring of at most kVectorCapacity samples: it grows until full, then
+  // each record overwrites the oldest, at oldest_sample_.
+  std::vector<Sample> samples_;
+  std::size_t oldest_sample_{0};
+  InfoVector latest_{};
   std::deque<ErrorEvent> errors_;
   // Window-count index, evicted in step with errors_. Entry i of
   // correctable_through_ is total_correctable_ just after errors_[i]

@@ -173,7 +173,7 @@ MemorySystem::ErrorSplit MemorySystem::sample_error_split(int channel,
   ErrorSplit split;
   if (state.memo_rate_per_s <= 0.0 || window.value <= 0.0) return split;
   const std::uint64_t events =
-      rng.poisson(state.memo_rate_per_s * window.value);
+      state.poisson.draw(rng, state.memo_rate_per_s * window.value);
   if (events == 0) return split;
   split.uncorrectable =
       ecc ? rng.binomial(events, state.memo_uncorrectable) : events;

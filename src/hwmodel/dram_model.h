@@ -130,7 +130,8 @@ class MemorySystem {
   /// in hardware) and uncorrectable (reach software). Without ECC every
   /// event is uncorrectable. Non-const: it memoizes the channel's
   /// error_rate_per_s and uncorrectable_fraction at the last temperature
-  /// (bitwise), and set_channel_refresh drops that memo.
+  /// (bitwise), and set_channel_refresh drops that memo; the channel's
+  /// event draw keeps its Poisson limit for the last mean (bitwise).
   struct ErrorSplit {
     std::uint64_t corrected{0};
     std::uint64_t uncorrectable{0};
@@ -159,6 +160,9 @@ class MemorySystem {
     std::optional<std::uint64_t> memo_temp_bits;  ///< empty: no memo
     double memo_rate_per_s{0.0};
     double memo_uncorrectable{0.0};
+    /// exp(-mean) of the last event draw; a function of the mean alone,
+    /// so a refresh change leaves it valid.
+    PoissonLimit poisson;
   };
   std::vector<std::vector<DimmModel>> per_channel_;
   std::vector<Channel> channels_;

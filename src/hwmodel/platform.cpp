@@ -163,6 +163,7 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
       !same_bits(cores_memo.aging_loss, aging_loss) ||
       cores_memo.active_cores != active_cores) {
     choose_cores(w, active_cores, run_cores_, run_margins_);
+    sdc_memo_.valid = false;  // its sum runs over the old core set
     cores_memo.workload = w.name;
     cores_memo.didt_stress = w.didt_stress;
     cores_memo.freq = eop_.freq;
@@ -199,19 +200,26 @@ RunResult ServerNode::run(const WorkloadSignature& w, Seconds duration,
 
   // Near-threshold CPU logic SDCs: uncorrected, per active core, rate
   // decaying exponentially with voltage headroom above that core's
-  // crash point.
+  // crash point. The rate reads only v_effective and the core set, so it
+  // is memoized on both, and the draw's Poisson limit on its mean.
   if (!result.crashed) {
-    double sdc_rate = 0.0;
-    for (std::size_t i = 0; i < run_cores_.size(); ++i) {
-      const Volt crash =
-          chip_.core(run_cores_[i]).crash_voltage_at(run_margins_[i]);
-      const double headroom_mv =
-          v_effective.millivolts() - crash.millivolts();
-      if (headroom_mv < 0.0) continue;
-      sdc_rate += var.cpu_sdc_rate_at_crash_per_s *
-                  std::exp(-headroom_mv / var.cpu_sdc_mv_constant);
+    SdcRateMemo& sdc = sdc_memo_;
+    if (!sdc.valid || !same_bits(sdc.v_effective.value, v_effective.value)) {
+      double sdc_rate = 0.0;
+      for (std::size_t i = 0; i < run_cores_.size(); ++i) {
+        const Volt crash =
+            chip_.core(run_cores_[i]).crash_voltage_at(run_margins_[i]);
+        const double headroom_mv =
+            v_effective.millivolts() - crash.millivolts();
+        if (headroom_mv < 0.0) continue;
+        sdc_rate += var.cpu_sdc_rate_at_crash_per_s *
+                    std::exp(-headroom_mv / var.cpu_sdc_mv_constant);
+      }
+      sdc.rate_per_s = sdc_rate;
+      sdc.v_effective = v_effective;
+      sdc.valid = true;
     }
-    result.cpu_sdcs = rng.poisson(sdc_rate * elapsed.value);
+    result.cpu_sdcs = sdc_limit_.draw(rng, sdc.rate_per_s * elapsed.value);
   }
 
   const Watt memory_power = memory_.power();

@@ -110,8 +110,11 @@ class ServerNode {
   /// that call (vdd, frequency, activity, active cores), and its last
   /// active core set with the cores' crash margins, keyed on every input
   /// of choose_cores (workload name, dI/dt stress, frequency, aging
-  /// loss, active cores). A run whose inputs are bitwise equal to the
-  /// previous run's reuses them. A node has a single owner (its
+  /// loss, active cores). The CPU-SDC rate, a sum over that core set, is
+  /// memoized on the thermally derated supply and dropped whenever the
+  /// core set is recomputed; the SDC draw keeps its Poisson limit
+  /// exp(-mean) for the last mean. A run whose inputs are bitwise equal
+  /// to the previous run's reuses them. A node has a single owner (its
   /// hypervisor), and no parallel body runs it.
   RunResult run(const WorkloadSignature& w, Seconds duration,
                 int active_cores, Rng& rng);
@@ -170,6 +173,14 @@ class ServerNode {
     int active_cores{0};
   };
 
+  /// The CPU-SDC rate summed over run_cores_ at the derated supply
+  /// v_effective; the sum's other inputs are fixed at construction.
+  struct SdcRateMemo {
+    bool valid{false};
+    Volt v_effective{Volt{0.0}};
+    double rate_per_s{0.0};
+  };
+
   NodeSpec spec_;
   Chip chip_;
   MemorySystem memory_;
@@ -179,6 +190,8 @@ class ServerNode {
   double relaxed_mb_{0.0};
   SteadyStateMemo steady_memo_;
   CoreSetMemo core_set_memo_;
+  SdcRateMemo sdc_memo_;
+  PoissonLimit sdc_limit_;
   /// run()'s active core set and each core's crash margin.
   std::vector<int> run_cores_;
   std::vector<double> run_margins_;

@@ -140,10 +140,6 @@ double Hypervisor::hypervisor_footprint_mb() const {
   return footprint::hypervisor_mb(vms_.size(), totals_.memory_mb);
 }
 
-double Hypervisor::total_utilized_mb() const {
-  return footprint::total_utilized_mb(vms_.size(), totals_.memory_mb);
-}
-
 double Hypervisor::hypervisor_share() const {
   return footprint::hypervisor_share(vms_.size(), totals_.memory_mb);
 }

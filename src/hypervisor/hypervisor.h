@@ -187,7 +187,6 @@ class Hypervisor {
 
   // -- accounting -----------------------------------------------------
   double hypervisor_footprint_mb() const;
-  double total_utilized_mb() const;
   double hypervisor_share() const;
   const HvStats& stats() const { return stats_; }
 

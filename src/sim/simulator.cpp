@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "telemetry/telemetry.h"
 
@@ -57,7 +58,6 @@ EventId Simulator::schedule_every(Seconds period, Callback cb) {
 bool Simulator::cancel(EventId id) {
   const bool was_pending = callbacks_.contains(id);
   if (was_pending) {
-    cancelled_.insert(id);
     callbacks_.erase(id);
     periodics_.erase(id);
     metrics().cancelled.add();
@@ -69,13 +69,17 @@ bool Simulator::cancel(EventId id) {
 void Simulator::fire(const Entry& entry) {
   auto it = callbacks_.find(entry.id);
   if (it == callbacks_.end()) return;  // cancelled
-  Callback cb = it->second;
+  Callback cb;
   auto periodic = periodics_.find(entry.id);
   if (periodic != periodics_.end()) {
-    // Re-arm under the same id so cancel(id) keeps working.
+    // Re-arm under the same id so cancel(id) keeps working. The series
+    // keeps its callback, so this firing runs a copy: the callback may
+    // cancel its own series.
+    cb = it->second;
     queue_.push(Entry{Seconds{now_.value + periodic->second.period.value},
                       next_seq_++, entry.id});
   } else {
+    cb = std::move(it->second);
     callbacks_.erase(it);
   }
   metrics().fired.add();
@@ -88,11 +92,7 @@ bool Simulator::step() {
   while (!queue_.empty()) {
     Entry entry = queue_.top();
     queue_.pop();
-    if (cancelled_.contains(entry.id)) {
-      cancelled_.erase(entry.id);
-      continue;
-    }
-    if (!callbacks_.contains(entry.id)) continue;
+    if (!callbacks_.contains(entry.id)) continue;  // cancelled
     now_ = entry.at;
     fire(entry);
     return true;
@@ -110,12 +110,7 @@ std::size_t Simulator::run_until(Seconds until) {
   std::size_t executed = 0;
   while (!queue_.empty()) {
     Entry entry = queue_.top();
-    if (cancelled_.contains(entry.id)) {
-      queue_.pop();
-      cancelled_.erase(entry.id);
-      continue;
-    }
-    if (!callbacks_.contains(entry.id)) {
+    if (!callbacks_.contains(entry.id)) {  // cancelled
       queue_.pop();
       continue;
     }

@@ -10,7 +10,6 @@
 #include <functional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.h"
@@ -80,8 +79,9 @@ class Simulator {
   std::uint64_t next_seq_{0};
   EventId next_id_{1};
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;
-  // Callbacks are stored out of line so Entry stays cheap to copy in the heap.
+  // Callbacks are stored out of line so Entry stays cheap to copy in the
+  // heap. An id is pending exactly while it has a callback here: cancel
+  // erases it, and the queue skips entries whose id has none.
   std::unordered_map<EventId, Callback> callbacks_;
   std::unordered_map<EventId, Periodic> periodics_;
 };

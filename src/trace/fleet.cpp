@@ -88,8 +88,4 @@ std::vector<VmRequest> FleetTraceGenerator::take(std::size_t max) {
   return batch;
 }
 
-std::vector<VmRequest> FleetTraceGenerator::generate() {
-  return take(static_cast<std::size_t>(config_.vms - emitted_));
-}
-
 }  // namespace uniserver::trace

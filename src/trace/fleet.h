@@ -53,10 +53,6 @@ class FleetTraceGenerator {
   /// Up to `max` further requests (shorter only at end of stream).
   std::vector<VmRequest> take(std::size_t max);
 
-  /// All remaining requests. At the default 1M-VM scale this
-  /// materializes a multi-hundred-MB vector — prefer take().
-  std::vector<VmRequest> generate();
-
   std::uint64_t emitted() const { return emitted_; }
   /// Nominal span of the stream (days * 86400 s).
   Seconds horizon() const;

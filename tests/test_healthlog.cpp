@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,7 +23,7 @@ ErrorEvent correctable_at(double t, Component component = Component::kCache) {
 
 TEST(HealthLog, RecordsVectorsAndReturnsLatest) {
   HealthLog log;
-  EXPECT_EQ(log.vectors().size(), 0u);
+  EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, 0u);
   InfoVector v1;
   v1.timestamp = Seconds{1.0};
   v1.ipc = 1.5;
@@ -29,7 +32,7 @@ TEST(HealthLog, RecordsVectorsAndReturnsLatest) {
   v2.timestamp = Seconds{2.0};
   v2.ipc = 2.5;
   log.record(v2);
-  EXPECT_EQ(log.vectors().size(), 2u);
+  EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, 2u);
   EXPECT_DOUBLE_EQ(log.latest().ipc, 2.5);
 }
 
@@ -47,16 +50,26 @@ TEST(HealthLog, EachLogIsBoundedByItsOwnCapacity) {
   for (int i = 0; i < kRecords; ++i) {
     InfoVector v;
     v.timestamp = Seconds{static_cast<double>(i)};
+    v.correctable_errors = static_cast<std::uint64_t>(i);
     log.record(v);
     log.record_error(correctable_at(i));
-    // The ring keeps the newest vectors, oldest first.
-    const std::vector<InfoVector> kept = log.vectors();
-    ASSERT_EQ(kept.size(), std::min<std::size_t>(i + 1, kRing))
+    // The ring keeps exactly the newest vectors, stamped oldest .. i:
+    // their counts sum to the arithmetic series over those stamps, and
+    // a window that opens one stamp later loses only the oldest.
+    const std::size_t kept = std::min<std::size_t>(i + 1, kRing);
+    const std::uint64_t oldest = static_cast<std::uint64_t>(i) + 1 - kept;
+    const HealthLog::Aggregate all = log.aggregate(Seconds{0.0});
+    ASSERT_EQ(all.vectors, kept) << "after " << i;
+    ASSERT_EQ(all.correctable_errors,
+              (oldest + static_cast<std::uint64_t>(i)) * kept / 2)
         << "after " << i;
-    for (std::size_t k = 0; k < kept.size(); ++k) {
-      ASSERT_EQ(kept[k].timestamp.value,
-                static_cast<double>(i + 1 - kept.size() + k));
-    }
+    const Seconds from_oldest{static_cast<double>(oldest)};
+    ASSERT_EQ(log.aggregate(from_oldest).vectors, kept) << "after " << i;
+    const HealthLog::Aggregate later =
+        log.aggregate(Seconds{from_oldest.value + 1.0});
+    ASSERT_EQ(later.vectors, kept - 1) << "after " << i;
+    ASSERT_EQ(later.correctable_errors, all.correctable_errors - oldest)
+        << "after " << i;
     ASSERT_EQ(log.latest().timestamp.value, static_cast<double>(i));
   }
   EXPECT_EQ(log.errors().size(), kCap);
@@ -65,6 +78,161 @@ TEST(HealthLog, EachLogIsBoundedByItsOwnCapacity) {
   EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, kRing);
   // Totals keep counting past both bounds.
   EXPECT_EQ(log.total_correctable(), static_cast<std::uint64_t>(kRecords));
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The logfile as a ring of full vectors, aggregated the way the
+/// HealthLog defines it: oldest first, power as package plus memory.
+struct ReferenceLog {
+  std::deque<InfoVector> vectors;
+  std::vector<ErrorEvent> errors;
+
+  void record(const InfoVector& vector) {
+    vectors.push_back(vector);
+    if (vectors.size() > HealthLog::kVectorCapacity) vectors.pop_front();
+  }
+
+  HealthLog::Aggregate aggregate(Seconds since) const {
+    HealthLog::Aggregate aggregate;
+    double power = 0.0;
+    double temp = 0.0;
+    double ipc = 0.0;
+    for (const InfoVector& vector : vectors) {
+      if (vector.timestamp < since) continue;
+      ++aggregate.vectors;
+      aggregate.correctable_errors += vector.correctable_errors;
+      aggregate.uncorrectable_errors += vector.uncorrectable_errors;
+      power += vector.sensors.package_power.value +
+               vector.sensors.memory_power.value;
+      temp += vector.sensors.temperature.value;
+      ipc += vector.ipc;
+    }
+    if (aggregate.vectors > 0) {
+      const auto n = static_cast<double>(aggregate.vectors);
+      aggregate.mean_power_w = power / n;
+      aggregate.mean_temp_c = temp / n;
+      aggregate.mean_ipc = ipc / n;
+    }
+    for (const ErrorEvent& event : errors) {
+      if (event.timestamp < since) continue;
+      if (event.severity == Severity::kCrash) ++aggregate.crash_events;
+    }
+    return aggregate;
+  }
+};
+
+/// A value whose magnitude varies over decades, so a sum taken in any
+/// other order than oldest first rounds differently.
+double spread(Rng& rng, double scale) {
+  return scale * rng.uniform(-0.1, 1.0) * std::exp2(rng.uniform(-20.0, 20.0));
+}
+
+InfoVector random_vector(Rng& rng, double& clock) {
+  InfoVector v;
+  const double u = rng.uniform();
+  if (u < 0.7) {
+    clock += rng.uniform(0.0, 90.0);
+  } else if (u < 0.85) {
+    clock -= rng.uniform(0.0, 200.0);  // out of order
+  }  // otherwise: a repeated stamp
+  v.timestamp = Seconds{std::round(clock)};
+  if (rng.bernoulli(0.02)) {
+    v.timestamp = Seconds{std::numeric_limits<double>::quiet_NaN()};
+  }
+  v.eop.vdd = Volt{rng.uniform(0.7, 1.0)};
+  v.eop.freq = MegaHertz{rng.uniform(1000.0, 2400.0)};
+  v.eop.refresh = Seconds{rng.uniform(0.064, 5.0)};
+  v.sensors.package_power = Watt{spread(rng, 40.0)};
+  v.sensors.memory_power = Watt{spread(rng, 8.0)};
+  v.sensors.temperature = Celsius{spread(rng, 60.0)};
+  v.sensors.vdd = v.eop.vdd;
+  v.sensors.freq = v.eop.freq;
+  v.ipc = spread(rng, 2.0);
+  v.utilization = rng.uniform();
+  v.correctable_errors = rng.bernoulli(0.3) ? rng.uniform_u64(1000) : 0;
+  v.uncorrectable_errors = rng.bernoulli(0.1) ? rng.uniform_u64(5) : 0;
+  return v;
+}
+
+void expect_same(const HealthLog::Aggregate& got,
+                 const HealthLog::Aggregate& want) {
+  EXPECT_EQ(got.vectors, want.vectors);
+  EXPECT_EQ(got.correctable_errors, want.correctable_errors);
+  EXPECT_EQ(got.uncorrectable_errors, want.uncorrectable_errors);
+  EXPECT_EQ(got.crash_events, want.crash_events);
+  EXPECT_EQ(bits(got.mean_power_w), bits(want.mean_power_w));
+  EXPECT_EQ(bits(got.mean_temp_c), bits(want.mean_temp_c));
+  EXPECT_EQ(bits(got.mean_ipc), bits(want.mean_ipc));
+}
+
+void expect_same(const InfoVector& got, const InfoVector& want) {
+  EXPECT_EQ(bits(got.timestamp.value), bits(want.timestamp.value));
+  EXPECT_EQ(got.eop, want.eop);
+  EXPECT_EQ(bits(got.sensors.package_power.value),
+            bits(want.sensors.package_power.value));
+  EXPECT_EQ(bits(got.sensors.memory_power.value),
+            bits(want.sensors.memory_power.value));
+  EXPECT_EQ(bits(got.sensors.temperature.value),
+            bits(want.sensors.temperature.value));
+  EXPECT_EQ(bits(got.sensors.vdd.value), bits(want.sensors.vdd.value));
+  EXPECT_EQ(bits(got.sensors.freq.value), bits(want.sensors.freq.value));
+  EXPECT_EQ(bits(got.ipc), bits(want.ipc));
+  EXPECT_EQ(bits(got.utilization), bits(want.utilization));
+  EXPECT_EQ(got.correctable_errors, want.correctable_errors);
+  EXPECT_EQ(got.uncorrectable_errors, want.uncorrectable_errors);
+}
+
+TEST(HealthLogDifferential, CompactRingMatchesFullVectorReference) {
+  constexpr int kBeforeClear = 3 * static_cast<int>(HealthLog::kVectorCapacity);
+  constexpr int kAfterClear = 2 * static_cast<int>(HealthLog::kVectorCapacity);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  int windows = 0;     // aggregates over part of the ring
+  int full_rings = 0;  // records into a full ring
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    HealthLog log;
+    ReferenceLog ref;
+    double clock = 0.0;
+    for (int step = 0; step < kBeforeClear + kAfterClear; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      if (step == kBeforeClear) {
+        log.clear();
+        ref = ReferenceLog{};
+        expect_same(log.latest(), InfoVector{});
+        expect_same(log.aggregate(Seconds{-inf}), ref.aggregate(Seconds{-inf}));
+      }
+      if (ref.vectors.size() == HealthLog::kVectorCapacity) ++full_rings;
+      const InfoVector v = random_vector(rng, clock);
+      log.record(v);
+      ref.record(v);
+      if (rng.bernoulli(0.1)) {
+        ErrorEvent crash;
+        crash.timestamp = v.timestamp;
+        crash.severity = Severity::kCrash;
+        log.record_error(crash);
+        ref.errors.push_back(crash);
+      }
+      expect_same(log.latest(), v);
+      // Windows that open before, inside and after the ring, at a stamp
+      // the ring holds, and the NaN bound that compares false.
+      const double held =
+          ref.vectors[rng.uniform_u64(ref.vectors.size())].timestamp.value;
+      const double bounds[] = {-inf, 0.0, held, std::nextafter(held, inf),
+                               clock - rng.uniform(0.0, 3000.0), clock + 1.0,
+                               inf, nan};
+      for (const double since : bounds) {
+        const HealthLog::Aggregate want = ref.aggregate(Seconds{since});
+        expect_same(log.aggregate(Seconds{since}), want);
+        if (want.vectors > 0 && want.vectors < ref.vectors.size()) ++windows;
+      }
+      ASSERT_FALSE(HasFailure());
+    }
+  }
+  EXPECT_GT(full_rings, 500);
+  EXPECT_GT(windows, 2000);
 }
 
 TEST(HealthLog, EventDrivenServiceNotifiesSubscribers) {

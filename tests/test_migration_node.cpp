@@ -316,14 +316,20 @@ TEST(CloudCrashInjectionTest, DaemonRestartWipesHealthHistory) {
   event.component = daemons::Component::kCache;
   event.severity = daemons::Severity::kCorrectable;
   log.record_error(event);
+  daemons::InfoVector vector;
+  vector.timestamp = Seconds{10.0};
+  vector.ipc = 1.5;
+  log.record(vector);
   ASSERT_FALSE(log.errors().empty());
+  ASSERT_EQ(log.aggregate(Seconds{0.0}).vectors, 1u);
   const std::uint64_t total = log.total_correctable();
 
   cloud->inject_daemon_restart(0);
   // The in-memory logfile is gone; lifetime totals survive the restart
   // (they live with the metrics pipeline, not the daemon).
   EXPECT_TRUE(log.errors().empty());
-  EXPECT_TRUE(log.vectors().empty());
+  EXPECT_EQ(log.aggregate(Seconds{0.0}).vectors, 0u);
+  EXPECT_EQ(log.latest().ipc, 0.0);
   EXPECT_EQ(log.total_correctable(), total);
 }
 

@@ -1,9 +1,11 @@
 // Differential suite for the node tick: ServerNode::run evaluates each
 // model once per tick (one steady-state solve and one active core set
 // with its crash margins, each memoized across ticks on its full input;
-// one cached memory power), and read_sensors samples around the run's
-// operating point. The node's domain capacities and each DRAM channel's
-// error rates are cached at their owner too.
+// one CPU-SDC rate, memoized on the derated supply and dropped with the
+// core set; one cached memory power), and read_sensors samples around
+// the run's operating point. The node's domain capacities, each DRAM
+// channel's error rates and the Poisson limits exp(-mean) of the SDC and
+// DRAM draws are cached at their owner too.
 // Every tick must match, bit for bit, a reference built here from the
 // public per-call models: PowerModel::steady_state, CoreModel's
 // crash_voltage / crash_voltage_run, MemorySystem::dimm_power_sum,
@@ -48,10 +50,19 @@ std::vector<int> reference_core_set(const ServerNode& node,
   return cores;
 }
 
+/// The inputs of a tick's CPU-SDC draw, as the reference computed them.
+struct SdcInputs {
+  bool drawn{false};  ///< false on a crashed tick: no SDC draw
+  double v_effective{0.0};
+  double rate_per_s{0.0};
+  double lambda{0.0};
+};
+
 /// The node tick as the per-call models define it: every model is
 /// evaluated afresh, nothing is reused.
 RunResult reference_run(const ServerNode& node, const WorkloadSignature& w,
-                        Seconds duration, int active_cores, Rng& rng) {
+                        Seconds duration, int active_cores, Rng& rng,
+                        SdcInputs& sdc) {
   const Chip& chip = node.chip();
   const Eop& eop = node.eop();
   RunResult result;
@@ -94,6 +105,7 @@ RunResult reference_run(const ServerNode& node, const WorkloadSignature& w,
                   std::exp(-headroom_mv / var.cpu_sdc_mv_constant);
     }
     result.cpu_sdcs = rng.poisson(sdc_rate * elapsed.value);
+    sdc = {true, v_effective.value, sdc_rate, sdc_rate * elapsed.value};
   }
   result.avg_power = op.power + node.memory().dimm_power_sum();
   result.energy = result.avg_power * elapsed;
@@ -210,6 +222,77 @@ struct Tally {
   int name_only_changes{0};
   int mid_tick_pins{0};
   int pin_changes{0};
+  // The SDC-rate memo (key: v_effective bits; dropped with the core set)
+  // and the SDC Poisson limit (key: the mean's bits, Knuth range only),
+  // modelled from the reference's inputs.
+  int sdc_rate_hits{0};
+  int sdc_rate_v_effective_misses{0};
+  int sdc_rate_core_set_misses{0};
+  int sdc_limit_hits{0};
+  int sdc_limit_window_misses{0};
+  int sdc_limit_rate_misses{0};
+};
+
+/// What ServerNode::run memoizes for its SDC draw, replayed from the
+/// reference's inputs so the test can tell a memo hit from a miss and
+/// name the key that missed.
+struct SdcMemoModel {
+  bool rate_valid{false};
+  double v_effective{0.0};
+  double rate_per_s{0.0};
+  double lambda{0.0};
+  double window{0.0};
+  bool core_key_valid{false};
+  std::string workload;
+  std::uint64_t didt_bits{0};
+  std::uint64_t freq_bits{0};
+  std::uint64_t aging_bits{0};
+  int active_cores{0};
+
+  /// Called before each run with the core-set memo's key.
+  void key_core_set(const ServerNode& node, const WorkloadSignature& w,
+                    int active_cores_in) {
+    const int active = std::clamp(active_cores_in, 1, node.chip().num_cores());
+    const std::uint64_t aging = bits(node.chip().core(0).aging_loss());
+    if (!core_key_valid || workload != w.name ||
+        didt_bits != bits(w.didt_stress) ||
+        freq_bits != bits(node.eop().freq.value) || aging_bits != aging ||
+        active_cores != active) {
+      rate_valid = false;  // the node recomputes its core set
+    }
+    core_key_valid = true;
+    workload = w.name;
+    didt_bits = bits(w.didt_stress);
+    freq_bits = bits(node.eop().freq.value);
+    aging_bits = aging;
+    active_cores = active;
+  }
+
+  void draw(const SdcInputs& sdc, Seconds window_in, Tally& tally) {
+    if (!sdc.drawn) return;
+    if (!rate_valid) {
+      ++tally.sdc_rate_core_set_misses;
+    } else if (bits(v_effective) != bits(sdc.v_effective)) {
+      ++tally.sdc_rate_v_effective_misses;
+    } else {
+      ++tally.sdc_rate_hits;
+    }
+    rate_valid = true;
+    v_effective = sdc.v_effective;
+    if (sdc.lambda > 0.0 && sdc.lambda < Rng::kPoissonNormalFrom) {
+      if (bits(lambda) == bits(sdc.lambda)) {
+        ++tally.sdc_limit_hits;
+      } else if (bits(rate_per_s) == bits(sdc.rate_per_s) &&
+                 bits(window) != bits(window_in.value)) {
+        ++tally.sdc_limit_window_misses;
+      } else {
+        ++tally.sdc_limit_rate_misses;
+      }
+      lambda = sdc.lambda;
+      rate_per_s = sdc.rate_per_s;
+      window = window_in.value;
+    }
+  }
 };
 
 /// Drives one node through `ticks` seeded control-loop steps and checks
@@ -234,6 +317,7 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
   double last_didt = -1.0;
   int last_cores = -1;
   Eop last_eop = node.eop();
+  SdcMemoModel sdc_memo;
   double last_reliable_mb =
       expect_capacities(node, "seed " + std::to_string(seed) + " start");
 
@@ -334,13 +418,18 @@ void drive(std::uint64_t seed, bool strong_cores_first, int ticks,
     last_cores = active_cores;
     last_eop = node.eop();
 
-    const Seconds window{60.0};
+    // Every seventh tick is shorter: the SDC mean moves at an unchanged
+    // rate.
+    const Seconds window{t % 7 == 6 ? 45.0 : 60.0};
+    sdc_memo.key_core_set(node, w, active_cores);
     Rng ref_rng = rng;
     const RunResult got = node.run(w, window, active_cores, rng);
+    SdcInputs sdc;
     const RunResult want =
-        reference_run(node, w, window, active_cores, ref_rng);
+        reference_run(node, w, window, active_cores, ref_rng, sdc);
     expect_same(got, want, where + " run");
     expect_same_stream(rng, ref_rng, where + " run stream");
+    sdc_memo.draw(sdc, window, tally);
 
     // The hypervisor may pin a channel between the run and the sensor
     // read (memory-side isolation); the sensors must see it.
@@ -375,8 +464,9 @@ TEST(NodeModelDifferential, TickMatchesPerCallReferenceUnderChurn) {
     ASSERT_FALSE(HasFailure()) << "seed " << seed;
   }
   // The sequences reach every path the reuse touches: memo hits,
-  // name-only workload changes, crashes, SDCs, ECC events and channel
-  // pins between run and read.
+  // name-only workload changes, crashes, SDCs, ECC events, channel pins
+  // between run and read, and SDC-rate and Poisson-limit reuse next to
+  // misses caused by each of their inputs.
   EXPECT_EQ(tally.ticks, 12 * 400);
   EXPECT_GT(tally.repeated_inputs, 200);
   EXPECT_GT(tally.name_only_changes, 50);
@@ -385,6 +475,12 @@ TEST(NodeModelDifferential, TickMatchesPerCallReferenceUnderChurn) {
   EXPECT_GT(tally.ecc_ticks, 10);
   EXPECT_GT(tally.mid_tick_pins, 100);
   EXPECT_GT(tally.pin_changes, 200);
+  EXPECT_GT(tally.sdc_rate_hits, 500);
+  EXPECT_GT(tally.sdc_rate_v_effective_misses, 30);
+  EXPECT_GT(tally.sdc_rate_core_set_misses, 1000);
+  EXPECT_GT(tally.sdc_limit_hits, 300);
+  EXPECT_GT(tally.sdc_limit_window_misses, 150);
+  EXPECT_GT(tally.sdc_limit_rate_misses, 1000);
 }
 
 TEST(NodeModelDifferential, ActiveCoreSetAndCrashVoltageMatchReference) {

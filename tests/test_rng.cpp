@@ -184,6 +184,60 @@ TEST(Rng, PoissonZeroLambda) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
+/// The two generators hold the same state: the same next raw draw and
+/// the same Box-Muller spare.
+void expect_same_state(Rng a, Rng b) {
+  EXPECT_EQ(a.normal(), b.normal());
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, PoissonLimitFormsMatchPoisson) {
+  // Tiny means, the Knuth range up to its last double below 30, the
+  // normal approximation from 30 on; 0.5 recurs, so the memo both keeps
+  // and replaces its limit.
+  const std::vector<double> grid = {
+      1e-300, 1e-12, 1e-6, 0.01, 0.5, 1.0, 7.3, 0.5, 29.0, 29.999,
+      std::nextafter(Rng::kPoissonNormalFrom, 0.0), 30.0, 31.5, 100.0, 0.5};
+  Rng plain(21);
+  Rng knuth = plain;
+  Rng memo = plain;
+  PoissonLimit limit;
+  std::uint64_t nonzero = 0;
+  for (const double lambda : grid) {
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t want = plain.poisson(lambda);
+      if (lambda < Rng::kPoissonNormalFrom) {
+        EXPECT_EQ(knuth.poisson_knuth(std::exp(-lambda)), want) << lambda;
+      } else {
+        EXPECT_EQ(knuth.poisson(lambda), want) << lambda;
+      }
+      EXPECT_EQ(limit.draw(memo, lambda), want) << lambda;
+      nonzero += want > 0 ? 1 : 0;
+      expect_same_state(knuth, plain);
+      expect_same_state(memo, plain);
+      ASSERT_FALSE(HasFailure()) << "lambda " << lambda << " draw " << i;
+    }
+  }
+  EXPECT_GT(nonzero, 1000u);
+}
+
+TEST(Rng, PoissonZeroMeanConsumesNoState) {
+  Rng rng(14);
+  PoissonLimit limit;
+  for (const double lambda : {0.0, -0.0, 3.0, 0.0}) {
+    const Rng before = rng;
+    if (lambda == 0.0) {
+      EXPECT_EQ(rng.poisson(lambda), 0u);
+      expect_same_state(rng, before);
+      EXPECT_EQ(limit.draw(rng, lambda), 0u);
+      expect_same_state(rng, before);
+    } else {
+      // A non-zero mean between the zero draws fills the memo.
+      limit.draw(rng, lambda);
+    }
+  }
+}
+
 class BinomialTest
     : public ::testing::TestWithParam<std::pair<std::uint64_t, double>> {};
 

@@ -54,8 +54,8 @@ bool is_rng_method(const std::string& m) {
   static const std::set<std::string> kRng = {
       "next",        "fork",      "uniform",  "uniform_u64",
       "uniform_int", "bernoulli", "normal",   "lognormal",
-      "exponential", "poisson",   "binomial", "weighted_pick",
-      "shuffle"};
+      "exponential", "poisson",   "poisson_knuth", "binomial",
+      "weighted_pick", "shuffle"};
   return kRng.count(m) != 0;
 }
 
