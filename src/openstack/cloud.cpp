@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <iterator>
 #include <string>
 
@@ -194,9 +193,9 @@ std::vector<const ComputeNode*> Cloud::node_views() const {
 
 std::vector<Cloud::ActivePlacement> Cloud::active_placements() const {
   std::vector<ActivePlacement> placements;
-  placements.reserve(active_.size());
-  for (const auto& [id, active] : active_) {
-    placements.push_back(ActivePlacement{id, active.node});
+  placements.reserve(monitor_.tracked_vms());
+  for (const auto& [id, vm] : monitor_.records()) {
+    placements.push_back(ActivePlacement{id, vm.node});
   }
   return placements;
 }
@@ -257,8 +256,8 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
     stats_.migration_energy_kwh += kwh;
   };
   cb.commit = [this](const MigrationTicket& t) -> bool {
-    const auto it = active_.find(t.vm_id);
-    if (it == active_.end() || it->second.node != t.source) return false;
+    VmRecord* row = monitor_.find(t.vm_id);
+    if (row == nullptr || row->node != t.source) return false;
     const auto& vms = t.source->hypervisor().vms();
     const auto vm_it = vms.find(t.vm_id);
     if (vm_it == vms.end()) return false;
@@ -274,7 +273,7 @@ MigrationOrchestrator::Callbacks Cloud::orchestrator_callbacks() {
       return false;
     }
     engine_->node_changed(t.dest);
-    it->second.node = t.dest;
+    row->node = t.dest;
     if (serve_) {
       // The guest pauses for the stop-and-copy cutover: its queue
       // stalls for the downtime, then serves at the target's EOP.
@@ -390,43 +389,25 @@ void Cloud::handle_arrival(const trace::VmRequest& request) {
   }
   engine_->node_changed(target);
   ++stats_.accepted;
-  ActiveVm active;
-  active.request = request;
-  active.node = target;
-  active.departs_at = Seconds{request.arrival.value + request.lifetime.value};
-  // A NaN departure time never compares due, so it never departs.
-  if (!std::isnan(active.departs_at.value)) {
-    departures_.push(Departure{active.departs_at.value, request.id});
-  }
-  if (active_.emplace(request.id, active).second) {
-    monitor_.admit(request.id, vm.workload.activity, vm.memory_mb);
-  }
+  // A duplicate id gets no record (the fuzz oracles reject such a run).
+  monitor_.admit(request.id,
+                 {.node = target,
+                  .sla = request.sla,
+                  .departs_at = request.arrival.value + request.lifetime.value,
+                  .cpu_utilization = vm.workload.activity,
+                  .memory_mb = vm.memory_mb});
   if (serve_) serve_->on_vm_placed(request, &target->server());
 }
 
 void Cloud::handle_departures() {
-  // Every active VM has a heap entry at its departure time; entries of
-  // VMs lost, or re-admitted under the same id, are stale and skipped.
-  // The due VMs are handled in ascending id order.
-  std::vector<std::uint64_t> done;
-  while (!departures_.empty() && departures_.top().at <= now_.value) {
-    const std::uint64_t id = departures_.top().id;
-    departures_.pop();
-    const auto it = active_.find(id);
-    if (it != active_.end() && it->second.departs_at.value <= now_.value) {
-      done.push_back(id);
-    }
-  }
-  std::sort(done.begin(), done.end());
-  done.erase(std::unique(done.begin(), done.end()), done.end());
-  for (std::uint64_t id : done) {
+  // The due VMs leave in ascending id order.
+  for (std::uint64_t id : monitor_.due(now_.value)) {
     // A departing VM abandons any in-flight migration (the ticket's
     // destination reservation is released with the cancellation).
     orchestrator_.cancel_vm(id, now_);
-    auto it = active_.find(id);
-    it->second.node->remove_vm(id);
-    engine_->node_changed(it->second.node);
-    active_.erase(it);
+    ComputeNode* node = monitor_.find(id)->node;
+    node->remove_vm(id);
+    engine_->node_changed(node);
     monitor_.forget(id);
     if (serve_) serve_->on_vm_removed(id);
     ++stats_.completed;
@@ -434,19 +415,12 @@ void Cloud::handle_departures() {
 }
 
 void Cloud::mark_lost(std::uint64_t vm_id, bool node_crash) {
-  monitor_.forget(vm_id);
   if (serve_) serve_->on_vm_removed(vm_id);
-  auto it = active_.find(vm_id);
-  if (it == active_.end()) return;
-  if (node_crash) {
-    ++stats_.lost_to_node_crash;
-  } else {
-    ++stats_.lost_to_errors;
-  }
-  if (it->second.request.sla != trace::SlaClass::kBestEffort) {
-    ++stats_.sla_violations;
-  }
-  active_.erase(it);
+  const VmRecord* vm = monitor_.find(vm_id);
+  if (vm == nullptr) return;
+  ++(node_crash ? stats_.lost_to_node_crash : stats_.lost_to_errors);
+  if (vm->sla != trace::SlaClass::kBestEffort) ++stats_.sla_violations;
+  monitor_.forget(vm_id);
 }
 
 void Cloud::account_node_crash(ComputeNode* node,
@@ -551,11 +525,9 @@ int Cloud::evacuate_node(ComputeNode* source, MigrationPriority priority,
   for (const auto& [id, vm] : source->hypervisor().vms()) {
     on_node.push_back(id);
   }
-  // The monitor tracks exactly the active VMs, so the ranking leaves
-  // out only residents the control plane does not own.
+  // The ranking leaves out residents the control plane does not own.
   int submitted = 0;
   for (std::uint64_t id : monitor_.ranked_by_susceptibility(on_node)) {
-    if (!active_.contains(id)) continue;
     if (orchestrator_.in_flight(id)) continue;  // already on its way
     const hv::Vm vm = source->hypervisor().vms().at(id);
     // The sinking node is excluded by constraint rather than by

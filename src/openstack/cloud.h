@@ -7,12 +7,8 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/fnv.h"
@@ -225,20 +221,6 @@ class Cloud {
   std::uint64_t placement_digest() const { return placement_digest_; }
 
  private:
-  struct ActiveVm {
-    trace::VmRequest request;
-    ComputeNode* node{nullptr};
-    Seconds departs_at{Seconds{0.0}};
-  };
-  /// A departure-heap entry; the heap's top is the earliest (at, id).
-  struct Departure {
-    double at{0.0};
-    std::uint64_t id{0};
-    bool operator>(const Departure& other) const {
-      return at != other.at ? at > other.at : id > other.id;
-    }
-  };
-
   void wire_monitoring();
   MigrationOrchestrator::Callbacks orchestrator_callbacks();
   void handle_arrival(const trace::VmRequest& request);
@@ -279,12 +261,11 @@ class Cloud {
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::unique_ptr<PlacementEngine> engine_;
   LogFailurePredictor predictor_;
+  /// The one record per active VM (node, SLA class, departure time,
+  /// usage profile and hits); a VM is active exactly while it has one.
   VmMonitor monitor_;
   MigrationOrchestrator orchestrator_;
   std::unique_ptr<serve::ServeLayer> serve_;
-  std::map<std::uint64_t, ActiveVm> active_;
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures_;
   /// The cloud's own books; stats() adds the orchestrator's.
   CloudStats stats_;
   std::vector<PlacementDecision> placements_;

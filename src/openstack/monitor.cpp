@@ -1,17 +1,22 @@
 #include "openstack/monitor.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace uniserver::osk {
 
-void VmMonitor::admit(std::uint64_t vm_id, double cpu_utilization,
-                      double memory_mb) {
-  tracked_[vm_id] = Tracked{cpu_utilization, memory_mb, tick_, {}};
+bool VmMonitor::admit(std::uint64_t vm_id, VmRecord record) {
+  record.admitted_at = tick_;
+  const double departs_at = record.departs_at;
+  if (!records_.try_emplace(vm_id, std::move(record)).second) return false;
+  // NaN orders against nothing, so it stays out of the index.
+  if (!std::isnan(departs_at)) departures_.emplace(departs_at, vm_id);
+  return true;
 }
 
 void VmMonitor::record_hit(std::uint64_t vm_id) {
-  const auto it = tracked_.find(vm_id);
-  if (it == tracked_.end()) return;
+  const auto it = records_.find(vm_id);
+  if (it == records_.end()) return;
   // Hits that have left the window never count again.
   std::vector<std::uint64_t>& hits = it->second.hits;
   const auto live = std::find_if(hits.begin(), hits.end(), [&](auto at) {
@@ -21,13 +26,34 @@ void VmMonitor::record_hit(std::uint64_t vm_id) {
   hits.push_back(tick_);
 }
 
-void VmMonitor::forget(std::uint64_t vm_id) { tracked_.erase(vm_id); }
+void VmMonitor::forget(std::uint64_t vm_id) {
+  const auto it = records_.find(vm_id);
+  if (it == records_.end()) return;
+  const double departs_at = it->second.departs_at;
+  if (!std::isnan(departs_at)) departures_.erase({departs_at, vm_id});
+  records_.erase(it);
+}
+
+VmRecord* VmMonitor::find(std::uint64_t vm_id) {
+  const auto it = records_.find(vm_id);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::uint64_t> VmMonitor::due(double now) const {
+  std::vector<std::uint64_t> ids;
+  for (auto it = departures_.begin();
+       it != departures_.end() && it->first <= now; ++it) {
+    ids.push_back(it->second);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 VmUsage VmMonitor::usage(std::uint64_t vm_id) const {
   VmUsage usage;
-  const auto it = tracked_.find(vm_id);
-  if (it == tracked_.end()) return usage;
-  const Tracked& vm = it->second;
+  const auto it = records_.find(vm_id);
+  if (it == records_.end()) return usage;
+  const VmRecord& vm = it->second;
   usage.samples = static_cast<std::size_t>(
       std::min<std::uint64_t>(tick_ - vm.admitted_at, kWindow));
   if (usage.samples == 0) return usage;
@@ -66,8 +92,8 @@ double VmMonitor::susceptibility(std::uint64_t vm_id) const {
 
 std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility() const {
   std::vector<std::uint64_t> ids;
-  ids.reserve(tracked_.size());
-  for (const auto& [id, vm] : tracked_) ids.push_back(id);
+  ids.reserve(records_.size());
+  for (const auto& [id, vm] : records_) ids.push_back(id);
   std::sort(ids.begin(), ids.end(), [this](std::uint64_t a, std::uint64_t b) {
     const double sa = susceptibility(a);
     const double sb = susceptibility(b);
@@ -82,7 +108,7 @@ std::vector<std::uint64_t> VmMonitor::ranked_by_susceptibility(
   std::vector<std::pair<double, std::uint64_t>> keyed;
   keyed.reserve(candidates.size());
   for (std::uint64_t id : candidates) {
-    if (tracked_.contains(id)) keyed.emplace_back(susceptibility(id), id);
+    if (records_.contains(id)) keyed.emplace_back(susceptibility(id), id);
   }
   // (susceptibility desc, id asc) is a total order over distinct ids, so
   // ranking a subset yields the full ranking filtered to that subset.

@@ -1,4 +1,5 @@
-// Fine-grained VM monitoring (paper §4.B).
+// Fine-grained VM monitoring (paper §4.B), kept in the control plane's
+// one record per VM.
 //
 // The UniServer OpenStack extension monitors VMs "at a finer granularity
 // than the existing state-of-the-art" and uses it "to assess the
@@ -15,22 +16,29 @@
 // and the control tick of each error hit. Its window of one sample per
 // control tick is implied by the tick count.
 //
-// Invariant (the Cloud keeps it): an admitted VM gains exactly one
-// sample per control tick until it is forgotten. Three facts ensure it:
-// VMs are placed before the tick's node ticks; the migration
-// orchestrator moves VMs only between node ticks; and every exit from
-// the cloud's active set calls forget(). Queries run only after a
-// tick's node ticks. Only runs the fuzz oracles reject break the
-// invariant (a VM killed behind the control plane's back, a duplicate
-// id), and those runs stop at the violation.
+// The monitor's table is the cloud's only per-VM store: a row also
+// holds the VM's node, SLA class and departure time, and an index of
+// (departs_at, id) lists the rows due to leave. admit() is the only
+// entry and forget() the only exit, each taking the row and its index
+// entry together, so the tracked VMs are the active VMs by
+// construction. A tracked VM gains one sample per control tick: VMs
+// are placed before the node ticks, the migration orchestrator moves
+// VMs only between them, and queries run only after them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "trace/arrivals.h"
+
 namespace uniserver::osk {
+
+class ComputeNode;
 
 /// Condensed per-VM view.
 struct VmUsage {
@@ -40,6 +48,21 @@ struct VmUsage {
   double peak_memory_mb{0.0};
   std::uint64_t total_errors{0};
   std::size_t samples{0};
+};
+
+/// The control plane's record of one VM, from placement to exit.
+struct VmRecord {
+  ComputeNode* node{nullptr};  ///< moved by a migration cutover
+  trace::SlaClass sla{trace::SlaClass::kBestEffort};
+  /// Arrival + lifetime, fixed because it keys the departure index. A
+  /// NaN time never departs.
+  const double departs_at{std::numeric_limits<double>::quiet_NaN()};
+  double cpu_utilization{0.0};  ///< the fixed usage profile
+  double memory_mb{0.0};
+  /// Set by admit(): the tick at admission; samples are the ticks after.
+  std::uint64_t admitted_at{0};
+  /// The tick of each hit still inside the window, oldest first.
+  std::vector<std::uint64_t> hits{};
 };
 
 class VmMonitor {
@@ -55,10 +78,9 @@ class VmMonitor {
   /// Error count that saturates the history term.
   static constexpr double kErrorScale = 5.0;
 
-  /// Starts tracking a VM with its fixed usage profile. Its first
-  /// sample is the next advance(). Re-admitting a tracked id starts its
-  /// record afresh.
-  void admit(std::uint64_t vm_id, double cpu_utilization, double memory_mb);
+  /// Starts tracking a VM. Its first sample is the next advance().
+  /// Returns false, changing nothing, if the id is already tracked.
+  bool admit(std::uint64_t vm_id, VmRecord record);
 
   /// One control tick: every tracked VM gains a sample.
   void advance() { ++tick_; }
@@ -67,8 +89,19 @@ class VmMonitor {
   /// ignored.
   void record_hit(std::uint64_t vm_id);
 
-  /// Drops a VM's record (deleted/migrated-away VM).
+  /// Drops a VM's record and its departure entry (departed, lost).
   void forget(std::uint64_t vm_id);
+
+  /// The tracked VM's record, or nullptr.
+  VmRecord* find(std::uint64_t vm_id);
+
+  /// Every tracked VM, in id order.
+  const std::map<std::uint64_t, VmRecord>& records() const {
+    return records_;
+  }
+
+  /// The tracked ids whose departs_at <= now, ascending.
+  std::vector<std::uint64_t> due(double now) const;
 
   /// Condensed usage over the window.
   VmUsage usage(std::uint64_t vm_id) const;
@@ -89,22 +122,13 @@ class VmMonitor {
   std::vector<std::uint64_t> ranked_by_susceptibility(
       const std::vector<std::uint64_t>& candidates) const;
 
-  std::size_t tracked_vms() const { return tracked_.size(); }
+  std::size_t tracked_vms() const { return records_.size(); }
 
  private:
-  struct Tracked {
-    double cpu_utilization{0.0};
-    double memory_mb{0.0};
-    /// tick_ at admission; samples are the ticks after it.
-    std::uint64_t admitted_at{0};
-    /// The tick of each hit still inside the window, oldest first.
-    std::vector<std::uint64_t> hits;
-  };
-
   std::uint64_t tick_{0};
-  // Nothing iterates tracked_ in an order that reaches an output: the
-  // full ranking sorts by a total order.
-  std::unordered_map<std::uint64_t, Tracked> tracked_;
+  std::map<std::uint64_t, VmRecord> records_;
+  /// (departs_at, id) of every record with a non-NaN departure time.
+  std::set<std::pair<double, std::uint64_t>> departures_;
 };
 
 }  // namespace uniserver::osk

@@ -49,43 +49,41 @@ EventId Simulator::schedule_at(Seconds at, Callback cb) {
 EventId Simulator::schedule_every(Seconds period, Callback cb) {
   const EventId id =
       enqueue(Seconds{now_.value + period.value}, std::move(cb));
-  // The callback is re-armed after each firing; keep the period on record.
-  auto it = callbacks_.find(id);
-  periodics_.emplace(id, Periodic{period, it->second});
+  periods_.emplace(id, period);
   return id;
 }
 
 bool Simulator::cancel(EventId id) {
-  const bool was_pending = callbacks_.contains(id);
-  if (was_pending) {
-    callbacks_.erase(id);
-    periodics_.erase(id);
-    metrics().cancelled.add();
-    metrics().pending.set(static_cast<double>(callbacks_.size()));
-  }
-  return was_pending;
+  if (callbacks_.erase(id) == 0) return false;
+  periods_.erase(id);
+  metrics().cancelled.add();
+  metrics().pending.set(static_cast<double>(callbacks_.size()));
+  return true;
 }
 
 void Simulator::fire(const Entry& entry) {
   auto it = callbacks_.find(entry.id);
   if (it == callbacks_.end()) return;  // cancelled
-  Callback cb;
-  auto periodic = periodics_.find(entry.id);
-  if (periodic != periodics_.end()) {
+  Callback cb = std::move(it->second);
+  const auto period = periods_.find(entry.id);
+  const bool periodic = period != periods_.end();
+  if (periodic) {
     // Re-arm under the same id so cancel(id) keeps working. The series
-    // keeps its callback, so this firing runs a copy: the callback may
-    // cancel its own series.
-    cb = it->second;
-    queue_.push(Entry{Seconds{now_.value + periodic->second.period.value},
+    // keeps its slot in callbacks_ while its callback runs, and gets the
+    // callback back afterwards unless the callback cancelled the series.
+    queue_.push(Entry{Seconds{now_.value + period->second.value},
                       next_seq_++, entry.id});
   } else {
-    cb = std::move(it->second);
     callbacks_.erase(it);
   }
   metrics().fired.add();
   metrics().now_s.set(now_.value);
   metrics().pending.set(static_cast<double>(callbacks_.size()));
   cb();
+  if (!periodic) return;
+  // The callback may have scheduled events, so look the slot up again.
+  const auto slot = callbacks_.find(entry.id);
+  if (slot != callbacks_.end()) slot->second = std::move(cb);
 }
 
 bool Simulator::step() {

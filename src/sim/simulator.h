@@ -67,11 +67,6 @@ class Simulator {
     }
   };
 
-  struct Periodic {
-    Seconds period;
-    Callback cb;
-  };
-
   EventId enqueue(Seconds at, Callback cb);
   void fire(const Entry& entry);
 
@@ -83,7 +78,8 @@ class Simulator {
   // heap. An id is pending exactly while it has a callback here: cancel
   // erases it, and the queue skips entries whose id has none.
   std::unordered_map<EventId, Callback> callbacks_;
-  std::unordered_map<EventId, Periodic> periodics_;
+  /// The period of each pending series; its callback is in callbacks_.
+  std::unordered_map<EventId, Seconds> periods_;
 };
 
 }  // namespace uniserver::sim

@@ -1,9 +1,11 @@
 // Cross-cutting integration checks: EOP helpers, Cloud x VmMonitor
-// wiring, the cloud's counters against its books, governor-on-node
-// loop.
+// wiring, the departure index under id reuse, the cloud's counters
+// against its books, governor-on-node loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -168,6 +170,100 @@ TEST(CloudMonitorIntegration, OneSamplePerControlTickThroughSdcHits) {
   EXPECT_GT(cloud->stats().migrations, 0u);
   EXPECT_GT(cloud->stats().completed, 0u);
   EXPECT_GT(full_windows, 0);
+}
+
+// A VM request with a fixed profile, for the departure-index tests.
+trace::VmRequest departure_request(std::uint64_t id, double arrival,
+                                   double lifetime) {
+  trace::VmRequest request;
+  request.id = id;
+  request.arrival = Seconds{arrival};
+  request.lifetime = Seconds{lifetime};
+  request.vcpus = 1;
+  request.memory_mb = 1024.0;
+  request.sla = trace::SlaClass::kStandard;
+  request.workload = stress::web_service_profile();
+  return request;
+}
+
+// A two-node first-fit cloud with 60 s control ticks and no
+// evacuations, driven one tick at a time by the tests below.
+std::unique_ptr<osk::Cloud> departure_cloud() {
+  osk::CloudConfig config;
+  config.policy = osk::SchedulerPolicy::kFirstFit;
+  config.proactive_migration = false;
+  config.tick = 60_s;
+  hw::NodeSpec spec;
+  spec.chip = hw::arm_soc_spec();
+  return osk::Cloud::make_uniform(config, spec, hv::HvConfig{}, 2, 3);
+}
+
+bool is_active(const osk::Cloud& cloud, std::uint64_t id) {
+  const auto active = cloud.active_placements();
+  return std::any_of(active.begin(), active.end(),
+                     [id](const auto& p) { return p.id == id; });
+}
+
+TEST(CloudDepartureIndex, IdLostToACrashAndResubmittedDepartsAtItsNewTime) {
+  auto cloud = departure_cloud();
+  // VM 1 would depart at 600 s; it is lost to a crash at 120 s and
+  // submitted again under its id at 180 s, to depart at 1,980 s.
+  const std::map<int, trace::VmRequest> submitted_at_tick{
+      {1, departure_request(1, 0.0, 600.0)},
+      {3, departure_request(1, 180.0, 1800.0)}};
+  for (int tick = 1; tick <= 40; ++tick) {
+    const double now = 60.0 * tick;
+    std::vector<trace::VmRequest> batch;
+    if (const auto it = submitted_at_tick.find(tick);
+        it != submitted_at_tick.end()) {
+      batch.push_back(it->second);
+    }
+    cloud->run(batch, Seconds{now});
+    ASSERT_EQ(cloud->monitor().tracked_vms(),
+              cloud->active_placements().size())
+        << "t=" << now;
+    ASSERT_EQ(is_active(*cloud, 1), now < 1980.0) << "t=" << now;
+    ASSERT_EQ(cloud->stats().completed, now < 1980.0 ? 0u : 1u)
+        << "t=" << now;
+    if (tick == 2) {
+      cloud->inject_node_crash(
+          static_cast<int>(cloud->active_placements().at(0).node->slot()));
+      ASSERT_EQ(cloud->stats().lost_to_node_crash, 1u);
+      ASSERT_FALSE(is_active(*cloud, 1));
+      ASSERT_EQ(cloud->monitor().tracked_vms(), 0u);
+    }
+  }
+  EXPECT_EQ(cloud->stats().accepted, 2u);
+}
+
+TEST(CloudDepartureIndex, DepartedIdIsReadmittedAtTheInstantItLeft) {
+  auto cloud = departure_cloud();
+  // VM 2 departs at 240 s and is submitted again under its id with
+  // arrival 240 s, to depart at 840 s. Arrivals are placed before
+  // departures in a control tick, so the new VM is placed in the next
+  // tick (300 s). VM 3's NaN lifetime never comes due.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::map<int, std::vector<trace::VmRequest>> submitted_at_tick{
+      {1, {departure_request(2, 0.0, 240.0), departure_request(3, 0.0, nan)}},
+      {5, {departure_request(2, 240.0, 600.0)}}};
+  for (int tick = 1; tick <= 20; ++tick) {
+    const double now = 60.0 * tick;
+    std::vector<trace::VmRequest> batch;
+    if (const auto it = submitted_at_tick.find(tick);
+        it != submitted_at_tick.end()) {
+      batch = it->second;
+    }
+    cloud->run(batch, Seconds{now});
+    ASSERT_EQ(cloud->monitor().tracked_vms(),
+              cloud->active_placements().size())
+        << "t=" << now;
+    ASSERT_EQ(is_active(*cloud, 2), now < 240.0 || (now > 240.0 && now < 840.0))
+        << "t=" << now;
+    ASSERT_TRUE(is_active(*cloud, 3)) << "t=" << now;
+    const std::uint64_t completed = now < 240.0 ? 0 : now < 840.0 ? 1 : 2;
+    ASSERT_EQ(cloud->stats().completed, completed) << "t=" << now;
+  }
+  EXPECT_EQ(cloud->stats().accepted, 3u);
 }
 
 TEST(CloudTelemetry, CountersAreTheBooks) {

@@ -81,6 +81,34 @@ TEST(Simulator, PeriodicCancelFromWithinCallback) {
   EXPECT_EQ(count, 3);
 }
 
+// A callable that counts the copies made of it; moves are not counted.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies, int* calls) : copies(copies), calls(calls) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Simulator, PeriodicFiringsMakeNoCopyOfTheCallback) {
+  Simulator simulator;
+  int copies = 0;
+  int calls = 0;
+  const EventId id =
+      simulator.schedule_every(Seconds{1.0}, CopyCounter{&copies, &calls});
+  const int armed = copies;
+  simulator.run_until(Seconds{100.5});
+  EXPECT_EQ(calls, 100);
+  EXPECT_EQ(copies, armed);
+  EXPECT_EQ(simulator.pending(), 1u);
+  EXPECT_TRUE(simulator.cancel(id));
+  EXPECT_EQ(simulator.pending(), 0u);
+}
+
 TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {
   Simulator simulator;
   simulator.schedule_in(Seconds{1.0}, [] {});

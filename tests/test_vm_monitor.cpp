@@ -5,9 +5,11 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,7 +21,7 @@ namespace {
 TEST(VmMonitorTest, UsageAggregates) {
   // A fixed profile over two ticks, with two hits in the second.
   osk::VmMonitor monitor;
-  monitor.admit(1, 0.5, 2000.0);
+  monitor.admit(1, {.cpu_utilization = 0.5, .memory_mb = 2000.0});
   monitor.advance();
   monitor.advance();
   monitor.record_hit(1);
@@ -45,7 +47,7 @@ TEST(VmMonitorTest, UnknownVmIsZero) {
 TEST(VmMonitorTest, WindowBoundsHistory) {
   constexpr std::size_t kWindow = osk::VmMonitor::kWindow;
   osk::VmMonitor monitor;
-  monitor.admit(1, 1.0, 1000.0);
+  monitor.admit(1, {.cpu_utilization = 1.0, .memory_mb = 1000.0});
   for (std::size_t i = 0; i < kWindow + 20; ++i) {
     monitor.advance();
     monitor.record_hit(1);
@@ -59,9 +61,9 @@ TEST(VmMonitorTest, SusceptibilityRanksBigBusyErrorProneFirst) {
   osk::VmMonitor monitor;
   // VM 1: small, idle. VM 2: big and busy. VM 3: big, busy AND has
   // already absorbed errors.
-  monitor.admit(1, 0.05, 512.0);
-  monitor.admit(2, 0.9, 16384.0);
-  monitor.admit(3, 0.9, 16384.0);
+  monitor.admit(1, {.cpu_utilization = 0.05, .memory_mb = 512.0});
+  monitor.admit(2, {.cpu_utilization = 0.9, .memory_mb = 16384.0});
+  monitor.admit(3, {.cpu_utilization = 0.9, .memory_mb = 16384.0});
   for (int i = 0; i < 10; ++i) {
     monitor.advance();
     for (int hit = 0; i == 0 && hit < 5; ++hit) monitor.record_hit(3);
@@ -84,8 +86,13 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
     const std::uint64_t id = 1 + rng.uniform_u64(150);
     if (rng.bernoulli(0.05)) monitor.advance();
     if (rng.bernoulli(0.3)) {
-      monitor.admit(id, 0.25 * static_cast<double>(rng.uniform_int(0, 4)),
-                    4096.0 * static_cast<double>(rng.uniform_int(0, 4)));
+      // Re-admission restarts the record, with a new profile.
+      monitor.forget(id);
+      monitor.admit(
+          id, {.cpu_utilization =
+                   0.25 * static_cast<double>(rng.uniform_int(0, 4)),
+               .memory_mb =
+                   4096.0 * static_cast<double>(rng.uniform_int(0, 4))});
     } else if (rng.bernoulli(0.05)) {
       monitor.record_hit(id);
     }
@@ -111,13 +118,55 @@ TEST(VmMonitorTest, CandidateRankingIsTheFullRankingFiltered) {
 
 TEST(VmMonitorTest, ForgetDropsHistory) {
   osk::VmMonitor monitor;
-  monitor.admit(1, 0.5, 2048.0);
+  monitor.admit(1, {.cpu_utilization = 0.5, .memory_mb = 2048.0});
   monitor.advance();
   EXPECT_EQ(monitor.tracked_vms(), 1u);
   monitor.forget(1);
   monitor.record_hit(1);  // ignored: forgotten
   EXPECT_EQ(monitor.tracked_vms(), 0u);
   EXPECT_EQ(monitor.usage(1).samples, 0u);
+}
+
+TEST(VmMonitorTest, DuplicateAdmitChangesNothing) {
+  osk::VmMonitor monitor;
+  ASSERT_TRUE(monitor.admit(
+      1, {.departs_at = 600.0, .cpu_utilization = 0.5, .memory_mb = 2048.0}));
+  monitor.advance();
+  monitor.record_hit(1);
+  EXPECT_FALSE(monitor.admit(
+      1, {.departs_at = 60.0, .cpu_utilization = 1.0, .memory_mb = 8.0}));
+  const osk::VmRecord* vm = monitor.find(1);
+  ASSERT_NE(vm, nullptr);
+  EXPECT_EQ(vm->departs_at, 600.0);
+  EXPECT_EQ(vm->cpu_utilization, 0.5);
+  EXPECT_EQ(monitor.usage(1).samples, 1u);
+  EXPECT_EQ(monitor.usage(1).total_errors, 1u);
+  EXPECT_TRUE(monitor.due(599.0).empty());
+  EXPECT_EQ(monitor.due(600.0), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(monitor.find(2), nullptr);
+}
+
+TEST(VmMonitorTest, DueListsTheDepartedIdsAscending) {
+  osk::VmMonitor monitor;
+  // Admitted out of id order; VM 4 has a NaN departure time.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [id, at] : std::vector<std::pair<std::uint64_t, double>>{
+           {5, 120.0}, {3, 60.0}, {4, nan}, {9, 60.0}, {1, 180.0}}) {
+    ASSERT_TRUE(monitor.admit(id, {.departs_at = at}));
+  }
+  EXPECT_TRUE(monitor.due(59.0).empty());
+  EXPECT_EQ(monitor.due(60.0), (std::vector<std::uint64_t>{3, 9}));
+  EXPECT_EQ(monitor.due(1e300), (std::vector<std::uint64_t>{1, 3, 5, 9}));
+  // The only exit takes the record and its departure entry together.
+  monitor.forget(9);
+  monitor.forget(4);
+  EXPECT_EQ(monitor.due(120.0), (std::vector<std::uint64_t>{3, 5}));
+  // A re-admitted id departs at its new time only.
+  monitor.forget(3);
+  ASSERT_TRUE(monitor.admit(3, {.departs_at = 240.0}));
+  EXPECT_EQ(monitor.due(180.0), (std::vector<std::uint64_t>{1, 5}));
+  EXPECT_EQ(monitor.due(240.0), (std::vector<std::uint64_t>{1, 3, 5}));
+  EXPECT_EQ(monitor.tracked_vms(), 3u);
 }
 
 // One monitoring sample, as the monitor was first written to take them.
@@ -257,7 +306,8 @@ TEST(VmMonitorDifferential, ProfileMonitorMatchesDequeReference) {
           const double memory_mb =
               coarse ? 4096.0 * static_cast<double>(rng.uniform_int(0, 4))
                      : rng.uniform(0.0, 32768.0);
-          monitor.admit(id, cpu, memory_mb);
+          ASSERT_TRUE(monitor.admit(
+              id, {.cpu_utilization = cpu, .memory_mb = memory_mb}));
           reference.admit(id, cpu, memory_mb);
         }
       }
